@@ -12,7 +12,7 @@ Exit codes: 0 success, 1 usage or schema problems, 2 cylindrical surface
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +36,7 @@ from .surface_io import (
     csv_table,
     export_obj,
     load_surface,
+    read_spec,
     report_document,
     sampled_spec_document,
     write_json_atomic,
@@ -146,13 +147,30 @@ def _v_range(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"expected MIN:MAX, got {text!r}") from None
 
 
+def _float_where(check, rule: str):
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan  # fails every rule below
+        if not check(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return parse
+
+
+_tol = _float_where(lambda x: math.isfinite(x) and x > 0.0, "finite and > 0")
+_angle_tol = _float_where(lambda x: 0.0 <= x < 1.0, "in [0, 1)")
+
+
 def _add_analysis_flags(sub: argparse.ArgumentParser, default_out: str) -> None:
     sub.add_argument("--surface", required=True, help="surface spec JSON path")
     sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                      help="number of u samples (default 512)")
-    sub.add_argument("--tol", type=float, default=None,
+    sub.add_argument("--tol", type=_tol, default=None,
                      help="constancy tolerance (default 1e-6; 1e-3 for sampled specs)")
-    sub.add_argument("--angle-tol", type=float, default=DEFAULT_ANGLE_TOL,
+    sub.add_argument("--angle-tol", type=_angle_tol, default=DEFAULT_ANGLE_TOL,
                      help="right-angle exclusion margin (default 1e-3)")
     sub.add_argument("--out", default=default_out, help="report path")
     sub.add_argument("--csv", action="store_true",
@@ -218,24 +236,15 @@ def parse_cli(argv: Sequence[str]) -> Command:
                   args.v_range[0], args.v_range[1], args.out)
 
 
-def _read_spec(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"{path}: not valid JSON ({exc})") from None
-
-
-def _resolve_tol(tol: float | None, kind: str | None) -> float:
+def _resolve_tol(tol: float | None, kind: str) -> float:
     if tol is not None:
         return tol
     return SAMPLED_TOL if kind == "sampled" else DEFAULT_TOL
 
 
 def _analysis_report(cmd: Analyze | Classify | Verify):
-    doc = _read_spec(cmd.surface)
-    surface = load_surface(doc)
-    tol = _resolve_tol(cmd.tol, doc.get("kind"))
+    surface = load_surface(read_spec(cmd.surface))
+    tol = _resolve_tol(cmd.tol, surface.provenance["kind"])
     grid = SampleGrid.uniform(surface.param_range, cmd.samples)
     samples = frame_samples(surface, grid)
     report = classify_samples(samples, tol, cmd.angle_tol)
@@ -290,7 +299,7 @@ def run(command: Command) -> int:
             _write_report(command, surface, samples, report, ())
             return 0
         if isinstance(command, Generate):
-            doc = _read_spec(command.surface)
+            doc = read_spec(command.surface)
             if doc.get("kind") == "sampled":
                 raise SpecError("generate needs a catalog or prescribed_kappa spec")
             surface = load_surface(doc)
@@ -301,7 +310,7 @@ def run(command: Command) -> int:
         if isinstance(command, Verify):
             return _run_verify(command)
         if isinstance(command, Export):
-            surface = load_surface(_read_spec(command.surface))
+            surface = load_surface(read_spec(command.surface))
             text = export_obj(surface, command.grid_cols, command.v_min,
                               command.v_max, command.grid_rows)
             write_text_atomic(command.out, text)

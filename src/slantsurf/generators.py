@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from bisect import bisect_right
 
-from scipy.interpolate import CubicSpline
-
 from .frame import RuledSurfaceSpec
 from .geometry import EX, EY, EZ, ZERO, Jet3, Vec3
 
@@ -134,6 +132,8 @@ class TabulatedKappa:
                 raise BadParams("s1 knots must be strictly increasing")
         if not all(math.isfinite(v) for v in self.kappa_values):
             raise BadParams("kappa knot values must be finite")
+        from scipy.interpolate import CubicSpline  # ~0.7 s import: load only here
+
         spline = CubicSpline(self.s1_knots, self.kappa_values, bc_type="natural")
         object.__setattr__(self, "_spline", spline)
 

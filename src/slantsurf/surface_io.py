@@ -14,10 +14,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
 from typing import Sequence
-
-from scipy.interpolate import CubicSpline
 
 from .frame import FrameSample, RuledSurfaceSpec, SampleGrid, frame_samples
 from .generators import (
@@ -41,6 +40,7 @@ __all__ = [
     "dumps_deterministic",
     "load_surface",
     "load_surface_file",
+    "read_spec",
     "sampled_spec_document",
     "report_document",
     "csv_table",
@@ -136,10 +136,24 @@ def dumps_deterministic(doc: dict) -> str:
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write through a private temp file in the target directory, then rename.
+
+    Concurrent writers to one path never share a temp file, and a failed
+    write removes its own.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        # mkstemp creates the file 0600; give it the mode a plain open would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_json_atomic(path: str | Path, doc: dict) -> None:
@@ -272,6 +286,8 @@ def _load_sampled(doc: dict) -> RuledSurfaceSpec:
                 f"{SAMPLED_UNIT_TOL:g} (norm {q.norm()!r})"
             )
 
+    from scipy.interpolate import CubicSpline  # ~0.7 s import: load only here
+
     f_spline = [CubicSpline(u, [getattr(p, c) for p in f_rows]) for c in "xyz"]
     q_spline = [CubicSpline(u, [getattr(p, c) for p in q_rows]) for c in "xyz"]
     fd_step = SAMPLED_FD_FRACTION * (u[-1] - u[0])
@@ -313,13 +329,17 @@ def load_surface(doc: dict) -> RuledSurfaceSpec:
     raise SpecError(f"spec.kind: expected one of catalog, prescribed_kappa, sampled; got {kind!r}")
 
 
-def load_surface_file(path: str | Path) -> RuledSurfaceSpec:
+def read_spec(path: str | Path) -> dict:
+    """Parse a spec file; malformed JSON raises ``SpecError``."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
+            return json.load(handle)
         except json.JSONDecodeError as exc:
             raise SpecError(f"{path}: not valid JSON ({exc})") from None
-    return load_surface(doc)
+
+
+def load_surface_file(path: str | Path) -> RuledSurfaceSpec:
+    return load_surface(read_spec(path))
 
 
 # ---------------------------------------------------------------------------

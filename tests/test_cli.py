@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +74,26 @@ class TestParse:
         with pytest.raises(SystemExit) as err:
             parse_cli(["export", "--surface", "s.json", "--grid", "8by4"])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"), ("--tol", "0"),
+        ("--angle-tol", "-1"), ("--angle-tol", "1"), ("--angle-tol", "nan"),
+    ])
+    def test_bad_tolerance_rejected_before_any_output(self, flag, value,
+                                                      helicoid_spec, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as err:
+            main(["classify", "--surface", helicoid_spec, "--out", str(out), flag, value])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+        assert not out.exists()
+
+    def test_tolerance_edges_accepted(self):
+        cmd = parse_cli(["analyze", "--surface", "s.json", "--tol", "1e-300",
+                         "--angle-tol", "0"])
+        assert (cmd.tol, cmd.angle_tol) == (1e-300, 0.0)
 
 
 class TestAnalyze:
@@ -269,3 +293,69 @@ class TestDeterminism:
 def test_main_returns_exit_code(helicoid_spec, tmp_path):
     assert main(["analyze", "--surface", helicoid_spec,
                  "--out", str(tmp_path / "r.json")]) == 0
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_fresh(cwd, *argvs):
+    """Run slant commands in one fresh interpreter.
+
+    Returns the printed lines and whether scipy had been imported by the end.
+    """
+    script = (
+        "import sys\n"
+        "from slantsurf.cli import main\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=cwd, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *lines, loaded = proc.stdout.splitlines()
+    return lines, loaded == "True"
+
+
+class TestStartup:
+    """scipy costs most of a process's start-up; only splines may load it."""
+
+    def test_closed_forms_never_load_scipy(self, helicoid_spec, sigma_spec, tmp_path):
+        lines, loaded = _run_fresh(
+            tmp_path,
+            ["analyze", "--surface", helicoid_spec, "--out", "h_report.json"],
+            ["analyze", "--surface", sigma_spec, "--out", "cs_report.json"],
+            ["classify", "--surface", helicoid_spec, "--out", "h_report.json"],
+            ["classify", "--surface", sigma_spec, "--out", "cs_report.json"],
+            ["generate", "--surface", sigma_spec, "--out", "sampled.json"],
+        )
+        assert not loaded
+        verdicts = [line for line in lines if line.startswith("q_slant")]
+        assert verdicts == [
+            "q_slant=False h_slant=False a_slant=True "
+            "darboux_strict=True darboux_angular=True",
+            "q_slant=False h_slant=True a_slant=False "
+            "darboux_strict=False darboux_angular=True",
+        ]
+
+    def test_sampled_spec_loads_scipy(self, sigma_spec, tmp_path):
+        assert run(parse_cli(["generate", "--surface", sigma_spec,
+                              "--out", str(tmp_path / "sampled.json")])) == 0
+        lines, loaded = _run_fresh(
+            tmp_path, ["classify", "--surface", "sampled.json", "--out", "r.json"])
+        assert loaded
+        assert lines[0] == ("q_slant=False h_slant=True a_slant=False "
+                            "darboux_strict=False darboux_angular=True")
+
+    def test_tabulated_profile_loads_scipy(self, tmp_path):
+        spec = write_spec(tmp_path / "tab.json", {
+            "kind": "catalog", "name": "tabulated_kappa",
+            "params": {"s1_knots": [0.0, 1.5, 3.0], "kappa_values": [0.0, 1.5, 3.0]},
+        })
+        lines, loaded = _run_fresh(
+            tmp_path, ["classify", "--surface", spec, "--out", "r.json"])
+        assert loaded
+        assert lines[0] == ("q_slant=False h_slant=False a_slant=False "
+                            "darboux_strict=False darboux_angular=False")

@@ -19,6 +19,7 @@ from slantsurf import (
     report_document,
     sampled_spec_document,
     write_json_atomic,
+    write_text_atomic,
 )
 
 
@@ -188,6 +189,21 @@ class TestDocuments:
         write_json_atomic(target, {"x": 1})
         assert target.exists()
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_failed_write_leaves_target_and_no_stray_file(self, tmp_path):
+        target = tmp_path / "doc.txt"
+        target.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_text_atomic(target, "\ud800")  # lone surrogate: utf-8 refuses it
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.txt"]
+        assert target.read_text() == "old\n"
+
+    def test_atomic_write_keeps_plain_file_mode(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x")
+        target = tmp_path / "doc.txt"
+        write_text_atomic(target, "x")
+        assert target.stat().st_mode == plain.stat().st_mode
 
 
 class TestExportObj:
