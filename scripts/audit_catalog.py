@@ -12,7 +12,6 @@ import math
 
 from slantsurf import SampleGrid, catalog, classify_samples, frame_samples
 from slantsurf.cli import AUDITORS
-from slantsurf.slant import NotDarbouxSlant
 
 SURFACES = [
     ("helicoid", "helicoid", {}),
@@ -53,11 +52,7 @@ def main():
                f"{rep.kappa_constancy.mean:+.3f}",
                f"{rep.sigma_constancy.mean:+.3f}"]
         for tid in audit_ids:
-            try:
-                record = AUDITORS[tid](surface, grid)
-            except NotDarbouxSlant:
-                row.append("n/a")
-                continue
+            record = AUDITORS[tid](surface, grid, samples=samples, report=rep)
             if not record.applicable:
                 row.append("n/a")
             else:

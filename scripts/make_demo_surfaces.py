@@ -26,7 +26,6 @@ from slantsurf import (
     write_text_atomic,
 )
 from slantsurf.cli import AUDITORS
-from slantsurf.slant import AuditRecord, NotDarbouxSlant
 
 DEMOS = {
     "helicoid.json": {"kind": "catalog", "name": "helicoid"},
@@ -61,12 +60,8 @@ def main():
     grid = SampleGrid.uniform(surface.param_range, args.samples)
     samples = frame_samples(surface, grid)
     rep = classify_samples(samples)
-    audits = []
-    for tid, auditor in AUDITORS.items():
-        try:
-            audits.append(auditor(surface, grid))
-        except NotDarbouxSlant as exc:
-            audits.append(AuditRecord(tid, False, None, [], [str(exc)]))
+    audits = [auditor(surface, grid, samples=samples, report=rep)
+              for auditor in AUDITORS.values()]
     doc = report_document(surface, samples, rep, audits)
     write_text_atomic(out / "constant_sigma_report.json", dumps_deterministic(doc))
     write_text_atomic(out / "constant_sigma_table.csv", csv_table(samples))

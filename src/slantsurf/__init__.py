@@ -11,6 +11,7 @@ and generates surfaces with prescribed conical curvature.
 
 from .frame import (
     FrameSample,
+    FrameTable,
     NonOrthogonalInput,
     RuledSurfaceSpec,
     SampleGrid,
@@ -58,7 +59,6 @@ from .slant import (
     AxisFit,
     ConstancyResult,
     EmptyInput,
-    NotDarbouxSlant,
     SlantReport,
     SlantVerdict,
     classify,

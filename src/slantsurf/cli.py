@@ -22,8 +22,7 @@ from .frame import SampleGrid, frame_samples
 from .generators import BadParams, OutOfDomain, UnknownCatalogName
 from .geometry import CylindricalDirector
 from .slant import (
-    AuditRecord,
-    NotDarbouxSlant,
+    MIN_AXIS_SAMPLES,
     classify_samples,
     verify_corollary_3_1,
     verify_theorem_2_1,
@@ -32,6 +31,7 @@ from .slant import (
     verify_theorems_3_3_3_4,
 )
 from .surface_io import (
+    MIN_SAMPLED_ROWS,
     SpecError,
     csv_table,
     export_obj,
@@ -80,14 +80,8 @@ class Analyze:
     csv: bool = False
 
 
-@dataclass(frozen=True)
-class Classify:
-    surface: str
-    samples: int = DEFAULT_SAMPLES
-    tol: float | None = None
-    angle_tol: float = DEFAULT_ANGLE_TOL
-    out: str = "report.json"
-    csv: bool = False
+class Classify(Analyze):
+    """``analyze`` that also prints the five verdicts."""
 
 
 @dataclass(frozen=True)
@@ -98,14 +92,10 @@ class Generate:
 
 
 @dataclass(frozen=True)
-class Verify:
-    surface: str
+class Verify(Analyze):
+    """``analyze`` plus the named audits."""
+
     theorem: str = "all"
-    samples: int = DEFAULT_SAMPLES
-    tol: float | None = None
-    angle_tol: float = DEFAULT_ANGLE_TOL
-    out: str = "report.json"
-    csv: bool = False
 
 
 @dataclass(frozen=True)
@@ -132,9 +122,12 @@ class _Parser(argparse.ArgumentParser):
 def _grid(text: str) -> tuple[int, int]:
     try:
         cols, rows = text.lower().split("x")
-        return int(cols), int(rows)
+        cols, rows = int(cols), int(rows)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected COLSxROWS, got {text!r}") from None
+    if cols < 2 or rows < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2x2, got {text!r}")
+    return cols, rows
 
 
 def _v_range(text: str) -> tuple[float, float]:
@@ -147,12 +140,12 @@ def _v_range(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"expected MIN:MAX, got {text!r}") from None
 
 
-def _float_where(check, rule: str):
-    def parse(text: str) -> float:
+def _value_where(convert, check, rule: str):
+    def parse(text: str):
         try:
-            value = float(text)
+            value = convert(text)
         except ValueError:
-            value = math.nan  # fails every rule below
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}") from None
         if not check(value):
             raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
         return value
@@ -160,14 +153,18 @@ def _float_where(check, rule: str):
     return parse
 
 
-_tol = _float_where(lambda x: math.isfinite(x) and x > 0.0, "finite and > 0")
-_angle_tol = _float_where(lambda x: 0.0 <= x < 1.0, "in [0, 1)")
+def _count_at_least(minimum: int):
+    return _value_where(int, lambda n: n >= minimum, f"an integer >= {minimum}")
+
+
+_tol = _value_where(float, lambda x: math.isfinite(x) and x > 0.0, "finite and > 0")
+_angle_tol = _value_where(float, lambda x: 0.0 <= x < 1.0, "in [0, 1)")
 
 
 def _add_analysis_flags(sub: argparse.ArgumentParser, default_out: str) -> None:
     sub.add_argument("--surface", required=True, help="surface spec JSON path")
-    sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                     help="number of u samples (default 512)")
+    sub.add_argument("--samples", type=_count_at_least(MIN_AXIS_SAMPLES),
+                     default=DEFAULT_SAMPLES, help="number of u samples (default 512)")
     sub.add_argument("--tol", type=_tol, default=None,
                      help="constancy tolerance (default 1e-6; 1e-3 for sampled specs)")
     sub.add_argument("--angle-tol", type=_angle_tol, default=DEFAULT_ANGLE_TOL,
@@ -189,8 +186,8 @@ def parse_cli(argv: Sequence[str]) -> Command:
 
     gen = subs.add_parser("generate", help="tabulate a spec into a sampled spec")
     gen.add_argument("--surface", required=True, help="catalog or prescribed_kappa spec")
-    gen.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                     help="rows to tabulate (default 512)")
+    gen.add_argument("--samples", type=_count_at_least(MIN_SAMPLED_ROWS),
+                     default=DEFAULT_SAMPLES, help="rows to tabulate (default 512)")
     gen.add_argument("--out", default="surface.json", help="output spec path")
 
     ver = subs.add_parser("verify", help="run numerical audits")
@@ -221,17 +218,13 @@ def parse_cli(argv: Sequence[str]) -> Command:
             merged.append(token)
 
     args = parser.parse_args(merged)
-    if args.command == "analyze":
-        return Analyze(args.surface, args.samples, args.tol, args.angle_tol,
-                       args.out, args.csv)
-    if args.command == "classify":
-        return Classify(args.surface, args.samples, args.tol, args.angle_tol,
-                        args.out, args.csv)
+    if args.command in ("analyze", "classify", "verify"):
+        analysis = (args.surface, args.samples, args.tol, args.angle_tol, args.out, args.csv)
+        if args.command == "verify":
+            return Verify(*analysis, args.theorem)
+        return (Analyze if args.command == "analyze" else Classify)(*analysis)
     if args.command == "generate":
         return Generate(args.surface, args.samples, args.out)
-    if args.command == "verify":
-        return Verify(args.surface, args.theorem, args.samples, args.tol,
-                      args.angle_tol, args.out, args.csv)
     return Export(args.surface, args.grid[0], args.grid[1],
                   args.v_range[0], args.v_range[1], args.out)
 
@@ -242,7 +235,7 @@ def _resolve_tol(tol: float | None, kind: str) -> float:
     return SAMPLED_TOL if kind == "sampled" else DEFAULT_TOL
 
 
-def _analysis_report(cmd: Analyze | Classify | Verify):
+def _analysis_report(cmd: Analyze):
     surface = load_surface(read_spec(cmd.surface))
     tol = _resolve_tol(cmd.tol, surface.provenance["kind"])
     grid = SampleGrid.uniform(surface.param_range, cmd.samples)
@@ -251,7 +244,7 @@ def _analysis_report(cmd: Analyze | Classify | Verify):
     return surface, grid, samples, report
 
 
-def _write_report(cmd: Analyze | Classify | Verify, surface, samples, report, audits) -> None:
+def _write_report(cmd: Analyze, surface, samples, report, audits) -> None:
     write_json_atomic(cmd.out, report_document(surface, samples, report, audits))
     print(f"wrote {cmd.out}")
     if cmd.csv:
@@ -263,18 +256,16 @@ def _write_report(cmd: Analyze | Classify | Verify, surface, samples, report, au
 def _run_verify(cmd: Verify) -> int:
     surface, grid, samples, report = _analysis_report(cmd)
     ids = list(AUDITORS) if cmd.theorem == "all" else [cmd.theorem]
+    # every audit reads this one classification of the samples
+    kwargs = {"angle_tol": cmd.angle_tol, "samples": samples, "report": report}
+    if cmd.tol is not None:
+        kwargs["tol"] = cmd.tol
+    elif report.tol != DEFAULT_TOL:
+        # sampled spec: keep audits on the loosened budget too
+        kwargs["tol"] = report.tol
     records = []
     for tid in ids:
-        kwargs = {"angle_tol": cmd.angle_tol, "samples": samples}
-        if cmd.tol is not None:
-            kwargs["tol"] = cmd.tol
-        elif report.tol != DEFAULT_TOL:
-            # sampled spec: keep audits on the loosened budget too
-            kwargs["tol"] = report.tol
-        try:
-            record = AUDITORS[tid](surface, grid, **kwargs)
-        except NotDarbouxSlant as exc:
-            record = AuditRecord(tid, False, None, [], [str(exc)])
+        record = AUDITORS[tid](surface, grid, **kwargs)
         records.append(record)
         state = "passed" if record.passed else (
             "not applicable" if record.passed is None else "FAILED")
@@ -286,7 +277,9 @@ def _run_verify(cmd: Verify) -> int:
 def run(command: Command) -> int:
     """Execute a parsed command; returns the process exit code."""
     try:
-        if isinstance(command, (Analyze, Classify)):
+        if isinstance(command, Verify):
+            return _run_verify(command)
+        if isinstance(command, Analyze):
             surface, grid, samples, report = _analysis_report(command)
             if isinstance(command, Classify):
                 print(
@@ -307,8 +300,6 @@ def run(command: Command) -> int:
                               sampled_spec_document(surface, command.samples))
             print(f"wrote {command.out}")
             return 0
-        if isinstance(command, Verify):
-            return _run_verify(command)
         if isinstance(command, Export):
             surface = load_surface(read_spec(command.surface))
             text = export_obj(surface, command.grid_cols, command.v_min,

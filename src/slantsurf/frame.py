@@ -17,13 +17,18 @@ The surface-independent part of the base curve is the striction point
     c = f - (<q', f'> / <q', q'>) * q,
 
 the foot of the common perpendicular of neighbouring rulings.
+
+Everything here is columnar: jets hold (N, 3) arrays, one row per parameter
+value, and ``frame_samples`` returns a ``FrameTable`` of arrays computed in
+one pass over the whole grid.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable
+
+import numpy as np
 
 from .geometry import (
     EPS_CYL,
@@ -32,10 +37,13 @@ from .geometry import (
     CylindricalDirector,
     Jet3,
     NonFiniteSample,
-    S1Derivatives,
     TagError,
     Vec3,
+    cross,
     det3,
+    dot,
+    norm,
+    power,
     reparam_to_s1,
     s1_derivatives,
 )
@@ -44,6 +52,7 @@ __all__ = [
     "NonOrthogonalInput",
     "RuledSurfaceSpec",
     "FrameSample",
+    "FrameTable",
     "SampleGrid",
     "striction_point",
     "asymptotic_normal",
@@ -66,16 +75,16 @@ class NonOrthogonalInput(ValueError):
 class RuledSurfaceSpec:
     """Ruled surface given by third-order jets of its base curve and director.
 
-    ``base_curve`` and ``director`` map a parameter value to a u-tagged
-    ``Jet3``; the director jet must have a unit value.  ``provenance``
-    records where the surface came from (catalog entry, prescribed-curvature
-    build, or user samples) and flows into report metadata unchanged.
-    ``expected`` is optional metadata for tests: invariants the constructor
-    knows in closed form.
+    ``base_curve`` and ``director`` map a 1-D array of parameter values to a
+    u-tagged ``Jet3`` with one row per value; the director jet must have unit
+    values.  ``provenance`` records where the surface came from (catalog
+    entry, prescribed-curvature build, or user samples) and flows into report
+    metadata unchanged.  ``expected`` is optional metadata for tests:
+    invariants the constructor knows in closed form.
     """
 
-    base_curve: Callable[[float], Jet3]
-    director: Callable[[float], Jet3]
+    base_curve: Callable[[np.ndarray], Jet3]
+    director: Callable[[np.ndarray], Jet3]
     param_range: tuple[float, float]
     provenance: dict
     expected: dict | None = None
@@ -83,7 +92,7 @@ class RuledSurfaceSpec:
 
 @dataclass(frozen=True, slots=True)
 class FrameSample:
-    """Frame and curvature data at one parameter value."""
+    """Frame and curvature data at one parameter value: a row of a ``FrameTable``."""
 
     u: float
     s1: float
@@ -97,18 +106,52 @@ class FrameSample:
     striction: Vec3
 
 
-@dataclass(frozen=True)
-class SampleGrid:
-    """Strictly increasing parameter values spanning a closed interval."""
+@dataclass(frozen=True, eq=False)
+class FrameTable:
+    """Frame and curvature data on a grid, one array per column.
 
-    u_values: tuple[float, ...]
+    Scalar columns (``u``, ``s1``, ``kappa``, ``kappa_prime``, ``sigma``)
+    have shape (N,); vector columns (``q``, ``h``, ``a``, ``darboux``,
+    ``striction``) have shape (N, 3).  Row i of every column belongs to the
+    grid value ``u[i]``; ``table[i]`` reads it as a ``FrameSample``.
+    """
+
+    u: np.ndarray
+    s1: np.ndarray
+    q: np.ndarray
+    h: np.ndarray
+    a: np.ndarray
+    kappa: np.ndarray
+    kappa_prime: np.ndarray
+    sigma: np.ndarray
+    darboux: np.ndarray
+    striction: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.u)
+
+    def __getitem__(self, i: int) -> FrameSample:
+        columns = (getattr(self, f.name)[i] for f in fields(self))
+        return FrameSample(*(Vec3(*c.tolist()) if c.ndim else float(c) for c in columns))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+@dataclass(frozen=True, eq=False)
+class SampleGrid:
+    """Strictly increasing parameter values spanning a closed interval, as a read-only array."""
+
+    u_values: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.u_values) < 2:
+        u = np.array(self.u_values, dtype=float)
+        if u.ndim != 1 or len(u) < 2:
             raise ValueError("a sample grid needs at least two parameter values")
-        for left, right in zip(self.u_values, self.u_values[1:]):
-            if not right > left:
-                raise ValueError("grid parameter values must be strictly increasing")
+        if not np.all(u[1:] > u[:-1]):
+            raise ValueError("grid parameter values must be strictly increasing")
+        u.flags.writeable = False
+        object.__setattr__(self, "u_values", u)
 
     @property
     def count(self) -> int:
@@ -122,49 +165,48 @@ class SampleGrid:
         if count < 2:
             raise ValueError("count must be at least 2")
         step = (hi - lo) / (count - 1)
-        values = tuple(lo + i * step for i in range(count - 1)) + (hi,)
-        return cls(values)
+        return cls(np.append(lo + np.arange(count - 1) * step, hi))
 
 
-def striction_point(f_jet: Jet3, q_jet: Jet3) -> Vec3:
-    """Striction point c = f - (<q', f'>/<q', q'>) q at a common parameter."""
+def striction_point(f_jet: Jet3, q_jet: Jet3) -> np.ndarray:
+    """Striction points c = f - (<q', f'>/<q', q'>) q at common parameters."""
     if f_jet.param != PARAM_U or q_jet.param != PARAM_U:
         raise TagError("striction_point expects u-jets for base curve and director")
-    qq = q_jet.d1.dot(q_jet.d1)
-    if qq <= EPS_CYL * EPS_CYL:
+    qq = dot(q_jet.d1, q_jet.d1)
+    if np.any(qq <= EPS_CYL * EPS_CYL):
         raise CylindricalDirector()
-    return f_jet.d0 - q_jet.d0 * (q_jet.d1.dot(f_jet.d1) / qq)
+    return f_jet.d0 - q_jet.d0 * (dot(q_jet.d1, f_jet.d1) / qq)[:, None]
 
 
-def asymptotic_normal(q_jet: Jet3) -> Vec3:
-    """Unit normal a = (q x q') / |q'|, the limit of the surface normal."""
+def asymptotic_normal(q_jet: Jet3) -> np.ndarray:
+    """Unit normals a = (q x q') / |q'|, the limit of the surface normal."""
     if q_jet.param != PARAM_U:
         raise TagError("asymptotic_normal expects a u-jet")
-    n1 = q_jet.d1.norm()
-    if n1 <= EPS_CYL:
+    n1 = norm(q_jet.d1)
+    if np.any(n1 <= EPS_CYL):
         raise CylindricalDirector()
-    return q_jet.d0.cross(q_jet.d1) / n1
+    return cross(q_jet.d0, q_jet.d1) / n1[:, None]
 
 
-def central_normal(q: Vec3, a: Vec3) -> Vec3:
+def central_normal(q: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Third frame leg h = a x q, completing the right-handed triple."""
     if (
-        abs(q.norm() - 1.0) > ORTHO_TOL
-        or abs(a.norm() - 1.0) > ORTHO_TOL
-        or abs(q.dot(a)) > ORTHO_TOL
+        np.any(np.abs(norm(q) - 1.0) > ORTHO_TOL)
+        or np.any(np.abs(norm(a) - 1.0) > ORTHO_TOL)
+        or np.any(np.abs(dot(q, a)) > ORTHO_TOL)
     ):
         raise NonOrthogonalInput("central_normal needs unit, mutually orthogonal q and a")
-    return a.cross(q)
+    return cross(a, q)
 
 
-def conical_curvature(q_s1: Jet3) -> float:
+def conical_curvature(q_s1: Jet3) -> np.ndarray:
     """Conical curvature kappa = det(q, dq/ds1, d2q/ds1^2)."""
     if q_s1.param != PARAM_S1:
         raise TagError("conical_curvature expects an s1-jet")
     return det3(q_s1.d0, q_s1.d1, q_s1.d2)
 
 
-def kappa_prime(q_s1: Jet3) -> float:
+def kappa_prime(q_s1: Jet3) -> np.ndarray:
     """d(kappa)/ds1 = det(q, dq/ds1, d3q/ds1^3).
 
     The third-derivative column works because d3q/ds1^3 equals
@@ -176,78 +218,74 @@ def kappa_prime(q_s1: Jet3) -> float:
     return det3(q_s1.d0, q_s1.d1, q_s1.d3)
 
 
-def darboux_vector(kappa: float, q: Vec3, a: Vec3) -> Vec3:
-    """Rotation vector W = kappa*q + a of the moving frame."""
-    return q * kappa + a
+def darboux_vector(kappa, q: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Rotation vectors W = kappa*q + a of the moving frame."""
+    return q * np.expand_dims(kappa, -1) + a
 
 
-def sigma(kappa: float, kappa_prime_value: float) -> float:
+def sigma(kappa, kappa_prime_value):
     """Slant invariant sigma = kappa' / (1 + kappa^2)^(3/2).
 
     Constant sigma is equivalent to the central normal h making a constant
     angle with a fixed direction.
     """
-    return kappa_prime_value / (1.0 + kappa * kappa) ** 1.5
+    return kappa_prime_value / power(1.0 + kappa * kappa, 1.5)
 
 
-def _sample_at(surface: RuledSurfaceSpec, u: float) -> tuple[Jet3, Jet3, S1Derivatives]:
-    f_jet = surface.base_curve(u)
-    q_jet = surface.director(u)
-    if not (f_jet.is_finite() and q_jet.is_finite()):
-        raise NonFiniteSample(f"surface jets are non-finite at u={u!r}")
-    try:
-        s1d = s1_derivatives(q_jet)
-    except CylindricalDirector:
-        raise CylindricalDirector(u=u) from None
-    return f_jet, q_jet, s1d
+def _raise_first_fault(points: np.ndarray, finite: np.ndarray, speed: np.ndarray) -> None:
+    """Name the first bad point in the order a sample-by-sample sweep meets it.
+
+    ``points`` holds the N grid values, then the N - 1 interval midpoints;
+    the sweep visits u[0], u[1], mid[0], u[2], mid[1], ...
+    """
+    n = (len(points) + 1) // 2
+    bad = np.flatnonzero(~finite | (speed <= EPS_CYL))
+    if bad.size:
+        sweep_order = np.concatenate((2 * np.arange(n), 2 * np.arange(n - 1) + 3))
+        i = bad[np.argmin(sweep_order[bad])]
+        if not finite[i]:
+            what = "surface jets are" if i < n else "director jet is"
+            raise NonFiniteSample(f"{what} non-finite at u={float(points[i])!r}")
+        raise CylindricalDirector(u=float(points[i]))
 
 
-def _speed(surface: RuledSurfaceSpec, u: float) -> float:
-    q_jet = surface.director(u)
-    if not q_jet.is_finite():
-        raise NonFiniteSample(f"director jet is non-finite at u={u!r}")
-    n1 = q_jet.d1.norm()
-    if n1 <= EPS_CYL:
-        raise CylindricalDirector(u=u)
-    return n1
-
-
-def frame_samples(surface: RuledSurfaceSpec, grid: SampleGrid) -> list[FrameSample]:
+def frame_samples(surface: RuledSurfaceSpec, grid: SampleGrid) -> FrameTable:
     """Evaluate the frame, curvature and striction data on a grid.
 
+    Three jet evaluations cover the whole grid: the base curve and the
+    director at the grid values, and the director at the interval midpoints.
     The spherical arc length s1 starts at zero on the first grid point and
     accumulates by composite Simpson quadrature of |dq/du| over each grid
     interval (midpoint included), so it is exact for constant-speed
     directors and fourth-order accurate otherwise.
     """
-    samples: list[FrameSample] = []
-    s1_acc = 0.0
-    prev_u: float | None = None
-    prev_speed = 0.0
-    for u in grid.u_values:
-        f_jet, q_jet, s1d = _sample_at(surface, u)
-        a = asymptotic_normal(q_jet)
-        h = central_normal(q_jet.d0, a)
-        q_s1 = reparam_to_s1(q_jet, s1d)
-        kap = conical_curvature(q_s1)
-        kp = kappa_prime(q_s1)
-        if prev_u is not None:
-            mid_speed = _speed(surface, 0.5 * (prev_u + u))
-            s1_acc += (u - prev_u) / 6.0 * (prev_speed + 4.0 * mid_speed + s1d.s1p)
-        samples.append(
-            FrameSample(
-                u=u,
-                s1=s1_acc,
-                q=q_jet.d0,
-                h=h,
-                a=a,
-                kappa=kap,
-                kappa_prime=kp,
-                sigma=sigma(kap, kp),
-                darboux=darboux_vector(kap, q_jet.d0, a),
-                striction=striction_point(f_jet, q_jet),
-            )
-        )
-        prev_u = u
-        prev_speed = s1d.s1p
-    return samples
+    u = grid.u_values
+    mid = 0.5 * (u[:-1] + u[1:])
+    f_jet = surface.base_curve(u)
+    q_jet = surface.director(u)
+    q_mid = surface.director(mid)
+    mid_speed = norm(q_mid.d1)
+    _raise_first_fault(
+        np.concatenate((u, mid)),
+        np.concatenate((f_jet.is_finite() & q_jet.is_finite(), q_mid.is_finite())),
+        np.concatenate((norm(q_jet.d1), mid_speed)),
+    )
+    s1d = s1_derivatives(q_jet)
+    a = asymptotic_normal(q_jet)
+    h = central_normal(q_jet.d0, a)
+    q_s1 = reparam_to_s1(q_jet, s1d)
+    kap = conical_curvature(q_s1)
+    kp = kappa_prime(q_s1)
+    steps = (u[1:] - u[:-1]) / 6.0 * (s1d.s1p[:-1] + 4.0 * mid_speed + s1d.s1p[1:])
+    return FrameTable(
+        u=u,
+        s1=np.cumsum(np.concatenate(([0.0], steps))),
+        q=q_jet.d0,
+        h=h,
+        a=a,
+        kappa=kap,
+        kappa_prime=kp,
+        sigma=sigma(kap, kp),
+        darboux=darboux_vector(kap, q_jet.d0, a),
+        striction=striction_point(f_jet, q_jet),
+    )

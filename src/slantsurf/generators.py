@@ -16,17 +16,19 @@ Taylor interpolants (degree 7, matching value and three derivatives at both
 ends, all known from the frame equations).  The glued interpolant is C^3
 across nodes, so sampled derivatives up to third order converge cleanly and
 the returned jets satisfy the frame equations identically at the query
-point.
+point.  Profiles, interpolants and surface jets all evaluate whole arrays of
+parameter values at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from bisect import bisect_right
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .frame import RuledSurfaceSpec
-from .geometry import EX, EY, EZ, ZERO, Jet3, Vec3
+from .geometry import EX, EY, EZ, ZERO, Jet3, Vec3, cross, dot, normalize, power
 
 __all__ = [
     "OutOfDomain",
@@ -73,11 +75,11 @@ class ConstantKappa:
     def __post_init__(self) -> None:
         _require_interval(self.domain)
 
-    def kappa(self, s1: float) -> float:
-        return self.kappa0
+    def kappa(self, s1):
+        return np.full(np.shape(s1), self.kappa0)
 
-    def kappa_prime(self, s1: float) -> float:
-        return 0.0
+    def kappa_prime(self, s1):
+        return np.zeros(np.shape(s1))
 
     def describe(self) -> dict:
         return {"type": "constant", "kappa0": self.kappa0}
@@ -105,13 +107,13 @@ class ConstantSigma:
             raise BadParams(f"domain {self.domain!r} collapses under the |d*s1| clamp")
         object.__setattr__(self, "domain", (lo, hi))
 
-    def kappa(self, s1: float) -> float:
+    def kappa(self, s1):
         t = self.d * s1
-        return t / math.sqrt(1.0 - t * t)
+        return t / np.sqrt(1.0 - t * t)
 
-    def kappa_prime(self, s1: float) -> float:
+    def kappa_prime(self, s1):
         t = self.d * s1
-        return self.d / (1.0 - t * t) ** 1.5
+        return self.d / power(1.0 - t * t, 1.5)
 
     def describe(self) -> dict:
         return {"type": "constant_sigma", "d": self.d}
@@ -141,11 +143,11 @@ class TabulatedKappa:
     def domain(self) -> tuple[float, float]:
         return (self.s1_knots[0], self.s1_knots[-1])
 
-    def kappa(self, s1: float) -> float:
-        return float(self._spline(s1))
+    def kappa(self, s1):
+        return self._spline(s1)
 
-    def kappa_prime(self, s1: float) -> float:
-        return float(self._spline(s1, 1))
+    def kappa_prime(self, s1):
+        return self._spline(s1, 1)
 
     def describe(self) -> dict:
         return {
@@ -164,17 +166,21 @@ def _require_interval(domain: tuple[float, float]) -> None:
         raise BadParams(f"bad s1 domain {domain!r}")
 
 
-def kappa_of_s1(profile: KappaProfile, s1: float) -> float:
-    """Evaluate a profile, rejecting queries outside its domain."""
+def kappa_of_s1(profile: KappaProfile, s1):
+    """Evaluate a profile at a value or an array, rejecting queries outside its domain."""
     lo, hi = profile.domain
-    if s1 < lo - DOMAIN_SLACK or s1 > hi + DOMAIN_SLACK:
-        raise OutOfDomain(f"s1={s1!r} outside profile domain [{lo!r}, {hi!r}]")
-    return profile.kappa(min(max(s1, lo), hi))
+    s1 = np.asarray(s1, dtype=float)
+    outside = (s1 < lo - DOMAIN_SLACK) | (s1 > hi + DOMAIN_SLACK)
+    if outside.any():
+        raise OutOfDomain(f"s1={float(s1[outside][0])!r} outside profile domain [{lo!r}, {hi!r}]")
+    return profile.kappa(np.clip(s1, lo, hi))
 
 
-def _kappa_prime_clamped(profile: KappaProfile, s1: float) -> float:
+def _kappa_columns(profile: KappaProfile, s1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """kappa and kappa' at the values s1, as (N, 1) columns."""
     lo, hi = profile.domain
-    return profile.kappa_prime(min(max(s1, lo), hi))
+    kap = kappa_of_s1(profile, s1)
+    return kap[:, None], profile.kappa_prime(np.clip(s1, lo, hi))[:, None]
 
 
 @dataclass(frozen=True)
@@ -241,46 +247,52 @@ def integrate_frame(config: GeneratorConfig) -> FramePath:
     """March the frame ODE across the profile domain with classical RK4.
 
     The triple is re-orthonormalized after every step; the final (possibly
-    shorter) step lands exactly on the domain's upper end.
+    shorter) step lands exactly on the domain's upper end.  The stage
+    abscissae do not depend on the frame, so kappa is evaluated at all of
+    them in one call before the march.
     """
     profile = config.profile
     lo, hi = profile.domain
     q, h, a = config.initial_frame
 
-    def rhs(s: float, q: Vec3, h: Vec3, a: Vec3) -> tuple[Vec3, Vec3, Vec3]:
-        return _frame_derivative(q, h, a, kappa_of_s1(profile, min(max(s, lo), hi)))
-
     edge = 1e-12 * max(1.0, abs(hi), abs(lo))
     s_nodes = [lo]
-    qs, hs, as_ = [q], [h], [a]
+    steps = []
     s = lo
     while s < hi - edge:
         dt = min(config.step, hi - s)
+        steps.append(dt)
+        s = hi if hi - (s + dt) <= edge else s + dt
+        s_nodes.append(s)
+    stage_s = [(s, s + dt / 2.0, s + dt) for s, dt in zip(s_nodes, steps)]
+    kappas = kappa_of_s1(profile, np.clip(np.array(stage_s), lo, hi)).tolist()
+
+    qs, hs, as_ = [q], [h], [a]
+    for dt, (k_start, k_half, k_end) in zip(steps, kappas):
         half = dt / 2.0
-        k1 = rhs(s, q, h, a)
-        k2 = rhs(s + half, q + k1[0] * half, h + k1[1] * half, a + k1[2] * half)
-        k3 = rhs(s + half, q + k2[0] * half, h + k2[1] * half, a + k2[2] * half)
-        k4 = rhs(s + dt, q + k3[0] * dt, h + k3[1] * dt, a + k3[2] * dt)
+        k1 = _frame_derivative(q, h, a, k_start)
+        k2 = _frame_derivative(q + k1[0] * half, h + k1[1] * half, a + k1[2] * half, k_half)
+        k3 = _frame_derivative(q + k2[0] * half, h + k2[1] * half, a + k2[2] * half, k_half)
+        k4 = _frame_derivative(q + k3[0] * dt, h + k3[1] * dt, a + k3[2] * dt, k_end)
         q = q + (k1[0] + k2[0] * 2.0 + k3[0] * 2.0 + k4[0]) * (dt / 6.0)
         h = h + (k1[1] + k2[1] * 2.0 + k3[1] * 2.0 + k4[1]) * (dt / 6.0)
         a = a + (k1[2] + k2[2] * 2.0 + k3[2] * 2.0 + k4[2]) * (dt / 6.0)
         q, h, a = _gram_schmidt(q, h, a)
-        s = hi if hi - (s + dt) <= edge else s + dt
-        s_nodes.append(s)
         qs.append(q)
         hs.append(h)
         as_.append(a)
     return FramePath(s_nodes, qs, hs, as_, profile)
 
 
-def _two_point_taylor(width: float, left: tuple, right: tuple) -> list[float]:
+def _two_point_taylor(width, left: tuple, right: tuple) -> list:
     """Monomial coefficients (ascending, in t = (u - u0)/width) of the degree-7
     polynomial matching value and three derivatives at both interval ends.
 
     ``left`` and ``right`` are (value, d1, d2, d3) with derivatives taken
-    against u; they are rescaled to the unit interval internally.
+    against u; they are rescaled to the unit interval internally.  Every
+    entry may be an array: the construction runs elementwise.
     """
-    scale = (1.0, width, width * width / 2.0, width**3 / 6.0)
+    scale = (1.0, width, width * width / 2.0, power(width, 3) / 6.0)
     f0 = [left[k] * scale[k] for k in range(4)]
     f1 = [right[k] * scale[k] for k in range(4)]
     nodes = (0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0)
@@ -310,77 +322,36 @@ def _two_point_taylor(width: float, left: tuple, right: tuple) -> list[float]:
 
 
 class _PiecewisePoly:
-    """Per-interval degree-7 vector polynomials over the node grid."""
+    """Per-interval degree-7 vector polynomials over the node grid.
 
-    def __init__(self, s_nodes: list[float], coeffs: list[tuple[list[float], list[float], list[float]]]):
+    ``coeffs[k]`` holds the degree-k coefficients of every interval, shape
+    (intervals, 3); evaluation is one Horner pass over all query points.
+    """
+
+    def __init__(self, s_nodes: np.ndarray, coeffs: np.ndarray):
         self.s_nodes = s_nodes
         self.coeffs = coeffs
 
-    def _locate(self, u: float) -> tuple[int, float, float]:
-        i = bisect_right(self.s_nodes, u) - 1
-        i = min(max(i, 0), len(self.s_nodes) - 2)
+    def value_and_derivative(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        i = np.searchsorted(self.s_nodes, u, side="right") - 1
+        i = np.clip(i, 0, len(self.s_nodes) - 2)
         width = self.s_nodes[i + 1] - self.s_nodes[i]
-        return i, (u - self.s_nodes[i]) / width, width
-
-    def value(self, u: float) -> Vec3:
-        i, t, _ = self._locate(u)
-        out = []
-        for comp in self.coeffs[i]:
-            acc = 0.0
-            for c in reversed(comp):
-                acc = acc * t + c
-            out.append(acc)
-        return Vec3(*out)
-
-    def value_and_derivative(self, u: float) -> tuple[Vec3, Vec3]:
-        i, t, width = self._locate(u)
-        vals, ders = [], []
-        for comp in self.coeffs[i]:
-            acc = 0.0
-            dacc = 0.0
-            for c in reversed(comp):
-                dacc = dacc * t + acc
-                acc = acc * t + c
-            vals.append(acc)
-            ders.append(dacc / width)
-        return Vec3(*vals), Vec3(*ders)
+        t = ((u - self.s_nodes[i]) / width)[:, None]
+        coeffs = self.coeffs[:, i]
+        acc = np.zeros(coeffs.shape[1:])
+        dacc = np.zeros(coeffs.shape[1:])
+        for c in coeffs[::-1]:
+            dacc = dacc * t + acc
+            acc = acc * t + c
+        return acc, dacc / width[:, None]
 
 
-def _vector_poly(s_nodes: list[float], jets: list[tuple[Vec3, Vec3, Vec3, Vec3]]) -> _PiecewisePoly:
-    coeffs = []
-    for i in range(len(s_nodes) - 1):
-        width = s_nodes[i + 1] - s_nodes[i]
-        interval = []
-        for pick in (lambda v: v.x, lambda v: v.y, lambda v: v.z):
-            left = tuple(pick(jets[i][k]) for k in range(4))
-            right = tuple(pick(jets[i + 1][k]) for k in range(4))
-            interval.append(_two_point_taylor(width, left, right))
-        coeffs.append(tuple(interval))
-    return _PiecewisePoly(s_nodes, coeffs)
-
-
-class _FrameInterpolant:
-    """Orthonormal frame anywhere in the domain, from the director interpolant."""
-
-    def __init__(self, frames: FramePath):
-        profile = frames.profile
-        jets = []
-        for s, q, h, a in frames:
-            kap = kappa_of_s1(profile, s)
-            kp = _kappa_prime_clamped(profile, s)
-            jets.append(
-                (q, h, -q + a * kap, h * (-(1.0 + kap * kap)) + a * kp)
-            )
-        self._poly = _vector_poly(frames.s1, jets)
-
-    def frame_at(self, u: float) -> tuple[Vec3, Vec3, Vec3]:
-        p, dp = self._poly.value_and_derivative(u)
-        q = p.normalized()
-        h = (dp - q * dp.dot(q)).normalized()
-        return q, h, q.cross(h)
-
-    def director_value(self, u: float) -> Vec3:
-        return self._poly.value(u).normalized()
+def _vector_poly(s_nodes: np.ndarray, jets: tuple) -> _PiecewisePoly:
+    """Glue the two-point Taylor interpolants of (value, d1, d2, d3) node rows."""
+    width = (s_nodes[1:] - s_nodes[:-1])[:, None]
+    left = tuple(d[:-1] for d in jets)
+    right = tuple(d[1:] for d in jets)
+    return _PiecewisePoly(s_nodes, np.stack(_two_point_taylor(width, left, right)))
 
 
 def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpec:
@@ -394,23 +365,28 @@ def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpe
     profile values.
     """
     profile = frames.profile
-    interp = _FrameInterpolant(frames)
+    s = np.array(frames.s1)
+    q, h, a = (np.array(vs, dtype=float) for vs in (frames.q, frames.h, frames.a))
+    kap, kp = _kappa_columns(profile, s)
+    q_poly = _vector_poly(s, (q, h, -q + a * kap, h * (-(1.0 + kap * kap)) + a * kp))
     cos_a, sin_a = math.cos(config.alpha), math.sin(config.alpha)
 
-    def tangent(q: Vec3, a: Vec3) -> Vec3:
+    def frame_at(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Orthonormal frame anywhere in the domain, from the director interpolant."""
+        p, dp = q_poly.value_and_derivative(u)
+        q = normalize(p)
+        h = normalize(dp - q * dot(dp, q)[:, None])
+        return q, h, cross(q, h)
+
+    def tangent(q: np.ndarray, a: np.ndarray) -> np.ndarray:
         return q * cos_a + a * sin_a
 
-    c_nodes = [ZERO]
-    c = ZERO
-    for i in range(len(frames) - 1):
-        s0, s1 = frames.s1[i], frames.s1[i + 1]
-        g0 = tangent(frames.q[i], frames.a[i])
-        g1 = tangent(frames.q[i + 1], frames.a[i + 1])
-        qm, _, am = interp.frame_at(0.5 * (s0 + s1))
-        c = c + (g0 + tangent(qm, am) * 4.0 + g1) * ((s1 - s0) / 6.0)
-        c_nodes.append(c)
+    g = tangent(q, a)
+    qm, _, am = frame_at(0.5 * (s[:-1] + s[1:]))
+    steps = (g[:-1] + tangent(qm, am) * 4.0 + g[1:]) * ((s[1:] - s[:-1]) / 6.0)[:, None]
+    c_nodes = np.cumsum(np.concatenate((np.zeros((1, 3)), steps)), axis=0)
 
-    def base_jet_of_frame(q: Vec3, h: Vec3, a: Vec3, kap: float, kp: float, c_val: Vec3) -> Jet3:
+    def base_jet_of_frame(q, h, a, kap, kp, c_val) -> Jet3:
         scale = cos_a - kap * sin_a
         return Jet3(
             d0=c_val,
@@ -420,18 +396,12 @@ def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpe
             param="u",
         )
 
-    c_node_jets = []
-    for i, (s, q, h, a) in enumerate(frames):
-        kap = kappa_of_s1(profile, s)
-        kp = _kappa_prime_clamped(profile, s)
-        jet = base_jet_of_frame(q, h, a, kap, kp, c_nodes[i])
-        c_node_jets.append((jet.d0, jet.d1, jet.d2, jet.d3))
-    c_poly = _vector_poly(frames.s1, c_node_jets)
+    node_jet = base_jet_of_frame(q, h, a, kap, kp, c_nodes)
+    c_poly = _vector_poly(s, (node_jet.d0, node_jet.d1, node_jet.d2, node_jet.d3))
 
-    def director(u: float) -> Jet3:
-        q, h, a = interp.frame_at(u)
-        kap = kappa_of_s1(profile, u)
-        kp = _kappa_prime_clamped(profile, u)
+    def director(u: np.ndarray) -> Jet3:
+        q, h, a = frame_at(u)
+        kap, kp = _kappa_columns(profile, u)
         return Jet3(
             d0=q,
             d1=h,
@@ -440,11 +410,10 @@ def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpe
             param="u",
         )
 
-    def base_curve(u: float) -> Jet3:
-        q, h, a = interp.frame_at(u)
-        kap = kappa_of_s1(profile, u)
-        kp = _kappa_prime_clamped(profile, u)
-        return base_jet_of_frame(q, h, a, kap, kp, c_poly.value(u))
+    def base_curve(u: np.ndarray) -> Jet3:
+        q, h, a = frame_at(u)
+        kap, kp = _kappa_columns(profile, u)
+        return base_jet_of_frame(q, h, a, kap, kp, c_poly.value_and_derivative(u)[0])
 
     return RuledSurfaceSpec(
         base_curve=base_curve,
@@ -460,16 +429,23 @@ def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpe
     )
 
 
+def _columns(u: np.ndarray, x, y, z) -> np.ndarray:
+    """(N, 3) rows from x, y, z columns, each an array over u or a constant."""
+    out = np.empty((len(u), 3))
+    out[:, 0], out[:, 1], out[:, 2] = x, y, z
+    return out
+
+
 def _circle_director(height: float, radius: float):
     """Director jets for the latitude circle q = (radius cos u, radius sin u, height)."""
 
-    def jet(u: float) -> Jet3:
-        cu, su = math.cos(u), math.sin(u)
+    def jet(u: np.ndarray) -> Jet3:
+        cu, su = np.cos(u), np.sin(u)
         return Jet3(
-            d0=Vec3(radius * cu, radius * su, height),
-            d1=Vec3(-radius * su, radius * cu, 0.0),
-            d2=Vec3(-radius * cu, -radius * su, 0.0),
-            d3=Vec3(radius * su, -radius * cu, 0.0),
+            d0=_columns(u, radius * cu, radius * su, height),
+            d1=_columns(u, -radius * su, radius * cu, 0.0),
+            d2=_columns(u, -radius * cu, -radius * su, 0.0),
+            d3=_columns(u, radius * su, -radius * cu, 0.0),
             param="u",
         )
 
@@ -477,15 +453,22 @@ def _circle_director(height: float, radius: float):
 
 
 def _constant_curve(point: Vec3):
-    def jet(u: float) -> Jet3:
-        return Jet3(point, ZERO, ZERO, ZERO, "u")
+    def jet(u: np.ndarray) -> Jet3:
+        zero = np.zeros((len(u), 3))
+        return Jet3(_columns(u, point.x, point.y, point.z), zero, zero, zero, "u")
 
     return jet
 
 
+def _verdicts(q: bool, h: bool, a: bool, strict: bool, angular: bool) -> dict:
+    """Expected answers to the five slant questions."""
+    return {"q": q, "h": h, "a": a, "darboux_strict": strict, "darboux_angular": angular}
+
+
 def _helicoid() -> RuledSurfaceSpec:
-    def base(u: float) -> Jet3:
-        return Jet3(Vec3(0.0, 0.0, u), EZ, ZERO, ZERO, "u")
+    def base(u: np.ndarray) -> Jet3:
+        zero = np.zeros((len(u), 3))
+        return Jet3(_columns(u, 0.0, 0.0, u), _columns(u, 0.0, 0.0, 1.0), zero, zero, "u")
 
     return RuledSurfaceSpec(
         base_curve=base,
@@ -495,13 +478,7 @@ def _helicoid() -> RuledSurfaceSpec:
         expected={
             "kappa_const": 0.0,
             "darboux_const": EZ,
-            "verdicts": {
-                "q": False,
-                "h": False,
-                "a": True,
-                "darboux_strict": True,
-                "darboux_angular": True,
-            },
+            "verdicts": _verdicts(False, False, True, True, True),
             "axis": EZ,
         },
     )
@@ -519,13 +496,7 @@ def _latitude_cone(params: dict) -> RuledSurfaceSpec:
         expected={
             "kappa_const": math.tan(beta),
             "darboux_const": Vec3(0.0, 0.0, 1.0 / math.cos(beta)),
-            "verdicts": {
-                "q": True,
-                "h": False,
-                "a": True,
-                "darboux_strict": True,
-                "darboux_angular": True,
-            },
+            "verdicts": _verdicts(True, False, True, True, True),
             "axis": EZ,
             "q_constant": math.sin(beta),
             "a_constant": math.cos(beta),
@@ -542,28 +513,18 @@ def _hyperboloid(params: dict) -> RuledSurfaceSpec:
         raise BadParams(f"hyperboloid needs non-zero pitch, got {pitch!r}")
     scale = 1.0 / math.sqrt(1.0 + pitch * pitch)
 
-    def base(u: float) -> Jet3:
-        cu, su = math.cos(u), math.sin(u)
+    def director(u: np.ndarray) -> Jet3:
+        cu, su = np.cos(u), np.sin(u)
         return Jet3(
-            d0=Vec3(radius * cu, radius * su, 0.0),
-            d1=Vec3(-radius * su, radius * cu, 0.0),
-            d2=Vec3(-radius * cu, -radius * su, 0.0),
-            d3=Vec3(radius * su, -radius * cu, 0.0),
-            param="u",
-        )
-
-    def director(u: float) -> Jet3:
-        cu, su = math.cos(u), math.sin(u)
-        return Jet3(
-            d0=Vec3(-su * scale, cu * scale, pitch * scale),
-            d1=Vec3(-cu * scale, -su * scale, 0.0),
-            d2=Vec3(su * scale, -cu * scale, 0.0),
-            d3=Vec3(cu * scale, su * scale, 0.0),
+            d0=_columns(u, -su * scale, cu * scale, pitch * scale),
+            d1=_columns(u, -cu * scale, -su * scale, 0.0),
+            d2=_columns(u, su * scale, -cu * scale, 0.0),
+            d3=_columns(u, cu * scale, su * scale, 0.0),
             param="u",
         )
 
     return RuledSurfaceSpec(
-        base_curve=base,
+        base_curve=_circle_director(0.0, radius),
         director=director,
         param_range=(0.0, 2.0 * math.pi),
         provenance={
@@ -574,13 +535,7 @@ def _hyperboloid(params: dict) -> RuledSurfaceSpec:
         expected={
             "kappa_const": pitch,
             "darboux_const": Vec3(0.0, 0.0, math.sqrt(1.0 + pitch * pitch)),
-            "verdicts": {
-                "q": True,
-                "h": False,
-                "a": True,
-                "darboux_strict": True,
-                "darboux_angular": True,
-            },
+            "verdicts": _verdicts(True, False, True, True, True),
             "axis": EZ,
             "striction_is_base": True,
         },
@@ -597,13 +552,7 @@ def _radial_plane() -> RuledSurfaceSpec:
         expected={
             "kappa_const": 0.0,
             "darboux_const": EZ,
-            "verdicts": {
-                "q": False,
-                "h": False,
-                "a": True,
-                "darboux_strict": True,
-                "darboux_angular": True,
-            },
+            "verdicts": _verdicts(False, False, True, True, True),
             "axis": EZ,
             "striction_const": ZERO,
         },
@@ -617,13 +566,7 @@ def _generated_catalog_entry(name: str, profile: KappaProfile, params: dict) -> 
         alpha=params.get("alpha", 0.0),
     )
     surface = build_surface(integrate_frame(config), config)
-    return RuledSurfaceSpec(
-        base_curve=surface.base_curve,
-        director=surface.director,
-        param_range=surface.param_range,
-        provenance={"kind": "catalog", "name": name, "params": dict(params)},
-        expected=surface.expected,
-    )
+    return replace(surface, provenance={"kind": "catalog", "name": name, "params": dict(params)})
 
 
 def _constant_sigma_entry(params: dict) -> RuledSurfaceSpec:
@@ -636,13 +579,7 @@ def _constant_sigma_entry(params: dict) -> RuledSurfaceSpec:
     surface.expected.update(
         {
             "sigma_const": d,
-            "verdicts": {
-                "q": False,
-                "h": True,
-                "a": False,
-                "darboux_strict": False,
-                "darboux_angular": True,
-            },
+            "verdicts": _verdicts(False, True, False, False, True),
             "h_constant": d / math.sqrt(1.0 + d * d),
             "angular_constant": 1.0 / math.sqrt(1.0 + d * d),
         }
@@ -659,6 +596,16 @@ def _tabulated_entry(params: dict) -> RuledSurfaceSpec:
     return _generated_catalog_entry("tabulated_kappa", profile, params)
 
 
+_CATALOG = {
+    "helicoid": lambda params: _helicoid(),
+    "latitude_cone": _latitude_cone,
+    "hyperboloid": _hyperboloid,
+    "radial_plane": lambda params: _radial_plane(),
+    "constant_sigma": _constant_sigma_entry,
+    "tabulated_kappa": _tabulated_entry,
+}
+
+
 def catalog(name: str, params: dict | None = None) -> RuledSurfaceSpec:
     """Build a named reference surface.
 
@@ -667,28 +614,10 @@ def catalog(name: str, params: dict | None = None) -> RuledSurfaceSpec:
     ``constant_sigma`` (d, s1_range, alpha, step) and ``tabulated_kappa``
     (s1_knots, kappa_values, alpha, step).
     """
-    params = dict(params or {})
-    if name == "helicoid":
-        return _helicoid()
-    if name == "latitude_cone":
-        return _latitude_cone(params)
-    if name == "hyperboloid":
-        return _hyperboloid(params)
-    if name == "radial_plane":
-        return _radial_plane()
-    if name == "constant_sigma":
-        return _constant_sigma_entry(params)
-    if name == "tabulated_kappa":
-        return _tabulated_entry(params)
-    raise UnknownCatalogName(name)
+    if name not in _CATALOG:
+        raise UnknownCatalogName(name)
+    return _CATALOG[name](dict(params or {}))
 
 
 def catalog_names() -> tuple[str, ...]:
-    return (
-        "helicoid",
-        "latitude_cone",
-        "hyperboloid",
-        "radial_plane",
-        "constant_sigma",
-        "tabulated_kappa",
-    )
+    return tuple(_CATALOG)

@@ -1,11 +1,18 @@
 """Exact 3-vector algebra and third-order jets of space curves.
 
-Everything downstream works on two small value types: ``Vec3`` for points
-and directions, and ``Jet3`` for a curve point bundled with its first three
-derivatives.  A ``Jet3`` remembers which parameter its derivatives are taken
-against (the raw curve parameter ``"u"`` or the spherical arc length
-``"s1"``); mixing the two in one expression is a contract violation and
-raises ``TagError`` instead of silently producing wrong curvatures.
+Frame data is columnar: a curve sampled at N parameter values is an
+``(N, 3)`` array, and a ``Jet3`` bundles four such arrays, the curve value
+and its first three derivatives.  ``Vec3`` stays the value type of single
+vectors (fixed axes, initial frames, the RK4 state).  A ``Jet3`` remembers
+which parameter its derivatives are taken against (the raw curve parameter
+``"u"`` or the spherical arc length ``"s1"``); mixing the two in one
+expression is a contract violation and raises ``TagError`` instead of
+silently producing wrong curvatures.
+
+The row operations ``dot``, ``cross`` and ``norm`` work column by column
+(x*x' + y*y' + z*z') in the operation order of ``Vec3``, and ``power``
+calls the C library's pow as ``float ** float`` does, so every row of a
+columnar result is bit-identical to the same arithmetic on one ``Vec3``.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 __all__ = [
     "EPS_CYL",
@@ -22,6 +31,11 @@ __all__ = [
     "NonFiniteSample",
     "CylindricalDirector",
     "TagError",
+    "dot",
+    "cross",
+    "norm",
+    "normalize",
+    "power",
     "det3",
     "fd_jet",
     "s1_derivatives",
@@ -33,6 +47,9 @@ EPS_CYL = 1e-9
 
 PARAM_U = "u"
 PARAM_S1 = "s1"
+
+# offsets of the five-point stencil, in steps
+STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
 class NonFiniteSample(ValueError):
@@ -81,6 +98,9 @@ class Vec3:
     def __truediv__(self, scalar: float) -> "Vec3":
         return Vec3(self.x / scalar, self.y / scalar, self.z / scalar)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array((self.x, self.y, self.z), dtype=dtype)
+
     def dot(self, other: "Vec3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
@@ -103,9 +123,6 @@ class Vec3:
     def is_finite(self) -> bool:
         return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
 
 ZERO = Vec3(0.0, 0.0, 0.0)
 EX = Vec3(1.0, 0.0, 0.0)
@@ -113,55 +130,101 @@ EY = Vec3(0.0, 1.0, 0.0)
 EZ = Vec3(0.0, 0.0, 1.0)
 
 
-def det3(a: Vec3, b: Vec3, c: Vec3) -> float:
-    """Determinant of the 3x3 matrix with columns a, b, c (triple product)."""
-    return a.dot(b.cross(c))
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise inner product of (..., 3) arrays."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-@dataclass(frozen=True, slots=True)
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of (..., 3) arrays."""
+    return np.stack(
+        (
+            a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+            a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+            a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
+        ),
+        axis=-1,
+    )
+
+
+def norm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(dot(a, a))
+
+
+def normalize(a: np.ndarray) -> np.ndarray:
+    """Rows divided componentwise by their norms."""
+    n = norm(a)
+    if np.any(n == 0.0):
+        raise ZeroDivisionError("cannot normalize the zero vector")
+    return a / n[..., None]
+
+
+def power(x, exponent: float) -> np.ndarray:
+    """x ** exponent elementwise through the C library's pow.
+
+    numpy's vectorized pow may differ from it in the last bit, and these
+    values end up printed to 17 digits in reports.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.array([v**exponent for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def det3(a, b, c) -> np.ndarray:
+    """Row-wise determinant of the 3x3 matrices with columns a, b, c."""
+    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
+    return dot(a, cross(b, c))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Jet3:
-    """Curve value and first three derivatives against the tagged parameter."""
+    """Curve values and first three derivatives against the tagged parameter.
 
-    d0: Vec3
-    d1: Vec3
-    d2: Vec3
-    d3: Vec3
+    Each of ``d0``..``d3`` is an (N, 3) array, row i belonging to the i-th
+    parameter value the jet was evaluated at.
+    """
+
+    d0: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    d3: np.ndarray
     param: str = PARAM_U
 
-    def is_finite(self) -> bool:
-        return (
-            self.d0.is_finite()
-            and self.d1.is_finite()
-            and self.d2.is_finite()
-            and self.d3.is_finite()
-        )
+    def is_finite(self) -> np.ndarray:
+        """Per row: whether the value and all three derivatives are finite."""
+        return np.isfinite(np.stack((self.d0, self.d1, self.d2, self.d3))).all(axis=(0, -1))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class S1Derivatives:
-    """Derivatives of the spherical-image arc length s1 against u.
+    """Derivatives of the spherical-image arc length s1 against u, per row.
 
     s1p must be positive: a vanishing value means the director stalls and the
     surface is locally cylindrical.
     """
 
-    s1p: float
-    s1pp: float
-    s1ppp: float
+    s1p: np.ndarray
+    s1pp: np.ndarray
+    s1ppp: np.ndarray
 
 
-def fd_jet(curve: Callable[[float], Vec3], u0: float, step: float) -> Jet3:
-    """Numerical jet of ``curve`` at ``u0`` from a 5-point central stencil.
+def fd_jet(curve: Callable[[np.ndarray], np.ndarray], u0, step: float) -> Jet3:
+    """Numerical jets of ``curve`` at the points ``u0`` from 5-point central stencils.
 
-    d1 and d2 are fourth-order accurate, d3 second-order.  The sampler is
-    evaluated at u0 and u0 +/- step, u0 +/- 2*step only.
+    ``curve`` maps a 1-D parameter array to an (M, 3) array and is called
+    once, on every stencil point at once.  d1 and d2 are fourth-order
+    accurate, d3 second-order.  The sampler is evaluated at u0 and
+    u0 +/- step, u0 +/- 2*step only.
     """
     if not (step > 0.0 and math.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step!r}")
-    f = [curve(u0 + k * step) for k in (-2.0, -1.0, 0.0, 1.0, 2.0)]
-    for k, v in zip((-2, -1, 0, 1, 2), f):
-        if not v.is_finite():
-            raise NonFiniteSample(f"sampler returned a non-finite value at u={u0 + k * step!r}")
+    u0 = np.asarray(u0, dtype=float)
+    stencil = u0[:, None] + STENCIL * step
+    values = curve(stencil.ravel()).reshape(len(u0), len(STENCIL), 3)
+    bad = ~np.isfinite(values).all(axis=2)
+    if bad.any():
+        at = float(stencil[bad][0])
+        raise NonFiniteSample(f"sampler returned a non-finite value at u={at!r}")
+    f = [values[:, k] for k in range(len(STENCIL))]
     d1 = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / (12.0 * step)
     d2 = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (12.0 * step * step)
     d3 = (f[4] - 2.0 * f[3] + 2.0 * f[1] - f[0]) / (2.0 * step**3)
@@ -179,12 +242,12 @@ def s1_derivatives(q_jet: Jet3) -> S1Derivatives:
     """
     if q_jet.param != PARAM_U:
         raise TagError(f"s1_derivatives expects a u-jet, got {q_jet.param!r}")
-    n1 = q_jet.d1.norm()
-    if n1 <= EPS_CYL:
+    n1 = norm(q_jet.d1)
+    if np.any(n1 <= EPS_CYL):
         raise CylindricalDirector()
-    g12 = q_jet.d1.dot(q_jet.d2)
+    g12 = dot(q_jet.d1, q_jet.d2)
     s1pp = g12 / n1
-    s1ppp = (q_jet.d2.dot(q_jet.d2) + q_jet.d1.dot(q_jet.d3)) / n1 - g12 * g12 / n1**3
+    s1ppp = (dot(q_jet.d2, q_jet.d2) + dot(q_jet.d1, q_jet.d3)) / n1 - g12 * g12 / power(n1, 3)
     return S1Derivatives(n1, s1pp, s1ppp)
 
 
@@ -193,13 +256,14 @@ def reparam_to_s1(jet_u: Jet3, s1d: S1Derivatives) -> Jet3:
     if jet_u.param != PARAM_U:
         raise TagError(f"reparam_to_s1 expects a u-jet, got {jet_u.param!r}")
     p, pp, ppp = s1d.s1p, s1d.s1pp, s1d.s1ppp
-    if p <= EPS_CYL:
+    if np.any(p <= EPS_CYL):
         raise CylindricalDirector()
-    d1 = jet_u.d1 / p
-    d2 = (jet_u.d2 * p - jet_u.d1 * pp) / p**3
+    p3, p4, p5 = power(p, 3), power(p, 4), power(p, 5)
+    d1 = jet_u.d1 / p[:, None]
+    d2 = (jet_u.d2 * p[:, None] - jet_u.d1 * pp[:, None]) / p3[:, None]
     d3 = (
-        jet_u.d3 / p**3
-        - jet_u.d2 * (3.0 * pp / p**4)
-        + jet_u.d1 * (3.0 * pp * pp / p**5 - ppp / p**4)
+        jet_u.d3 / p3[:, None]
+        - jet_u.d2 * (3.0 * pp / p4)[:, None]
+        + jet_u.d1 * (3.0 * pp * pp / p5 - ppp / p4)[:, None]
     )
     return Jet3(jet_u.d0, d1, d2, d3, PARAM_S1)

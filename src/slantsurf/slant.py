@@ -18,23 +18,25 @@ Axis detection is algebraic: if <v, u> is constant then every finite
 difference of v is orthogonal to u, so u spans the near-null space of the
 Gram matrix M = sum v'v'^T.  The smallest eigenvalue of M, normalized by its
 trace, is the detection residual.
+
+Everything reads the columns of a ``FrameTable``.  Each audit takes an
+optional ``report``, the classification of the same samples, so that one
+classification can feed every audit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import fmean
 from typing import Sequence
 
 import numpy as np
 
-from .frame import FrameSample, RuledSurfaceSpec, SampleGrid, frame_samples
-from .geometry import Vec3, det3
+from .frame import FrameTable, RuledSurfaceSpec, SampleGrid, frame_samples
+from .geometry import Vec3, det3, dot, norm, normalize, power
 
 __all__ = [
     "EmptyInput",
-    "NotDarbouxSlant",
     "ConstancyResult",
     "AxisFit",
     "AxisDecomposition",
@@ -63,10 +65,6 @@ class EmptyInput(ValueError):
     """No values were supplied where at least one is required."""
 
 
-class NotDarbouxSlant(ValueError):
-    """The decomposition audit needs constant conical curvature."""
-
-
 @dataclass(frozen=True, slots=True)
 class ConstancyResult:
     """Spread diagnostics of a scalar sample sequence."""
@@ -77,18 +75,28 @@ class ConstancyResult:
     is_constant: bool
 
 
-def constancy(values: Sequence[float], tol: float) -> ConstancyResult:
+def _mean(values: np.ndarray) -> float:
+    """The same value ``statistics.fmean`` gives: an exact sum over the count."""
+    return math.fsum(values.tolist()) / len(values)
+
+
+def constancy(values: Sequence[float] | np.ndarray, tol: float) -> ConstancyResult:
     """Decide whether a sampled scalar is constant.
 
     The spread max - min is normalized by 1 + |mean| so the verdict keeps
     meaning for values near zero and large values alike.
     """
+    values = np.asarray(values, dtype=float)
     if len(values) == 0:
         raise EmptyInput("constancy of an empty sample list is undefined")
-    mean = fmean(values)
-    spread = max(values) - min(values)
+    mean = _mean(values)
+    spread = float(values.max() - values.min())
     relative = spread / (1.0 + abs(mean))
     return ConstancyResult(mean, spread, relative, relative < tol)
+
+
+def _mean_vec(rows: np.ndarray) -> Vec3:
+    return Vec3(*(_mean(column) for column in rows.T))
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,35 +118,31 @@ class AxisFit:
     tied: bool
 
 
-def detect_axis(vectors: Sequence[Vec3], s1_values: Sequence[float] | None = None) -> AxisFit:
+def detect_axis(vectors, s1_values: Sequence[float] | np.ndarray | None = None) -> AxisFit:
     """Least-squares fixed-angle axis of a sampled vector over s1.
 
-    Central differences of the samples feed the Gram matrix M = sum v'v'^T;
-    the returned axis is the eigenvector of the smallest eigenvalue, with
-    sign fixed so the mean of <v, axis> is non-negative.
+    ``vectors`` is an (N, 3) array (or N ``Vec3``).  Central differences of
+    the samples feed the Gram matrix M = sum v'v'^T; the returned axis is the
+    eigenvector of the smallest eigenvalue, with sign fixed so the mean of
+    <v, axis> is non-negative.
     """
-    n = len(vectors)
+    rows = np.asarray(vectors, dtype=float)
+    n = len(rows)
     if n < MIN_AXIS_SAMPLES:
         raise ValueError(f"axis detection needs at least {MIN_AXIS_SAMPLES} samples, got {n}")
     if s1_values is None:
-        s1_values = list(range(n))
-    elif len(s1_values) != n:
-        raise ValueError("s1_values must match the sample count")
+        s1 = np.arange(n, dtype=float)
+    else:
+        s1 = np.asarray(s1_values, dtype=float)
+        if len(s1) != n:
+            raise ValueError("s1_values must match the sample count")
 
-    derivs = np.empty((n - 2, 3))
-    for i in range(1, n - 1):
-        dv = vectors[i + 1] - vectors[i - 1]
-        ds = s1_values[i + 1] - s1_values[i - 1]
-        derivs[i - 1] = (dv.x / ds, dv.y / ds, dv.z / ds)
+    derivs = (rows[2:] - rows[:-2]) / (s1[2:] - s1[:-2])[:, None]
     gram = derivs.T @ derivs
     trace = float(np.trace(gram))
 
     if trace < DEGENERATE_TRACE:
-        mean = Vec3(
-            fmean(v.x for v in vectors),
-            fmean(v.y for v in vectors),
-            fmean(v.z for v in vectors),
-        )
+        mean = _mean_vec(rows)
         axis = mean.normalized() if mean.norm() > 0.0 else Vec3(1.0, 0.0, 0.0)
         return AxisFit(axis, 0.0, (0.0, 0.0, 0.0), True, False)
 
@@ -146,12 +150,12 @@ def detect_axis(vectors: Sequence[Vec3], s1_values: Sequence[float] | None = Non
     axis = Vec3(*(float(c) for c in eigenvectors[:, 0]))
     residual = max(float(eigenvalues[0]), 0.0) / trace
     tied = float(eigenvalues[1] - eigenvalues[0]) <= EIGENVALUE_TIE * max(trace, 1.0)
-    if fmean(v.dot(axis) for v in vectors) < 0.0:
+    if _mean(dot(rows, np.asarray(axis))) < 0.0:
         axis = -axis
     return AxisFit(axis, residual, tuple(float(w) for w in eigenvalues), False, tied)
 
 
-def h_slant_axis(kappa: float, d: float) -> tuple[float, float, float]:
+def h_slant_axis(kappa, d: float):
     """Frame coefficients (coeff_q, coeff_h, coeff_a) of the h-slant axis.
 
     For a surface whose slant invariant sigma is the constant d, the fixed
@@ -159,29 +163,33 @@ def h_slant_axis(kappa: float, d: float) -> tuple[float, float, float]:
 
         u = kappa/sqrt(1+kappa^2) * q + d * h + 1/sqrt(1+kappa^2) * a,
 
-    with |u| = sqrt(1 + d^2) and <h, u> = d by construction.
+    with |u| = sqrt(1 + d^2) and <h, u> = d by construction.  ``kappa`` may
+    be a value or an array.
     """
-    root = math.sqrt(1.0 + kappa * kappa)
+    root = np.sqrt(1.0 + kappa * kappa)
     return (kappa / root, d, 1.0 / root)
 
 
-@dataclass(frozen=True)
+def _h_slant_axes(samples: FrameTable, d: float) -> np.ndarray:
+    """The h-slant axis rebuilt from the frame at every sample, (N, 3)."""
+    cq, ch, ca = h_slant_axis(samples.kappa, d)
+    return samples.q * cq[:, None] + samples.h * ch + samples.a * ca[:, None]
+
+
+@dataclass(frozen=True, eq=False)
 class AxisDecomposition:
     """Per-sample frame coefficients of one fixed world axis."""
 
-    coeff_q: tuple[float, ...]
-    coeff_h: tuple[float, ...]
-    coeff_a: tuple[float, ...]
+    coeff_q: np.ndarray
+    coeff_h: np.ndarray
+    coeff_a: np.ndarray
 
     @classmethod
-    def of_axis(cls, samples: Sequence[FrameSample], axis: Vec3) -> "AxisDecomposition":
-        return cls(
-            tuple(s.q.dot(axis) for s in samples),
-            tuple(s.h.dot(axis) for s in samples),
-            tuple(s.a.dot(axis) for s in samples),
-        )
+    def of_axis(cls, samples: FrameTable, axis: Vec3) -> "AxisDecomposition":
+        axis = np.asarray(axis, dtype=float)
+        return cls(dot(samples.q, axis), dot(samples.h, axis), dot(samples.a, axis))
 
-    def reconstruct(self, i: int, sample: FrameSample) -> Vec3:
+    def reconstruct(self, i: int, sample) -> Vec3:
         return sample.q * self.coeff_q[i] + sample.h * self.coeff_h[i] + sample.a * self.coeff_a[i]
 
 
@@ -212,15 +220,14 @@ class SlantReport:
 
 
 def _direction_verdict(
-    vectors: Sequence[Vec3],
-    s1_values: Sequence[float],
+    vectors: np.ndarray,
+    s1_values: np.ndarray,
     tol: float,
     angle_tol: float,
     exclude_right_angle: bool,
 ) -> SlantVerdict:
     fit = detect_axis(vectors, s1_values)
-    projections = [v.dot(fit.axis) for v in vectors]
-    const = constancy(projections, tol)
+    const = constancy(dot(vectors, np.asarray(fit.axis)), tol)
     ok = fit.residual < tol and const.relative_spread < tol and not fit.tied
     if exclude_right_angle:
         # a constant right angle does not count as slant
@@ -229,22 +236,20 @@ def _direction_verdict(
 
 
 def classify_samples(
-    samples: Sequence[FrameSample], tol: float = 1e-6, angle_tol: float = 1e-3
+    samples: FrameTable, tol: float = 1e-6, angle_tol: float = 1e-3
 ) -> SlantReport:
     """Classify already-sampled frame data; see ``classify``."""
     if len(samples) < MIN_AXIS_SAMPLES:
         raise ValueError(f"classification needs at least {MIN_AXIS_SAMPLES} samples")
-    s1 = [s.s1 for s in samples]
-    darboux = [s.darboux for s in samples]
-    darboux_hat = [w.normalized() for w in darboux]
+    s1 = samples.s1
     return SlantReport(
-        q_slant=_direction_verdict([s.q for s in samples], s1, tol, angle_tol, True),
-        h_slant=_direction_verdict([s.h for s in samples], s1, tol, angle_tol, True),
-        a_slant=_direction_verdict([s.a for s in samples], s1, tol, angle_tol, True),
-        darboux_strict=_direction_verdict(darboux, s1, tol, angle_tol, False),
-        darboux_angular=_direction_verdict(darboux_hat, s1, tol, angle_tol, False),
-        kappa_constancy=constancy([s.kappa for s in samples], tol),
-        sigma_constancy=constancy([s.sigma for s in samples], tol),
+        q_slant=_direction_verdict(samples.q, s1, tol, angle_tol, True),
+        h_slant=_direction_verdict(samples.h, s1, tol, angle_tol, True),
+        a_slant=_direction_verdict(samples.a, s1, tol, angle_tol, True),
+        darboux_strict=_direction_verdict(samples.darboux, s1, tol, angle_tol, False),
+        darboux_angular=_direction_verdict(normalize(samples.darboux), s1, tol, angle_tol, False),
+        kappa_constancy=constancy(samples.kappa, tol),
+        sigma_constancy=constancy(samples.sigma, tol),
         tol=tol,
         angle_tol=angle_tol,
     )
@@ -292,6 +297,7 @@ class AuditRecord:
 
 
 def _check(checks: list[AuditCheck], name: str, value: float, bound: float) -> None:
+    value = float(value)
     checks.append(AuditCheck(name, value, bound, value <= bound))
 
 
@@ -300,20 +306,9 @@ def _finish(audit: str, applicable: bool, checks: list[AuditCheck], notes: list[
     return AuditRecord(audit, applicable, passed, checks, notes)
 
 
-def _component_spread_diameter(vectors: Sequence[Vec3]) -> float:
-    """Upper bound on the diameter of a point cloud from componentwise spreads."""
-    dx = max(v.x for v in vectors) - min(v.x for v in vectors)
-    dy = max(v.y for v in vectors) - min(v.y for v in vectors)
-    dz = max(v.z for v in vectors) - min(v.z for v in vectors)
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
-
-
-def _mean_vec(vectors: Sequence[Vec3]) -> Vec3:
-    return Vec3(
-        fmean(v.x for v in vectors),
-        fmean(v.y for v in vectors),
-        fmean(v.z for v in vectors),
-    )
+# Every audit reads frame data from ``samples`` (computed on ``grid`` when
+# omitted) and slant verdicts from ``report`` (classified from ``samples``
+# at the audit's tol and angle_tol when omitted).
 
 
 def verify_theorem_2_1(
@@ -321,7 +316,8 @@ def verify_theorem_2_1(
     grid: SampleGrid,
     tol: float = 1e-6,
     angle_tol: float = 1e-3,
-    samples: Sequence[FrameSample] | None = None,
+    samples: FrameTable | None = None,
+    report: SlantReport | None = None,
 ) -> AuditRecord:
     """Audit: sigma is constant exactly when the surface is h-slant.
 
@@ -335,25 +331,22 @@ def verify_theorem_2_1(
         samples = frame_samples(surface, grid)
     checks: list[AuditCheck] = []
     notes: list[str] = []
-    sigma_const = constancy([s.sigma for s in samples], tol)
+    sigma_const = constancy(samples.sigma, tol)
 
     if sigma_const.is_constant and abs(sigma_const.mean) > angle_tol:
         d = sigma_const.mean
-        axes = []
-        for s in samples:
-            cq, ch, ca = h_slant_axis(s.kappa, d)
-            axes.append(s.q * cq + s.h * ch + s.a * ca)
-        _check(checks, "reconstructed_axis_is_one_world_vector", _component_spread_diameter(axes), tol)
-        axis_mean = _mean_vec(axes)
+        axes = _h_slant_axes(samples, d)
+        # the diameter of the cloud of axes, bounded from its componentwise spreads
+        spread = norm(axes.max(axis=0) - axes.min(axis=0))
+        _check(checks, "reconstructed_axis_is_one_world_vector", spread, tol)
+        axis_mean = np.asarray(_mean_vec(axes))
         _check(
             checks,
             "central_normal_angle_equals_sigma",
-            max(abs(s.h.dot(axis_mean) - d) for s in samples),
+            np.abs(dot(samples.h, axis_mean) - d).max(),
             tol,
         )
-        scaled = [
-            s.a.dot(axis_mean) * math.sqrt(1.0 + s.kappa * s.kappa) for s in samples
-        ]
+        scaled = dot(samples.a, axis_mean) * np.sqrt(1.0 + samples.kappa * samples.kappa)
         _check(
             checks,
             "a_coefficient_scale_is_constant",
@@ -368,7 +361,8 @@ def verify_theorem_2_1(
     else:
         notes.append("forward direction vacuous: sigma is not constant on this sampling")
 
-    report = classify_samples(samples, tol, angle_tol)
+    if report is None:
+        report = classify_samples(samples, tol, angle_tol)
     if report.h_slant.verdict:
         _check(checks, "h_slant_forces_constant_sigma", sigma_const.relative_spread, tol)
     else:
@@ -384,7 +378,8 @@ def verify_theorem_3_1(
     grid: SampleGrid,
     tol: float = 1e-6,
     angle_tol: float = 1e-3,
-    samples: Sequence[FrameSample] | None = None,
+    samples: FrameTable | None = None,
+    report: SlantReport | None = None,
 ) -> AuditRecord:
     """Audit: strict Darboux slant forces constant kappa, and constant kappa
     freezes the Darboux vector in space."""
@@ -392,8 +387,9 @@ def verify_theorem_3_1(
         samples = frame_samples(surface, grid)
     checks: list[AuditCheck] = []
     notes: list[str] = []
-    kappa_const = constancy([s.kappa for s in samples], tol)
-    report = classify_samples(samples, tol, angle_tol)
+    kappa_const = constancy(samples.kappa, tol)
+    if report is None:
+        report = classify_samples(samples, tol, angle_tol)
 
     if report.darboux_strict.verdict:
         _check(checks, "strict_darboux_forces_constant_kappa", kappa_const.relative_spread, tol)
@@ -401,12 +397,11 @@ def verify_theorem_3_1(
         notes.append("implication vacuous: no strict Darboux verdict on this sampling")
 
     if kappa_const.is_constant:
-        darboux = [s.darboux for s in samples]
-        mean = _mean_vec(darboux)
+        mean = np.asarray(_mean_vec(samples.darboux))
         _check(
             checks,
             "constant_kappa_fixes_darboux_vector",
-            max((w - mean).norm() for w in darboux),
+            norm(samples.darboux - mean).max(),
             tol,
         )
     else:
@@ -415,22 +410,13 @@ def verify_theorem_3_1(
     return _finish("3.1", True, checks, notes)
 
 
-def _kappa_second_samples(samples: Sequence[FrameSample]) -> list[float]:
-    """d2(kappa)/ds1^2 by finite differences of kappa' over s1."""
-    n = len(samples)
-    out = []
-    for i in range(n):
-        if i == 0:
-            num = samples[1].kappa_prime - samples[0].kappa_prime
-            den = samples[1].s1 - samples[0].s1
-        elif i == n - 1:
-            num = samples[-1].kappa_prime - samples[-2].kappa_prime
-            den = samples[-1].s1 - samples[-2].s1
-        else:
-            num = samples[i + 1].kappa_prime - samples[i - 1].kappa_prime
-            den = samples[i + 1].s1 - samples[i - 1].s1
-        out.append(num / den)
-    return out
+def _kappa_second_samples(samples: FrameTable) -> np.ndarray:
+    """d2(kappa)/ds1^2 by finite differences of kappa' over s1 (one-sided at the ends)."""
+
+    def differences(x: np.ndarray) -> np.ndarray:
+        return np.concatenate(([x[1] - x[0]], x[2:] - x[:-2], [x[-1] - x[-2]]))
+
+    return differences(samples.kappa_prime) / differences(samples.s1)
 
 
 def verify_corollary_3_1(
@@ -438,33 +424,39 @@ def verify_corollary_3_1(
     grid: SampleGrid,
     tol: float = 1e-5,
     angle_tol: float = 1e-3,
-    samples: Sequence[FrameSample] | None = None,
+    samples: FrameTable | None = None,
+    report: SlantReport | None = None,
 ) -> AuditRecord:
     """Audit: det(W, W', W'') = (kappa')^2 on every sampling.
 
     W' = kappa' q and W'' = kappa'' q + kappa' h follow from the frame
     motion; kappa'' comes from finite differences of kappa' over s1 and
     cannot disturb the determinant because its column is parallel to q.
-    When the surface is strict Darboux slant the determinant must vanish.
+    When the surface is strict Darboux slant the determinant must vanish;
+    that verdict is read at min(tol, 1e-6).
     """
     if samples is None:
         samples = frame_samples(surface, grid)
     checks: list[AuditCheck] = []
     notes: list[str] = []
-    kappa_second = _kappa_second_samples(samples)
-
-    dets = []
-    for s, ks in zip(samples, kappa_second):
-        w = s.darboux
-        wp = s.q * s.kappa_prime
-        wpp = s.q * ks + s.h * s.kappa_prime
-        dets.append(det3(w, wp, wpp))
-    worst = max(abs(det - s.kappa_prime**2) for det, s in zip(dets, samples))
+    kp = samples.kappa_prime[:, None]
+    wpp = samples.q * _kappa_second_samples(samples)[:, None] + samples.h * kp
+    dets = det3(samples.darboux, samples.q * kp, wpp)
+    worst = np.abs(dets - power(samples.kappa_prime, 2)).max()
     _check(checks, "determinant_equals_kappa_prime_squared", worst, tol)
 
-    report = classify_samples(samples, min(tol, 1e-6), angle_tol)
-    if report.darboux_strict.verdict:
-        _check(checks, "determinant_vanishes_on_strict_darboux", max(abs(d) for d in dets), tol)
+    inner = min(tol, 1e-6)
+    if report is None or report.tol < inner:
+        report = classify_samples(samples, inner, angle_tol)
+    strict = report.darboux_strict
+    # a verdict from a looser tol, re-read at the tighter one: the fit, the
+    # residual and the spread do not depend on tol
+    if (
+        strict.verdict
+        and strict.residual < inner
+        and strict.spread / (1.0 + abs(strict.constant)) < inner
+    ):
+        _check(checks, "determinant_vanishes_on_strict_darboux", np.abs(dets).max(), tol)
     else:
         notes.append("vanishing clause vacuous: no strict Darboux verdict")
     return _finish("cor3.1", True, checks, notes)
@@ -475,7 +467,8 @@ def verify_theorem_3_2(
     grid: SampleGrid,
     tol: float = 1e-6,
     angle_tol: float = 1e-3,
-    samples: Sequence[FrameSample] | None = None,
+    samples: FrameTable | None = None,
+    report: SlantReport | None = None,
 ) -> AuditRecord:
     """Audit: an h-slant surface is angular Darboux slant.
 
@@ -487,28 +480,24 @@ def verify_theorem_3_2(
         samples = frame_samples(surface, grid)
     checks: list[AuditCheck] = []
     notes: list[str] = []
-    sigma_const = constancy([s.sigma for s in samples], tol)
-    report = classify_samples(samples, tol, angle_tol)
+    sigma_const = constancy(samples.sigma, tol)
+    if report is None:
+        report = classify_samples(samples, tol, angle_tol)
 
     if not (report.h_slant.verdict and sigma_const.is_constant and abs(sigma_const.mean) > angle_tol):
         notes.append("not applicable: surface is not h-slant on this sampling")
         return _finish("3.2", False, checks, notes)
 
     d = sigma_const.mean
-    axes = []
-    for s in samples:
-        cq, ch, ca = h_slant_axis(s.kappa, d)
-        axes.append(s.q * cq + s.h * ch + s.a * ca)
-    axis_mean = _mean_vec(axes)
+    axis_mean = _mean_vec(_h_slant_axes(samples, d))
     _check(
         checks,
         "axis_norm_is_sqrt_one_plus_d_squared",
         abs(axis_mean.norm() - math.sqrt(1.0 + d * d)),
         tol,
     )
-    axis_hat = axis_mean.normalized()
-    cosines = [s.darboux.normalized().dot(axis_hat) for s in samples]
-    cos_const = constancy(cosines, tol)
+    axis_hat = np.asarray(axis_mean.normalized())
+    cos_const = constancy(dot(normalize(samples.darboux), axis_hat), tol)
     _check(checks, "darboux_angle_is_constant", cos_const.relative_spread, tol)
     _check(
         checks,
@@ -524,8 +513,9 @@ def verify_theorems_3_3_3_4(
     grid: SampleGrid,
     tol: float = 1e-9,
     angle_tol: float = 1e-3,
-    samples: Sequence[FrameSample] | None = None,
+    samples: FrameTable | None = None,
     axes: Sequence[tuple[str, Vec3]] | None = None,
+    report: SlantReport | None = None,
 ) -> AuditRecord:
     """Audit the frame decomposition of fixed axes on constant-kappa surfaces.
 
@@ -535,42 +525,41 @@ def verify_theorems_3_3_3_4(
     default axis is the direction of the (fixed) Darboux vector; callers may
     supply extra axes to exercise the vacuous branches.
 
-    Raises ``NotDarbouxSlant`` when kappa is not constant, because then no
-    fixed axis keeps <W, u> constant and the hypotheses are empty.
+    Not applicable when kappa is not constant, because then no fixed axis
+    keeps <W, u> constant and the hypotheses are empty.  No slant verdict is
+    read, so ``report`` is accepted for a uniform auditor signature only.
     """
     if samples is None:
         samples = frame_samples(surface, grid)
-    kappas = [s.kappa for s in samples]
+    kappas = samples.kappa
     gate = max(tol, 1e-6)
     kappa_const = constancy(kappas, gate)
     if not kappa_const.is_constant:
-        raise NotDarbouxSlant(
+        return _finish("3.3-3.4", False, [], [
             "the decomposition audit needs constant conical curvature "
             f"(relative spread {kappa_const.relative_spread:.3e})"
-        )
+        ])
     checks: list[AuditCheck] = []
     notes: list[str] = []
     kappa_mean = kappa_const.mean
 
     axis_list: list[tuple[str, Vec3]] = [
-        ("darboux_direction", _mean_vec([s.darboux for s in samples]).normalized())
+        ("darboux_direction", _mean_vec(samples.darboux).normalized())
     ]
     if axes:
         axis_list.extend(axes)
 
     for name, axis in axis_list:
         decomp = AxisDecomposition.of_axis(samples, axis)
-        projection_const = constancy([s.darboux.dot(axis) for s in samples], gate)
+        projection_const = constancy(dot(samples.darboux, np.asarray(axis, dtype=float)), gate)
         c_value = projection_const.mean
-        worst = max(
-            abs(k * a1 + a3 - c_value)
-            for k, a1, a3 in zip(kappas, decomp.coeff_q, decomp.coeff_a)
-        )
+        worst = np.abs(kappas * decomp.coeff_q + decomp.coeff_a - c_value).max()
         _check(checks, f"{name}: expansion_matches_darboux_projection", worst, tol)
 
         a2_const = constancy(decomp.coeff_h, gate)
         a3_const = constancy(decomp.coeff_a, gate)
         locked = c_value / (1.0 + kappa_mean * kappa_mean)
+        lock_error = np.abs(decomp.coeff_a - locked).max()
         if abs(kappa_mean) <= angle_tol:
             # with vanishing curvature a is fixed, so a3 is constant no
             # matter what a2 does; the equivalence has no content
@@ -581,7 +570,7 @@ def verify_theorems_3_3_3_4(
                 _check(
                     checks,
                     f"{name}: third_coefficient_locks_to_projection_over_norm_squared",
-                    max(abs(a3 - locked) for a3 in decomp.coeff_a),
+                    lock_error,
                     tol,
                 )
             continue
@@ -595,7 +584,7 @@ def verify_theorems_3_3_3_4(
             _check(
                 checks,
                 f"{name}: third_coefficient_locks_to_projection_over_norm_squared",
-                max(abs(a3 - locked) for a3 in decomp.coeff_a),
+                lock_error,
                 tol,
             )
             _check(

@@ -18,7 +18,9 @@ import tempfile
 from pathlib import Path
 from typing import Sequence
 
-from .frame import FrameSample, RuledSurfaceSpec, SampleGrid, frame_samples
+import numpy as np
+
+from .frame import FrameTable, RuledSurfaceSpec, SampleGrid
 from .generators import (
     ConstantKappa,
     ConstantSigma,
@@ -29,7 +31,7 @@ from .generators import (
     catalog,
     integrate_frame,
 )
-from .geometry import Jet3, Vec3, fd_jet
+from .geometry import Jet3, fd_jet, norm, normalize
 from .slant import AuditRecord, SlantReport, SlantVerdict
 
 __all__ = [
@@ -173,15 +175,15 @@ def _as_float(value, where: str) -> float:
     return value
 
 
-def _as_vec_rows(value, where: str) -> list[Vec3]:
+def _as_vec_rows(value, where: str) -> np.ndarray:
     if not isinstance(value, list):
         raise SpecError(f"{where}: expected a list of [x, y, z] rows")
     rows = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != 3:
             raise SpecError(f"{where}[{i}]: expected a row of three numbers")
-        rows.append(Vec3(*(_as_float(c, f"{where}[{i}]") for c in row)))
-    return rows
+        rows.append([_as_float(c, f"{where}[{i}]") for c in row])
+    return np.array(rows, dtype=float).reshape(len(rows), 3)
 
 
 def _check_keys(doc: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -279,33 +281,25 @@ def _load_sampled(doc: dict) -> RuledSurfaceSpec:
     for i, (left, right) in enumerate(zip(u, u[1:])):
         if not right > left:
             raise SpecError(f"spec.u[{i + 1}]: values must be strictly increasing")
-    for i, q in enumerate(q_rows):
-        if abs(q.norm() - 1.0) > SAMPLED_UNIT_TOL:
-            raise SpecError(
-                f"spec.q[{i}]: director must be unit length within "
-                f"{SAMPLED_UNIT_TOL:g} (norm {q.norm()!r})"
-            )
+    q_norms = norm(q_rows)
+    off = np.flatnonzero(np.abs(q_norms - 1.0) > SAMPLED_UNIT_TOL)
+    if off.size:
+        raise SpecError(
+            f"spec.q[{off[0]}]: director must be unit length within "
+            f"{SAMPLED_UNIT_TOL:g} (norm {float(q_norms[off[0]])!r})"
+        )
 
     from scipy.interpolate import CubicSpline  # ~0.7 s import: load only here
 
-    f_spline = [CubicSpline(u, [getattr(p, c) for p in f_rows]) for c in "xyz"]
-    q_spline = [CubicSpline(u, [getattr(p, c) for p in q_rows]) for c in "xyz"]
+    f_spline = CubicSpline(u, f_rows)
+    q_spline = CubicSpline(u, q_rows)
     fd_step = SAMPLED_FD_FRACTION * (u[-1] - u[0])
 
-    def f_eval(t: float) -> Vec3:
-        return Vec3(float(f_spline[0](t)), float(f_spline[1](t)), float(f_spline[2](t)))
+    def base_curve(t: np.ndarray) -> Jet3:
+        return fd_jet(f_spline, t, fd_step)
 
-    def q_eval(t: float) -> Vec3:
-        raw = Vec3(
-            float(q_spline[0](t)), float(q_spline[1](t)), float(q_spline[2](t))
-        )
-        return raw.normalized()
-
-    def base_curve(t: float) -> Jet3:
-        return fd_jet(f_eval, t, fd_step)
-
-    def director(t: float) -> Jet3:
-        return fd_jet(q_eval, t, fd_step)
+    def director(t: np.ndarray) -> Jet3:
+        return fd_jet(lambda x: normalize(q_spline(x)), t, fd_step)
 
     return RuledSurfaceSpec(
         base_curve=base_curve,
@@ -346,27 +340,23 @@ def load_surface_file(path: str | Path) -> RuledSurfaceSpec:
 # documents
 
 
-def _vec_list(v: Vec3) -> list[float]:
-    return [v.x, v.y, v.z]
-
-
 def sampled_spec_document(surface: RuledSurfaceSpec, count: int) -> dict:
     """Tabulate a surface into a self-contained sampled spec."""
     if count < MIN_SAMPLED_ROWS:
         raise SpecError(f"sampled specs need at least {MIN_SAMPLED_ROWS} rows")
-    grid = SampleGrid.uniform(surface.param_range, count)
-    u, f_rows, q_rows = [], [], []
-    for t in grid.u_values:
-        u.append(t)
-        f_rows.append(_vec_list(surface.base_curve(t).d0))
-        q_rows.append(_vec_list(surface.director(t).d0))
-    return {"kind": "sampled", "u": u, "f": f_rows, "q": q_rows}
+    u = SampleGrid.uniform(surface.param_range, count).u_values
+    return {
+        "kind": "sampled",
+        "u": u.tolist(),
+        "f": surface.base_curve(u).d0.tolist(),
+        "q": surface.director(u).d0.tolist(),
+    }
 
 
 def _verdict_block(v: SlantVerdict, scalar_key: str, with_angle: bool) -> dict:
     block = {
         "verdict": v.verdict,
-        "axis": _vec_list(v.axis),
+        "axis": np.asarray(v.axis).tolist(),
         scalar_key: v.constant,
         "residual": v.residual,
         "spread": v.spread,
@@ -397,27 +387,36 @@ def _audit_block(record: AuditRecord) -> dict:
     }
 
 
+def _table_columns(samples: FrameTable) -> list[list]:
+    """The table's columns as plain Python lists, in report and CSV order."""
+    return [
+        getattr(samples, name).tolist()
+        for name in ("u", "s1", "kappa", "kappa_prime", "sigma",
+                     "q", "h", "a", "darboux", "striction")
+    ]
+
+
 def report_document(
     surface: RuledSurfaceSpec,
-    samples: Sequence[FrameSample],
+    samples: FrameTable,
     report: SlantReport,
     audits: Sequence[AuditRecord] = (),
 ) -> dict:
     """Assemble the full analysis report for one surface sampling."""
     sample_rows = [
         {
-            "u": s.u,
-            "s1": s.s1,
-            "kappa": s.kappa,
-            "kappa_prime": s.kappa_prime,
-            "sigma": s.sigma,
-            "q": _vec_list(s.q),
-            "h": _vec_list(s.h),
-            "a": _vec_list(s.a),
-            "W": _vec_list(s.darboux),
-            "striction_point": _vec_list(s.striction),
+            "u": u,
+            "s1": s1,
+            "kappa": kappa,
+            "kappa_prime": kp,
+            "sigma": sig,
+            "q": q,
+            "h": h,
+            "a": a,
+            "W": w,
+            "striction_point": c,
         }
-        for s in samples
+        for u, s1, kappa, kp, sig, q, h, a, w, c in zip(*_table_columns(samples))
     ]
     return {
         "meta": {
@@ -446,22 +445,11 @@ def report_document(
     }
 
 
-def csv_table(samples: Sequence[FrameSample]) -> str:
+def csv_table(samples: FrameTable) -> str:
     """Sample table as CSV text with a fixed header and .17g floats."""
     lines = [CSV_HEADER]
-    for s in samples:
-        fields = [
-            s.u,
-            s.s1,
-            s.kappa,
-            s.kappa_prime,
-            s.sigma,
-            s.q.x, s.q.y, s.q.z,
-            s.h.x, s.h.y, s.h.z,
-            s.a.x, s.a.y, s.a.z,
-            s.darboux.x, s.darboux.y, s.darboux.z,
-            s.striction.x, s.striction.y, s.striction.z,
-        ]
+    for u, s1, kappa, kp, sig, *vectors in zip(*_table_columns(samples)):
+        fields = [u, s1, kappa, kp, sig, *(x for v in vectors for x in v)]
         lines.append(",".join(_format_float(x) for x in fields))
     return "\n".join(lines) + "\n"
 
@@ -485,17 +473,15 @@ def export_obj(
         raise SpecError("degenerate v range: need v_min < v_max")
     u_values = SampleGrid.uniform(surface.param_range, grid_cols).u_values
     dv = (v_max - v_min) / (rows - 1)
-    v_values = [v_min + k * dv for k in range(rows - 1)] + [v_max]
+    v_values = np.array([v_min + k * dv for k in range(rows - 1)] + [v_max])
 
-    lines: list[str] = []
-    for t in u_values:
-        f0 = surface.base_curve(t).d0
-        q0 = surface.director(t).d0
-        for v in v_values:
-            p = f0 + q0 * v
-            lines.append(
-                f"v {_format_float(p.x)} {_format_float(p.y)} {_format_float(p.z)}"
-            )
+    f0 = surface.base_curve(u_values).d0
+    q0 = surface.director(u_values).d0
+    points = f0[:, None, :] + q0[:, None, :] * v_values[None, :, None]
+    lines = [
+        f"v {_format_float(x)} {_format_float(y)} {_format_float(z)}"
+        for x, y, z in points.reshape(-1, 3).tolist()
+    ]
 
     def idx(i: int, j: int) -> int:
         return i * rows + j + 1

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from slantsurf import Jet3, RuledSurfaceSpec, Vec3, catalog
+from slantsurf.geometry import cross, dot
 
 TABULATED_LINEAR = {"s1_knots": [0.0, 1.5, 3.0], "kappa_values": [0.0, 1.5, 3.0]}
 
@@ -29,12 +31,14 @@ def catalog_instances() -> list[tuple[str, RuledSurfaceSpec]]:
 
 
 def rodrigues(axis: Vec3, angle: float):
-    """Rotation about a unit axis by an angle, as a Vec3 -> Vec3 map."""
-    k = axis.normalized()
+    """Rotation about a unit axis by an angle, as a map of a Vec3 or of (N, 3) rows."""
+    k = np.asarray(axis.normalized())
     c, s = math.cos(angle), math.sin(angle)
 
-    def rotate(v: Vec3) -> Vec3:
-        return v * c + k.cross(v) * s + k * (k.dot(v) * (1.0 - c))
+    def rotate(v):
+        rows = np.atleast_2d(np.asarray(v, dtype=float))
+        out = rows * c + cross(k, rows) * s + k * (dot(k, rows) * (1.0 - c))[:, None]
+        return Vec3(*out[0].tolist()) if isinstance(v, Vec3) else out
 
     return rotate
 

@@ -95,6 +95,30 @@ class TestParse:
                          "--angle-tol", "0"])
         assert (cmd.tol, cmd.angle_tol) == (1e-300, 0.0)
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("analyze", "--samples", "15"), ("classify", "--samples", "8"),
+        ("verify", "--samples", "0"), ("generate", "--samples", "-3"),
+        ("classify", "--samples", "many"),
+        ("export", "--grid", "1x1"), ("export", "--grid", "1x8"),
+        ("export", "--grid", "64x1"),
+    ])
+    def test_small_counts_rejected_before_the_spec_is_read(self, command, flag, value,
+                                                           tmp_path, capsys):
+        # the spec does not exist: reading it would exit 3, not 1
+        missing = str(tmp_path / "missing.json")
+        with pytest.raises(SystemExit) as err:
+            main([command, "--surface", missing, flag, value])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
+    def test_count_edges_accepted(self):
+        assert parse_cli(["classify", "--surface", "s.json", "--samples", "16"]).samples == 16
+        assert parse_cli(["generate", "--surface", "s.json", "--samples", "16"]).samples == 16
+        cmd = parse_cli(["export", "--surface", "s.json", "--grid", "2x2"])
+        assert (cmd.grid_cols, cmd.grid_rows) == (2, 2)
+
 
 class TestAnalyze:
     def test_helicoid_kappa_is_identically_zero(self, helicoid_spec, tmp_path):
@@ -205,6 +229,32 @@ class TestVerify:
         audits = json.loads(out.read_text())["audits"]
         assert list(audits) == ["3.2"]
         assert audits["3.2"]["passed"] is True
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_all_audits_share_one_classification(self, sampled, sigma_spec, tmp_path,
+                                                 monkeypatch):
+        spec = sigma_spec
+        if sampled:
+            spec = str(tmp_path / "sampled.json")
+            assert run(parse_cli(["generate", "--surface", sigma_spec, "--out", spec])) == 0
+        import slantsurf.cli
+        import slantsurf.slant
+
+        calls = []
+        classify_samples = slantsurf.slant.classify_samples
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return classify_samples(*args, **kwargs)
+
+        monkeypatch.setattr(slantsurf.cli, "classify_samples", counting)
+        monkeypatch.setattr(slantsurf.slant, "classify_samples", counting)
+        out = tmp_path / "report.json"
+        assert run(parse_cli(["verify", "--surface", spec, "--theorem", "all",
+                              "--out", str(out)])) == 0
+        assert len(calls) == 1
+        assert set(json.loads(out.read_text())["audits"]) == {
+            "2.1", "3.1", "cor3.1", "3.2", "3.3-3.4"}
 
     def test_decomposition_not_applicable_still_exits_zero(self, sigma_spec, tmp_path):
         out = tmp_path / "report.json"

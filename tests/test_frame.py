@@ -1,12 +1,16 @@
 """Frame construction, invariants of the sampled frame, and striction."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from slantsurf import (
     CylindricalDirector,
+    FrameSample,
     Jet3,
+    NonFiniteSample,
     NonOrthogonalInput,
     RuledSurfaceSpec,
     SampleGrid,
@@ -20,11 +24,14 @@ from slantsurf import (
     det3,
     frame_samples,
     kappa_prime,
+    load_surface,
     reparam_to_s1,
     s1_derivatives,
+    sampled_spec_document,
     sigma,
     striction_point,
 )
+from slantsurf.geometry import cross, dot, norm
 
 TAN = {
     math.pi / 6: 0.5773502691896258,
@@ -37,28 +44,33 @@ def s1_jet(jet_u: Jet3) -> Jet3:
     return reparam_to_s1(jet_u, s1_derivatives(jet_u))
 
 
+def at(*u: float) -> np.ndarray:
+    return np.array(u)
+
+
 class TestStriction:
     def test_helicoid_base_is_striction(self):
         surface = catalog("helicoid")
         u = 1.2
-        c = striction_point(surface.base_curve(u), surface.director(u))
-        assert (c - Vec3(0.0, 0.0, u)).norm() < 1e-15
+        c = striction_point(surface.base_curve(at(u)), surface.director(at(u)))
+        assert norm(c - [0.0, 0.0, u])[0] < 1e-15
 
     def test_radial_plane_striction_is_origin(self):
         surface = catalog("radial_plane")
-        for u in (0.0, 0.9, 2.5, 5.1):
-            c = striction_point(surface.base_curve(u), surface.director(u))
-            assert c.norm() < 1e-15
+        u = at(0.0, 0.9, 2.5, 5.1)
+        c = striction_point(surface.base_curve(u), surface.director(u))
+        assert np.all(norm(c) < 1e-15)
 
     def test_hyperboloid_waist(self):
         surface = catalog("hyperboloid", {"r": 2.0, "pitch": 0.5})
-        u = 0.7
+        u = at(0.7)
         c = striction_point(surface.base_curve(u), surface.director(u))
-        assert (c - surface.base_curve(u).d0).norm() < 1e-14
+        assert norm(c - surface.base_curve(u).d0)[0] < 1e-14
 
     def test_cylindrical_director_rejected(self):
-        f = Jet3(Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 0, 0), Vec3(0, 0, 0))
-        q = Jet3(Vec3(0, 0, 1), Vec3(0, 0, 0), Vec3(0, 0, 0), Vec3(0, 0, 0))
+        zero = np.zeros((1, 3))
+        f = Jet3(zero, np.array([[1.0, 0.0, 0.0]]), zero, zero)
+        q = Jet3(np.array([[0.0, 0.0, 1.0]]), zero, zero, zero)
         with pytest.raises(CylindricalDirector):
             striction_point(f, q)
 
@@ -67,58 +79,55 @@ class TestNormals:
     def test_asymptotic_normal_of_latitude_circle(self):
         beta = math.pi / 6
         surface = catalog("latitude_cone", {"beta": beta})
-        a = asymptotic_normal(surface.director(0.0))
-        assert (a - Vec3(-math.sin(beta), 0.0, math.cos(beta))).norm() < 1e-15
+        a = asymptotic_normal(surface.director(at(0.0)))
+        assert norm(a - [-math.sin(beta), 0.0, math.cos(beta)])[0] < 1e-15
 
     def test_central_normal_completes_right_handed_frame(self):
         beta = math.pi / 6
         surface = catalog("latitude_cone", {"beta": beta})
-        q = surface.director(0.0).d0
-        a = asymptotic_normal(surface.director(0.0))
+        q = surface.director(at(0.0)).d0
+        a = asymptotic_normal(surface.director(at(0.0)))
         h = central_normal(q, a)
-        assert (h - Vec3(0.0, 1.0, 0.0)).norm() < 1e-15
-        assert (q.cross(h) - a).norm() < 1e-15
+        assert norm(h - [0.0, 1.0, 0.0])[0] < 1e-15
+        assert norm(cross(q, h) - a)[0] < 1e-15
 
     def test_central_normal_validates_inputs(self):
         with pytest.raises(NonOrthogonalInput):
-            central_normal(Vec3(1, 0, 0), Vec3(2, 0, 0))
+            central_normal(np.array([[1.0, 0.0, 0.0]]), np.array([[2.0, 0.0, 0.0]]))
         with pytest.raises(NonOrthogonalInput):
-            central_normal(Vec3(1, 0, 0), Vec3(1, 0, 0))
+            central_normal(np.array([[1.0, 0.0, 0.0]]), np.array([[1.0, 0.0, 0.0]]))
 
 
 class TestCurvatures:
     @pytest.mark.parametrize("beta", [math.pi / 6, math.pi / 4, math.pi / 3])
     def test_latitude_cone_conical_curvature(self, beta):
         surface = catalog("latitude_cone", {"beta": beta})
-        for u in (0.0, 1.1, 3.7):
-            kap = conical_curvature(s1_jet(surface.director(u)))
-            assert kap == pytest.approx(TAN[beta], abs=1e-12)
+        kap = conical_curvature(s1_jet(surface.director(at(0.0, 1.1, 3.7))))
+        assert kap == pytest.approx(TAN[beta], abs=1e-12)
 
     def test_two_curvature_forms_agree(self, catalog_instances):
         """det(q, q', q'') equals <q'', a> once derivatives are in s1."""
         for label, surface in catalog_instances:
             grid = SampleGrid.uniform(surface.param_range, 64)
-            for u in grid.u_values:
-                jet = s1_jet(surface.director(u))
-                a = asymptotic_normal(surface.director(u))
-                det_form = conical_curvature(jet)
-                proj_form = jet.d2.dot(a)
-                assert abs(det_form - proj_form) < 1e-9, label
+            jet = s1_jet(surface.director(grid.u_values))
+            a = asymptotic_normal(surface.director(grid.u_values))
+            det_form = conical_curvature(jet)
+            proj_form = dot(jet.d2, a)
+            assert np.all(np.abs(det_form - proj_form) < 1e-9), label
 
     def test_kappa_prime_on_constant_sigma(self):
         surface = catalog("constant_sigma", {"d": 0.5})
-        for u in (-1.5, -0.3, 0.0, 0.8, 1.6):
-            jet = s1_jet(surface.director(u))
-            kap = conical_curvature(jet)
-            kp = kappa_prime(jet)
-            assert kp == pytest.approx(0.5 * (1 + kap * kap) ** 1.5, rel=1e-9)
+        jet = s1_jet(surface.director(at(-1.5, -0.3, 0.0, 0.8, 1.6)))
+        kap = conical_curvature(jet)
+        kp = kappa_prime(jet)
+        assert kp == pytest.approx(0.5 * (1 + kap * kap) ** 1.5, rel=1e-9)
 
     def test_curvature_requires_s1_tag(self):
         surface = catalog("helicoid")
         with pytest.raises(TagError):
-            conical_curvature(surface.director(0.0))
+            conical_curvature(surface.director(at(0.0)))
         with pytest.raises(TagError):
-            kappa_prime(surface.director(0.0))
+            kappa_prime(surface.director(at(0.0)))
 
     def test_sigma_formula(self):
         assert sigma(0.0, 0.5) == 0.5
@@ -127,12 +136,12 @@ class TestCurvatures:
     @pytest.mark.parametrize("beta", [math.pi / 6, math.pi / 4])
     def test_darboux_vector_of_cone(self, beta):
         surface = catalog("latitude_cone", {"beta": beta})
-        u = 0.4
+        u = at(0.4)
         q = surface.director(u).d0
         a = asymptotic_normal(surface.director(u))
         w = darboux_vector(TAN[beta], q, a)
-        assert (w - Vec3(0.0, 0.0, 1.0 / math.cos(beta))).norm() < 1e-12
-        assert w.norm() == pytest.approx(math.sqrt(1 + TAN[beta] ** 2), abs=1e-12)
+        assert norm(w - [0.0, 0.0, 1.0 / math.cos(beta)])[0] < 1e-12
+        assert norm(w)[0] == pytest.approx(math.sqrt(1 + TAN[beta] ** 2), abs=1e-12)
 
 
 class TestSampleGrid:
@@ -152,18 +161,17 @@ class TestSampleGrid:
 class TestFrameSamples:
     def test_orthonormal_right_handed_everywhere(self, catalog_instances):
         for label, surface in catalog_instances:
-            samples = frame_samples(surface, SampleGrid.uniform(surface.param_range, 64))
-            for s in samples:
-                assert abs(s.q.norm() - 1.0) < 1e-12, label
-                assert abs(s.h.norm() - 1.0) < 1e-12, label
-                assert abs(s.a.norm() - 1.0) < 1e-12, label
-                assert abs(s.q.dot(s.h)) < 1e-12, label
-                assert abs(s.q.dot(s.a)) < 1e-12, label
-                assert abs(s.h.dot(s.a)) < 1e-12, label
-                assert det3(s.q, s.h, s.a) == pytest.approx(1.0, abs=1e-12), label
-                assert (s.darboux - darboux_vector(s.kappa, s.q, s.a)).norm() < 1e-12
-                denom = (1.0 + s.kappa**2) ** 1.5
-                assert s.sigma == pytest.approx(s.kappa_prime / denom, abs=1e-12)
+            t = frame_samples(surface, SampleGrid.uniform(surface.param_range, 64))
+            assert np.all(np.abs(norm(t.q) - 1.0) < 1e-12), label
+            assert np.all(np.abs(norm(t.h) - 1.0) < 1e-12), label
+            assert np.all(np.abs(norm(t.a) - 1.0) < 1e-12), label
+            assert np.all(np.abs(dot(t.q, t.h)) < 1e-12), label
+            assert np.all(np.abs(dot(t.q, t.a)) < 1e-12), label
+            assert np.all(np.abs(dot(t.h, t.a)) < 1e-12), label
+            assert det3(t.q, t.h, t.a) == pytest.approx(1.0, abs=1e-12), label
+            assert np.all(norm(t.darboux - darboux_vector(t.kappa, t.q, t.a)) < 1e-12)
+            denom = (1.0 + t.kappa**2) ** 1.5
+            assert t.sigma == pytest.approx(t.kappa_prime / denom, abs=1e-12)
 
     @pytest.mark.parametrize("beta", [math.pi / 6, math.pi / 4, math.pi / 3])
     def test_s1_total_length_of_latitude_circle(self, beta):
@@ -175,28 +183,151 @@ class TestFrameSamples:
     def test_s1_is_monotone(self, catalog_instances):
         for label, surface in catalog_instances:
             samples = frame_samples(surface, SampleGrid.uniform(surface.param_range, 64))
-            for left, right in zip(samples, samples[1:]):
-                assert right.s1 > left.s1, label
+            assert np.all(samples.s1[1:] > samples.s1[:-1]), label
 
     def test_striction_curve_runs_orthogonal_to_director_motion(self, catalog_instances):
         """Central differences of the striction curve stay orthogonal to q'."""
         for label, surface in catalog_instances:
             samples = frame_samples(surface, SampleGrid.uniform(surface.param_range, 256))
-            du = samples[1].u - samples[0].u
-            for prev, mid, nxt in zip(samples, samples[1:], samples[2:]):
-                c_dot = (nxt.striction - prev.striction) / (2.0 * du)
-                q_dot = surface.director(mid.u).d1
-                bound = 1e-3 * (1.0 + c_dot.norm() * q_dot.norm()) + 1e-12
-                assert abs(c_dot.dot(q_dot)) < bound, label
+            du = samples.u[1] - samples.u[0]
+            c_dot = (samples.striction[2:] - samples.striction[:-2]) / (2.0 * du)
+            q_dot = surface.director(samples.u[1:-1]).d1
+            bound = 1e-3 * (1.0 + norm(c_dot) * norm(q_dot)) + 1e-12
+            assert np.all(np.abs(dot(c_dot, q_dot)) < bound), label
 
     def test_cylindrical_surface_names_parameter(self):
         def base(u):
-            return Jet3(Vec3(u, 0.0, 0.0), Vec3(1, 0, 0), Vec3(0, 0, 0), Vec3(0, 0, 0))
+            return Jet3(line(u), line(1.0 + 0.0 * u), 0.0 * line(u), 0.0 * line(u))
 
         def director(u):
-            return Jet3(Vec3(0, 0, 1), Vec3(0, 0, 0), Vec3(0, 0, 0), Vec3(0, 0, 0))
+            zero = 0.0 * line(u)
+            return Jet3(zero + [0.0, 0.0, 1.0], zero, zero, zero)
 
         spec = RuledSurfaceSpec(base, director, (0.0, 1.0), {"kind": "test"})
         with pytest.raises(CylindricalDirector) as err:
             frame_samples(spec, SampleGrid.uniform((0.0, 1.0), 32))
         assert "u=0" in str(err.value)
+
+    def test_rows_read_as_frame_samples(self):
+        surface = catalog("latitude_cone", {"beta": math.pi / 6})
+        table = frame_samples(surface, SampleGrid.uniform(surface.param_range, 32))
+        assert len(table) == len(list(table)) == 32
+        row = table[-1]
+        assert row.u == table.u[-1] and row.s1 == table.s1[-1]
+        assert row.darboux == Vec3(*table.darboux[-1])
+        assert type(row.kappa) is float
+
+    def test_columns_equal_the_per_sample_reference(self, catalog_instances):
+        """Columnar arithmetic keeps the scalar operation order bit for bit."""
+        sampled = load_surface(sampled_spec_document(catalog("constant_sigma", {"d": 0.5}), 64))
+        for label, surface in [*catalog_instances, ("sampled", sampled)]:
+            grid = SampleGrid.uniform(surface.param_range, 64)
+            want = [FrameSample(*row) for row in reference_frame(surface, grid.u_values)]
+            assert list(frame_samples(surface, grid)) == want, label
+
+    def test_jet_calls_do_not_grow_with_the_grid(self):
+        surface = catalog("constant_sigma", {"d": 0.5})
+        calls = []
+
+        def counted(fn):
+            def jet(u):
+                calls.append(len(u))
+                return fn(u)
+            return jet
+
+        spec = dataclasses.replace(surface, base_curve=counted(surface.base_curve),
+                                   director=counted(surface.director))
+        per_grid = []
+        for count in (64, 512):
+            calls.clear()
+            frame_samples(spec, SampleGrid.uniform(spec.param_range, count))
+            per_grid.append(len(calls))
+        assert per_grid[0] == per_grid[1] == 3
+
+
+def line(u):
+    return np.stack([u, 0.0 * u, 0.0 * u], axis=-1)
+
+
+def jet_rows(jet: Jet3) -> list[tuple[Vec3, Vec3, Vec3, Vec3]]:
+    columns = (d.tolist() for d in (jet.d0, jet.d1, jet.d2, jet.d3))
+    return [tuple(Vec3(*r) for r in rows) for rows in zip(*columns)]
+
+
+def reference_frame(surface, u_values) -> list[tuple]:
+    """The frame one sample at a time in Vec3 arithmetic, from the same jets."""
+    u = u_values.tolist()
+    mids = np.array([0.5 * (left + right) for left, right in zip(u, u[1:])])
+    mid_speeds = [d1.norm() for _, d1, _, _ in jet_rows(surface.director(mids))]
+    f_jets = jet_rows(surface.base_curve(u_values))
+    rows, s1, prev = [], 0.0, 0.0
+    for i, (q0, q1, q2, q3) in enumerate(jet_rows(surface.director(u_values))):
+        p = q1.norm()
+        g12 = q1.dot(q2)
+        pp = g12 / p
+        ppp = (q2.dot(q2) + q1.dot(q3)) / p - g12 * g12 / p**3
+        d1 = q1 / p
+        d2 = (q2 * p - q1 * pp) / p**3
+        d3 = q3 / p**3 - q2 * (3.0 * pp / p**4) + q1 * (3.0 * pp * pp / p**5 - ppp / p**4)
+        kap, kp = q0.dot(d1.cross(d2)), q0.dot(d1.cross(d3))
+        a = q0.cross(q1) / p
+        if i:
+            s1 += (u[i] - u[i - 1]) / 6.0 * (prev + 4.0 * mid_speeds[i - 1] + p)
+        prev = p
+        f0, f1 = f_jets[i][:2]
+        striction = f0 - q0 * (q1.dot(f1) / q1.dot(q1))
+        rows.append((u[i], s1, q0, a.cross(q0), a, kap, kp,
+                     kp / (1.0 + kap * kap) ** 1.5, q0 * kap + a, striction))
+    return rows
+
+
+def spoiled_helicoid(director_filter):
+    """Helicoid whose director rows pass through ``director_filter(u, rows)``."""
+    helicoid = catalog("helicoid")
+
+    def director(u):
+        jet = helicoid.director(u)
+        return Jet3(*(director_filter(u, d) for d in (jet.d0, jet.d1, jet.d2, jet.d3)))
+
+    return dataclasses.replace(helicoid, director=director)
+
+
+class TestFirstFault:
+    """Errors name the first bad u in the order u0, u1, mid01, u2, mid12, ..."""
+
+    grid = SampleGrid.uniform((0.0, 1.0), 32)
+
+    def test_non_finite_director_names_first_grid_value(self):
+        spec = spoiled_helicoid(lambda u, rows: np.where((u > 0.5)[:, None], math.nan, rows))
+        with pytest.raises(NonFiniteSample) as err:
+            frame_samples(spec, self.grid)
+        first = float(self.grid.u_values[self.grid.u_values > 0.5][0])
+        assert str(err.value) == f"surface jets are non-finite at u={first!r}"
+
+    def test_non_finite_midpoint_named_before_later_grid_values(self):
+        u = self.grid.u_values
+        mid = float(0.5 * (u[3] + u[4]))
+
+        def spoil(at, rows):
+            bad = (at == mid) | (at > 0.8)
+            return np.where(bad[:, None], math.nan, rows)
+
+        with pytest.raises(NonFiniteSample) as err:
+            frame_samples(spoiled_helicoid(spoil), self.grid)
+        assert str(err.value) == f"director jet is non-finite at u={mid!r}"
+
+    def test_stalled_director_names_first_grid_value(self):
+        # the director stops turning for u >= 0.4: a cylindrical stretch
+        helicoid = catalog("helicoid")
+
+        def director(u):
+            jet = helicoid.director(np.minimum(u, 0.4))
+            still = (u >= 0.4)[:, None]
+            return Jet3(jet.d0, *(np.where(still, 0.0, d) for d in (jet.d1, jet.d2, jet.d3)))
+
+        spec = dataclasses.replace(helicoid, director=director)
+        with pytest.raises(CylindricalDirector) as err:
+            frame_samples(spec, self.grid)
+        first = float(self.grid.u_values[self.grid.u_values >= 0.4][0])
+        assert err.value.u == first
+        assert f"u={first!r}" in str(err.value)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from slantsurf import (
@@ -24,6 +25,7 @@ from slantsurf import (
     reparam_to_s1,
     s1_derivatives,
 )
+from slantsurf.geometry import dot, norm
 
 EZ = Vec3(0, 0, 1)
 
@@ -138,18 +140,17 @@ class TestBuildSurface:
         prof = ConstantSigma(0.5)
         config = GeneratorConfig(profile=prof, step=0.01)
         surface = build_surface(integrate_frame(config), config)
-        for u in (-1.7, -0.9, 0.0, 0.33, 1.64):
-            jet = surface.director(u)
-            kap = conical_curvature(reparam_to_s1(jet, s1_derivatives(jet)))
-            assert kap == pytest.approx(prof.kappa(u), abs=1e-12)
+        u = np.array([-1.7, -0.9, 0.0, 0.33, 1.64])
+        jet = surface.director(u)
+        kap = conical_curvature(reparam_to_s1(jet, s1_derivatives(jet)))
+        assert kap == pytest.approx(prof.kappa(u), abs=1e-12)
 
     def test_base_curve_is_its_own_striction(self):
         prof = TabulatedKappa((0.0, 1.0, 2.0, 3.0), (0.0, 0.8, -0.4, 1.1))
         config = GeneratorConfig(profile=prof, step=0.01, alpha=0.7)
         surface = build_surface(integrate_frame(config), config)
         samples = frame_samples(surface, SampleGrid.uniform(surface.param_range, 64))
-        for s in samples:
-            assert (s.striction - surface.base_curve(s.u).d0).norm() < 1e-12
+        assert np.all(norm(samples.striction - surface.base_curve(samples.u).d0) < 1e-12)
 
     def test_parameter_is_spherical_arc_length(self):
         prof = ConstantKappa(1.2, (0.0, 2.0))
@@ -163,13 +164,13 @@ class TestBuildSurface:
         prof = ConstantKappa(0.4, (0.0, 2.0))
         config = GeneratorConfig(profile=prof, step=0.01, alpha=alpha)
         surface = build_surface(integrate_frame(config), config)
-        u = 1.1
+        u = np.array([1.1])
         d1 = surface.base_curve(u).d1
         jet = surface.director(u)
         q = jet.d0
-        assert d1.dot(q) == pytest.approx(math.cos(alpha), abs=1e-12)
-        assert abs(d1.dot(jet.d1)) < 1e-12  # no central-normal component
-        assert d1.norm() == pytest.approx(1.0, abs=1e-12)
+        assert dot(d1, q)[0] == pytest.approx(math.cos(alpha), abs=1e-12)
+        assert abs(dot(d1, jet.d1)[0]) < 1e-12  # no central-normal component
+        assert norm(d1)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_provenance_and_expected(self):
         prof = ConstantSigma(0.25)

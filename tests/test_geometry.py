@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from slantsurf import (
     reparam_to_s1,
     s1_derivatives,
 )
+from slantsurf.geometry import norm
 
 coords = st.floats(-1.0, 1.0, allow_nan=False)
 vectors = st.builds(Vec3, coords, coords, coords)
@@ -83,39 +85,55 @@ class TestJet3:
         assert not Jet3(good, good, bad, good).is_finite()
 
 
+def line(t):
+    return np.stack([t, 0.0 * t, 0.0 * t], axis=-1)
+
+
 class TestFdJet:
     def test_exact_on_cubic_polynomials(self):
         # the five-point formulas are exact through degree three
         def curve(t):
-            return Vec3(t**3 - t, 2.0 * t * t, 5.0 - t)
+            return np.stack([t**3 - t, 2.0 * t * t, 5.0 - t], axis=-1)
 
-        jet = fd_jet(curve, 0.7, 0.01)
-        assert (jet.d0 - curve(0.7)).norm() == 0.0
-        assert (jet.d1 - Vec3(3 * 0.7**2 - 1, 4 * 0.7, -1.0)).norm() < 1e-11
-        assert (jet.d2 - Vec3(6 * 0.7, 4.0, 0.0)).norm() < 1e-9
-        assert (jet.d3 - Vec3(6.0, 0.0, 0.0)).norm() < 1e-7
+        u0 = np.array([0.7])
+        jet = fd_jet(curve, u0, 0.01)
+        assert norm(jet.d0 - curve(u0))[0] == 0.0
+        assert norm(jet.d1 - [3 * 0.7**2 - 1, 4 * 0.7, -1.0])[0] < 1e-11
+        assert norm(jet.d2 - [6 * 0.7, 4.0, 0.0])[0] < 1e-9
+        assert norm(jet.d3 - [6.0, 0.0, 0.0])[0] < 1e-7
 
     def test_helix_derivatives(self):
         def curve(t):
-            return Vec3(math.cos(t), math.sin(t), t)
+            return np.stack([np.cos(t), np.sin(t), t], axis=-1)
 
         u0 = 0.3
-        jet = fd_jet(curve, u0, 1e-3)
-        assert (jet.d1 - Vec3(-math.sin(u0), math.cos(u0), 1.0)).norm() < 1e-10
-        assert (jet.d2 - Vec3(-math.cos(u0), -math.sin(u0), 0.0)).norm() < 1e-8
-        assert (jet.d3 - Vec3(math.sin(u0), -math.cos(u0), 0.0)).norm() < 1e-5
+        jet = fd_jet(curve, np.array([u0]), 1e-3)
+        assert norm(jet.d1 - [-math.sin(u0), math.cos(u0), 1.0])[0] < 1e-10
+        assert norm(jet.d2 - [-math.cos(u0), -math.sin(u0), 0.0])[0] < 1e-8
+        assert norm(jet.d3 - [math.sin(u0), -math.cos(u0), 0.0])[0] < 1e-5
 
     def test_result_is_u_tagged(self):
-        jet = fd_jet(lambda t: Vec3(t, 0.0, 0.0), 0.0, 0.1)
+        jet = fd_jet(line, np.array([0.0]), 0.1)
         assert jet.param == "u"
 
     def test_non_finite_sample_names_parameter(self):
         def curve(t):
-            return Vec3(math.nan, 0.0, 0.0) if t > 1.05 else Vec3(t, 0.0, 0.0)
+            return np.where((t > 1.05)[:, None], math.nan, line(t))
 
         with pytest.raises(NonFiniteSample) as err:
-            fd_jet(curve, 1.0, 0.1)
+            fd_jet(curve, np.array([1.0]), 0.1)
         assert "1.1" in str(err.value)
+
+    def test_one_sampler_call_covers_every_stencil(self):
+        calls = []
+
+        def curve(t):
+            calls.append(len(t))
+            return line(t)
+
+        jet = fd_jet(curve, np.linspace(0.0, 1.0, 7), 0.01)
+        assert calls == [35]
+        assert jet.d1 == pytest.approx(np.tile([1.0, 0.0, 0.0], (7, 1)), abs=1e-12)
 
     @pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
     def test_bad_step_rejected(self, step):
@@ -124,10 +142,10 @@ class TestFdJet:
 
 
 def circle_jet(phi, speed=1.0, accel=0.0, jerk=0.0):
-    """Jets of u -> (cos phi(u), sin phi(u), 0) given phi and its derivatives."""
+    """Jets of u -> (cos phi(u), sin phi(u), 0) given phi and its derivatives, one row."""
     c, s = math.cos(phi), math.sin(phi)
-    p = Vec3(c, s, 0.0)
-    t = Vec3(-s, c, 0.0)
+    p = np.array([[c, s, 0.0]])
+    t = np.array([[-s, c, 0.0]])
     return Jet3(
         d0=p,
         d1=t * speed,
@@ -142,10 +160,10 @@ class TestS1Derivatives:
         beta = math.pi / 4
         r = math.cos(beta)
         jet = Jet3(
-            Vec3(r, 0.0, math.sin(beta)),
-            Vec3(0.0, r, 0.0),
-            Vec3(-r, 0.0, 0.0),
-            Vec3(0.0, -r, 0.0),
+            np.array([[r, 0.0, math.sin(beta)]]),
+            np.array([[0.0, r, 0.0]]),
+            np.array([[-r, 0.0, 0.0]]),
+            np.array([[0.0, -r, 0.0]]),
         )
         s1d = s1_derivatives(jet)
         assert s1d.s1p == pytest.approx(r, abs=1e-15)
@@ -168,7 +186,8 @@ class TestS1Derivatives:
             s1_derivatives(jet)
 
     def test_frozen_director_is_cylindrical(self):
-        jet = Jet3(Vec3(0, 0, 1), Vec3(0, 0, 0), Vec3(0, 0, 0), Vec3(0, 0, 0))
+        zero = np.zeros((1, 3))
+        jet = Jet3(np.array([[0.0, 0.0, 1.0]]), zero, zero, zero)
         with pytest.raises(CylindricalDirector):
             s1_derivatives(jet)
 
@@ -182,10 +201,10 @@ class TestReparamToS1:
         jet_s1 = reparam_to_s1(jet_u, s1_derivatives(jet_u))
         want = circle_jet(phi)  # unit speed: d/ds1 jets directly
         assert jet_s1.param == "s1"
-        assert (jet_s1.d0 - want.d0).norm() < 1e-15
-        assert (jet_s1.d1 - want.d1).norm() < 1e-14
-        assert (jet_s1.d2 - want.d2).norm() < 1e-13
-        assert (jet_s1.d3 - want.d3).norm() < 1e-12
+        assert norm(jet_s1.d0 - want.d0)[0] < 1e-15
+        assert norm(jet_s1.d1 - want.d1)[0] < 1e-14
+        assert norm(jet_s1.d2 - want.d2)[0] < 1e-13
+        assert norm(jet_s1.d3 - want.d3)[0] < 1e-12
 
     @given(st.floats(0.2, 5.0), st.floats(0.0, 6.0))
     def test_linear_scaling(self, c, phi):
@@ -193,9 +212,9 @@ class TestReparamToS1:
         jet_u = circle_jet(phi, speed=c)
         jet_s1 = reparam_to_s1(jet_u, s1_derivatives(jet_u))
         want = circle_jet(phi)
-        assert (jet_s1.d1 - want.d1).norm() < 1e-12
-        assert (jet_s1.d2 - want.d2).norm() < 1e-11
-        assert (jet_s1.d3 - want.d3).norm() < 1e-10
+        assert norm(jet_s1.d1 - want.d1)[0] < 1e-12
+        assert norm(jet_s1.d2 - want.d2)[0] < 1e-11
+        assert norm(jet_s1.d3 - want.d3)[0] < 1e-10
 
     def test_requires_u_tag(self):
         jet = circle_jet(0.3)

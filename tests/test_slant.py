@@ -7,7 +7,6 @@ import pytest
 from slantsurf import (
     AxisDecomposition,
     EmptyInput,
-    NotDarbouxSlant,
     SampleGrid,
     Vec3,
     catalog,
@@ -267,8 +266,11 @@ class TestAuditors:
     def test_decomposition_audit_rejects_varying_kappa(self):
         surface = catalog("constant_sigma", {"d": 0.5})
         grid = SampleGrid.uniform(surface.param_range, 128)
-        with pytest.raises(NotDarbouxSlant):
-            verify_theorems_3_3_3_4(surface, grid)
+        record = verify_theorems_3_3_3_4(surface, grid)
+        assert not record.applicable and record.passed is None
+        assert record.checks == []
+        assert record.notes[0].startswith(
+            "the decomposition audit needs constant conical curvature (relative spread ")
 
     def test_zero_curvature_equivalence_is_vacuous(self):
         # on the helicoid a3 is constant for any axis while a2 may vary
