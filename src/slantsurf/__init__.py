@@ -10,7 +10,6 @@ and generates surfaces with prescribed conical curvature.
 """
 
 from .frame import (
-    FrameSample,
     FrameTable,
     NonOrthogonalInput,
     RuledSurfaceSpec,
@@ -46,7 +45,6 @@ from .geometry import (
     Jet3,
     NonFiniteSample,
     TagError,
-    Vec3,
     det3,
     fd_jet,
     reparam_to_s1,
@@ -55,7 +53,6 @@ from .geometry import (
 from .slant import (
     AuditCheck,
     AuditRecord,
-    AxisDecomposition,
     AxisFit,
     ConstancyResult,
     EmptyInput,
@@ -78,7 +75,7 @@ from .surface_io import (
     dumps_deterministic,
     export_obj,
     load_surface,
-    load_surface_file,
+    read_spec,
     report_document,
     sampled_spec_document,
     write_json_atomic,

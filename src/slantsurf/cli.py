@@ -293,7 +293,7 @@ def run(command: Command) -> int:
             return 0
         if isinstance(command, Generate):
             doc = read_spec(command.surface)
-            if doc.get("kind") == "sampled":
+            if isinstance(doc, dict) and doc.get("kind") == "sampled":
                 raise SpecError("generate needs a catalog or prescribed_kappa spec")
             surface = load_surface(doc)
             write_json_atomic(command.out,

@@ -25,7 +25,7 @@ one pass over the whole grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,7 +38,6 @@ from .geometry import (
     Jet3,
     NonFiniteSample,
     TagError,
-    Vec3,
     cross,
     det3,
     dot,
@@ -51,7 +50,6 @@ from .geometry import (
 __all__ = [
     "NonOrthogonalInput",
     "RuledSurfaceSpec",
-    "FrameSample",
     "FrameTable",
     "SampleGrid",
     "striction_point",
@@ -90,22 +88,6 @@ class RuledSurfaceSpec:
     expected: dict | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class FrameSample:
-    """Frame and curvature data at one parameter value: a row of a ``FrameTable``."""
-
-    u: float
-    s1: float
-    q: Vec3
-    h: Vec3
-    a: Vec3
-    kappa: float
-    kappa_prime: float
-    sigma: float
-    darboux: Vec3
-    striction: Vec3
-
-
 @dataclass(frozen=True, eq=False)
 class FrameTable:
     """Frame and curvature data on a grid, one array per column.
@@ -113,7 +95,7 @@ class FrameTable:
     Scalar columns (``u``, ``s1``, ``kappa``, ``kappa_prime``, ``sigma``)
     have shape (N,); vector columns (``q``, ``h``, ``a``, ``darboux``,
     ``striction``) have shape (N, 3).  Row i of every column belongs to the
-    grid value ``u[i]``; ``table[i]`` reads it as a ``FrameSample``.
+    grid value ``u[i]``.
     """
 
     u: np.ndarray
@@ -129,13 +111,6 @@ class FrameTable:
 
     def __len__(self) -> int:
         return len(self.u)
-
-    def __getitem__(self, i: int) -> FrameSample:
-        columns = (getattr(self, f.name)[i] for f in fields(self))
-        return FrameSample(*(Vec3(*c.tolist()) if c.ndim else float(c) for c in columns))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True, eq=False)

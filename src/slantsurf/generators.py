@@ -23,12 +23,13 @@ parameter values at once.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .frame import RuledSurfaceSpec
-from .geometry import EX, EY, EZ, ZERO, Jet3, Vec3, cross, dot, normalize, power
+from .geometry import EX, EY, EZ, Jet3, Vec3, cross, dot, normalize, power
 
 __all__ = [
     "OutOfDomain",
@@ -425,7 +426,7 @@ def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpe
             "alpha": config.alpha,
             "step": config.step,
         },
-        expected={"profile": profile, "alpha": config.alpha},
+        expected={"alpha": config.alpha},
     )
 
 
@@ -452,17 +453,9 @@ def _circle_director(height: float, radius: float):
     return jet
 
 
-def _constant_curve(point: Vec3):
-    def jet(u: np.ndarray) -> Jet3:
-        zero = np.zeros((len(u), 3))
-        return Jet3(_columns(u, point.x, point.y, point.z), zero, zero, zero, "u")
-
-    return jet
-
-
-def _verdicts(q: bool, h: bool, a: bool, strict: bool, angular: bool) -> dict:
-    """Expected answers to the five slant questions."""
-    return {"q": q, "h": h, "a": a, "darboux_strict": strict, "darboux_angular": angular}
+def _origin(u: np.ndarray) -> Jet3:
+    zero = np.zeros((len(u), 3))
+    return Jet3(zero, zero, zero, zero, "u")
 
 
 def _helicoid() -> RuledSurfaceSpec:
@@ -475,12 +468,7 @@ def _helicoid() -> RuledSurfaceSpec:
         director=_circle_director(0.0, 1.0),
         param_range=(0.0, 2.0 * math.pi),
         provenance={"kind": "catalog", "name": "helicoid", "params": {}},
-        expected={
-            "kappa_const": 0.0,
-            "darboux_const": EZ,
-            "verdicts": _verdicts(False, False, True, True, True),
-            "axis": EZ,
-        },
+        expected={"kappa_const": 0.0},
     )
 
 
@@ -489,18 +477,11 @@ def _latitude_cone(params: dict) -> RuledSurfaceSpec:
     if beta is None or not (0.0 < beta < math.pi / 2.0):
         raise BadParams(f"latitude_cone needs beta in (0, pi/2), got {beta!r}")
     return RuledSurfaceSpec(
-        base_curve=_constant_curve(ZERO),
+        base_curve=_origin,
         director=_circle_director(math.sin(beta), math.cos(beta)),
         param_range=(0.0, 2.0 * math.pi),
         provenance={"kind": "catalog", "name": "latitude_cone", "params": {"beta": beta}},
-        expected={
-            "kappa_const": math.tan(beta),
-            "darboux_const": Vec3(0.0, 0.0, 1.0 / math.cos(beta)),
-            "verdicts": _verdicts(True, False, True, True, True),
-            "axis": EZ,
-            "q_constant": math.sin(beta),
-            "a_constant": math.cos(beta),
-        },
+        expected={"kappa_const": math.tan(beta)},
     )
 
 
@@ -532,13 +513,7 @@ def _hyperboloid(params: dict) -> RuledSurfaceSpec:
             "name": "hyperboloid",
             "params": {"r": radius, "pitch": pitch},
         },
-        expected={
-            "kappa_const": pitch,
-            "darboux_const": Vec3(0.0, 0.0, math.sqrt(1.0 + pitch * pitch)),
-            "verdicts": _verdicts(True, False, True, True, True),
-            "axis": EZ,
-            "striction_is_base": True,
-        },
+        expected={"kappa_const": pitch},
     )
 
 
@@ -549,13 +524,7 @@ def _radial_plane() -> RuledSurfaceSpec:
         director=circle,
         param_range=(0.0, 2.0 * math.pi),
         provenance={"kind": "catalog", "name": "radial_plane", "params": {}},
-        expected={
-            "kappa_const": 0.0,
-            "darboux_const": EZ,
-            "verdicts": _verdicts(False, False, True, True, True),
-            "axis": EZ,
-            "striction_const": ZERO,
-        },
+        expected={"kappa_const": 0.0},
     )
 
 
@@ -575,16 +544,7 @@ def _constant_sigma_entry(params: dict) -> RuledSurfaceSpec:
         raise BadParams("constant_sigma needs parameter d")
     s1_range = tuple(params.get("s1_range", (-1.8, 1.8)))
     profile = ConstantSigma(d=d, domain=s1_range)
-    surface = _generated_catalog_entry("constant_sigma", profile, params)
-    surface.expected.update(
-        {
-            "sigma_const": d,
-            "verdicts": _verdicts(False, True, False, False, True),
-            "h_constant": d / math.sqrt(1.0 + d * d),
-            "angular_constant": 1.0 / math.sqrt(1.0 + d * d),
-        }
-    )
-    return surface
+    return _generated_catalog_entry("constant_sigma", profile, params)
 
 
 def _tabulated_entry(params: dict) -> RuledSurfaceSpec:
@@ -596,14 +556,35 @@ def _tabulated_entry(params: dict) -> RuledSurfaceSpec:
     return _generated_catalog_entry("tabulated_kappa", profile, params)
 
 
+# each entry's builder and the params it accepts
 _CATALOG = {
-    "helicoid": lambda params: _helicoid(),
-    "latitude_cone": _latitude_cone,
-    "hyperboloid": _hyperboloid,
-    "radial_plane": lambda params: _radial_plane(),
-    "constant_sigma": _constant_sigma_entry,
-    "tabulated_kappa": _tabulated_entry,
+    "helicoid": (lambda params: _helicoid(), ()),
+    "latitude_cone": (_latitude_cone, ("beta",)),
+    "hyperboloid": (_hyperboloid, ("r", "pitch")),
+    "radial_plane": (lambda params: _radial_plane(), ()),
+    "constant_sigma": (_constant_sigma_entry, ("d", "s1_range", "alpha", "step")),
+    "tabulated_kappa": (_tabulated_entry, ("s1_knots", "kappa_values", "alpha", "step")),
 }
+# params holding a list of numbers; every other param holds one number
+_LIST_PARAMS = ("s1_range", "s1_knots", "kappa_values")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_params(name: str, params: dict, accepted: tuple[str, ...]) -> None:
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise BadParams(f"{name}: unknown params {unknown}")
+    for key, value in params.items():
+        if key in _LIST_PARAMS:
+            ok = isinstance(value, (list, tuple)) and all(map(_is_number, value))
+            want = "a list of numbers"
+        else:
+            ok, want = _is_number(value), "a number"
+        if not ok:
+            raise BadParams(f"{name}.{key}: expected {want}, got {value!r}")
 
 
 def catalog(name: str, params: dict | None = None) -> RuledSurfaceSpec:
@@ -612,11 +593,15 @@ def catalog(name: str, params: dict | None = None) -> RuledSurfaceSpec:
     Closed-form entries: ``helicoid``, ``latitude_cone`` (beta),
     ``hyperboloid`` (r, pitch), ``radial_plane``.  Generated entries:
     ``constant_sigma`` (d, s1_range, alpha, step) and ``tabulated_kappa``
-    (s1_knots, kappa_values, alpha, step).
+    (s1_knots, kappa_values, alpha, step).  Unknown params and params of the
+    wrong type raise ``BadParams``.
     """
     if name not in _CATALOG:
         raise UnknownCatalogName(name)
-    return _CATALOG[name](dict(params or {}))
+    build, accepted = _CATALOG[name]
+    params = dict(params or {})
+    _check_params(name, params, accepted)
+    return build(params)
 
 
 def catalog_names() -> tuple[str, ...]:

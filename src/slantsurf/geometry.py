@@ -2,8 +2,8 @@
 
 Frame data is columnar: a curve sampled at N parameter values is an
 ``(N, 3)`` array, and a ``Jet3`` bundles four such arrays, the curve value
-and its first three derivatives.  ``Vec3`` stays the value type of single
-vectors (fixed axes, initial frames, the RK4 state).  A ``Jet3`` remembers
+and its first three derivatives.  ``Vec3`` is the value type of the RK4
+state and the initial frame of the generators.  A ``Jet3`` remembers
 which parameter its derivatives are taken against (the raw curve parameter
 ``"u"`` or the spherical arc length ``"s1"``); mixing the two in one
 expression is a contract violation and raises ``TagError`` instead of
@@ -124,7 +124,6 @@ class Vec3:
         return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
 
 
-ZERO = Vec3(0.0, 0.0, 0.0)
 EX = Vec3(1.0, 0.0, 0.0)
 EY = Vec3(0.0, 1.0, 0.0)
 EZ = Vec3(0.0, 0.0, 1.0)

@@ -33,13 +33,12 @@ from typing import Sequence
 import numpy as np
 
 from .frame import FrameTable, RuledSurfaceSpec, SampleGrid, frame_samples
-from .geometry import Vec3, det3, dot, norm, normalize, power
+from .geometry import det3, dot, norm, normalize, power
 
 __all__ = [
     "EmptyInput",
     "ConstancyResult",
     "AxisFit",
-    "AxisDecomposition",
     "SlantVerdict",
     "SlantReport",
     "AuditCheck",
@@ -95,11 +94,11 @@ def constancy(values: Sequence[float] | np.ndarray, tol: float) -> ConstancyResu
     return ConstancyResult(mean, spread, relative, relative < tol)
 
 
-def _mean_vec(rows: np.ndarray) -> Vec3:
-    return Vec3(*(_mean(column) for column in rows.T))
+def _mean_vec(rows: np.ndarray) -> np.ndarray:
+    return np.array([_mean(column) for column in rows.T])
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class AxisFit:
     """Candidate fixed axis for one frame vector.
 
@@ -111,46 +110,40 @@ class AxisFit:
     no unique axis exists and the vector must not be called slant.
     """
 
-    axis: Vec3
+    axis: np.ndarray
     residual: float
     eigenvalues: tuple[float, float, float]
     degenerate: bool
     tied: bool
 
 
-def detect_axis(vectors, s1_values: Sequence[float] | np.ndarray | None = None) -> AxisFit:
-    """Least-squares fixed-angle axis of a sampled vector over s1.
+def detect_axis(vectors: np.ndarray, s1_values: np.ndarray) -> AxisFit:
+    """Least-squares fixed-angle axis of (N, 3) vector samples over s1.
 
-    ``vectors`` is an (N, 3) array (or N ``Vec3``).  Central differences of
-    the samples feed the Gram matrix M = sum v'v'^T; the returned axis is the
-    eigenvector of the smallest eigenvalue, with sign fixed so the mean of
-    <v, axis> is non-negative.
+    Central differences of the samples feed the Gram matrix M = sum v'v'^T;
+    the returned axis, a length-3 array, is the eigenvector of the smallest
+    eigenvalue, with sign fixed so the mean of <v, axis> is non-negative.
     """
-    rows = np.asarray(vectors, dtype=float)
-    n = len(rows)
+    n = len(vectors)
     if n < MIN_AXIS_SAMPLES:
         raise ValueError(f"axis detection needs at least {MIN_AXIS_SAMPLES} samples, got {n}")
-    if s1_values is None:
-        s1 = np.arange(n, dtype=float)
-    else:
-        s1 = np.asarray(s1_values, dtype=float)
-        if len(s1) != n:
-            raise ValueError("s1_values must match the sample count")
+    if len(s1_values) != n:
+        raise ValueError("s1_values must match the sample count")
 
-    derivs = (rows[2:] - rows[:-2]) / (s1[2:] - s1[:-2])[:, None]
+    derivs = (vectors[2:] - vectors[:-2]) / (s1_values[2:] - s1_values[:-2])[:, None]
     gram = derivs.T @ derivs
     trace = float(np.trace(gram))
 
     if trace < DEGENERATE_TRACE:
-        mean = _mean_vec(rows)
-        axis = mean.normalized() if mean.norm() > 0.0 else Vec3(1.0, 0.0, 0.0)
+        mean = _mean_vec(vectors)
+        axis = normalize(mean) if norm(mean) > 0.0 else np.array([1.0, 0.0, 0.0])
         return AxisFit(axis, 0.0, (0.0, 0.0, 0.0), True, False)
 
     eigenvalues, eigenvectors = np.linalg.eigh(gram)
-    axis = Vec3(*(float(c) for c in eigenvectors[:, 0]))
+    axis = eigenvectors[:, 0]
     residual = max(float(eigenvalues[0]), 0.0) / trace
     tied = float(eigenvalues[1] - eigenvalues[0]) <= EIGENVALUE_TIE * max(trace, 1.0)
-    if _mean(dot(rows, np.asarray(axis))) < 0.0:
+    if _mean(dot(vectors, axis)) < 0.0:
         axis = -axis
     return AxisFit(axis, residual, tuple(float(w) for w in eigenvalues), False, tied)
 
@@ -176,29 +169,12 @@ def _h_slant_axes(samples: FrameTable, d: float) -> np.ndarray:
     return samples.q * cq[:, None] + samples.h * ch + samples.a * ca[:, None]
 
 
-@dataclass(frozen=True, eq=False)
-class AxisDecomposition:
-    """Per-sample frame coefficients of one fixed world axis."""
-
-    coeff_q: np.ndarray
-    coeff_h: np.ndarray
-    coeff_a: np.ndarray
-
-    @classmethod
-    def of_axis(cls, samples: FrameTable, axis: Vec3) -> "AxisDecomposition":
-        axis = np.asarray(axis, dtype=float)
-        return cls(dot(samples.q, axis), dot(samples.h, axis), dot(samples.a, axis))
-
-    def reconstruct(self, i: int, sample) -> Vec3:
-        return sample.q * self.coeff_q[i] + sample.h * self.coeff_h[i] + sample.a * self.coeff_a[i]
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SlantVerdict:
     """Outcome of a single fixed-angle question."""
 
     verdict: bool
-    axis: Vec3
+    axis: np.ndarray
     constant: float
     residual: float
     spread: float
@@ -227,7 +203,7 @@ def _direction_verdict(
     exclude_right_angle: bool,
 ) -> SlantVerdict:
     fit = detect_axis(vectors, s1_values)
-    const = constancy(dot(vectors, np.asarray(fit.axis)), tol)
+    const = constancy(dot(vectors, fit.axis), tol)
     ok = fit.residual < tol and const.relative_spread < tol and not fit.tied
     if exclude_right_angle:
         # a constant right angle does not count as slant
@@ -339,7 +315,7 @@ def verify_theorem_2_1(
         # the diameter of the cloud of axes, bounded from its componentwise spreads
         spread = norm(axes.max(axis=0) - axes.min(axis=0))
         _check(checks, "reconstructed_axis_is_one_world_vector", spread, tol)
-        axis_mean = np.asarray(_mean_vec(axes))
+        axis_mean = _mean_vec(axes)
         _check(
             checks,
             "central_normal_angle_equals_sigma",
@@ -397,7 +373,7 @@ def verify_theorem_3_1(
         notes.append("implication vacuous: no strict Darboux verdict on this sampling")
 
     if kappa_const.is_constant:
-        mean = np.asarray(_mean_vec(samples.darboux))
+        mean = _mean_vec(samples.darboux)
         _check(
             checks,
             "constant_kappa_fixes_darboux_vector",
@@ -493,10 +469,10 @@ def verify_theorem_3_2(
     _check(
         checks,
         "axis_norm_is_sqrt_one_plus_d_squared",
-        abs(axis_mean.norm() - math.sqrt(1.0 + d * d)),
+        abs(norm(axis_mean) - math.sqrt(1.0 + d * d)),
         tol,
     )
-    axis_hat = np.asarray(axis_mean.normalized())
+    axis_hat = normalize(axis_mean)
     cos_const = constancy(dot(normalize(samples.darboux), axis_hat), tol)
     _check(checks, "darboux_angle_is_constant", cos_const.relative_spread, tol)
     _check(
@@ -514,7 +490,7 @@ def verify_theorems_3_3_3_4(
     tol: float = 1e-9,
     angle_tol: float = 1e-3,
     samples: FrameTable | None = None,
-    axes: Sequence[tuple[str, Vec3]] | None = None,
+    axes: Sequence[tuple[str, np.ndarray]] | None = None,
     report: SlantReport | None = None,
 ) -> AuditRecord:
     """Audit the frame decomposition of fixed axes on constant-kappa surfaces.
@@ -543,23 +519,23 @@ def verify_theorems_3_3_3_4(
     notes: list[str] = []
     kappa_mean = kappa_const.mean
 
-    axis_list: list[tuple[str, Vec3]] = [
-        ("darboux_direction", _mean_vec(samples.darboux).normalized())
+    axis_list: list[tuple[str, np.ndarray]] = [
+        ("darboux_direction", normalize(_mean_vec(samples.darboux)))
     ]
     if axes:
         axis_list.extend(axes)
 
     for name, axis in axis_list:
-        decomp = AxisDecomposition.of_axis(samples, axis)
-        projection_const = constancy(dot(samples.darboux, np.asarray(axis, dtype=float)), gate)
+        a1, a2, a3 = dot(samples.q, axis), dot(samples.h, axis), dot(samples.a, axis)
+        projection_const = constancy(dot(samples.darboux, axis), gate)
         c_value = projection_const.mean
-        worst = np.abs(kappas * decomp.coeff_q + decomp.coeff_a - c_value).max()
+        worst = np.abs(kappas * a1 + a3 - c_value).max()
         _check(checks, f"{name}: expansion_matches_darboux_projection", worst, tol)
 
-        a2_const = constancy(decomp.coeff_h, gate)
-        a3_const = constancy(decomp.coeff_a, gate)
+        a2_const = constancy(a2, gate)
+        a3_const = constancy(a3, gate)
         locked = c_value / (1.0 + kappa_mean * kappa_mean)
-        lock_error = np.abs(decomp.coeff_a - locked).max()
+        lock_error = np.abs(a3 - locked).max()
         if abs(kappa_mean) <= angle_tol:
             # with vanishing curvature a is fixed, so a3 is constant no
             # matter what a2 does; the equivalence has no content
@@ -590,7 +566,7 @@ def verify_theorems_3_3_3_4(
             _check(
                 checks,
                 f"{name}: first_coefficient_constant_in_turn",
-                constancy(decomp.coeff_q, gate).relative_spread,
+                constancy(a1, gate).relative_spread,
                 gate,
             )
         else:

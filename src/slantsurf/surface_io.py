@@ -41,7 +41,6 @@ __all__ = [
     "CSV_HEADER",
     "dumps_deterministic",
     "load_surface",
-    "load_surface_file",
     "read_spec",
     "sampled_spec_document",
     "report_document",
@@ -175,6 +174,12 @@ def _as_float(value, where: str) -> float:
     return value
 
 
+def _as_floats(value, where: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise SpecError(f"{where}: expected a list of numbers")
+    return tuple(_as_float(v, where) for v in value)
+
+
 def _as_vec_rows(value, where: str) -> np.ndarray:
     if not isinstance(value, list):
         raise SpecError(f"{where}: expected a list of [x, y, z] rows")
@@ -215,9 +220,10 @@ def profile_from_dict(doc: dict, s1_range: tuple[float, float] | None) -> KappaP
             {"type", "s1_knots", "kappa_values"},
             "profile",
         )
-        knots = tuple(_as_float(v, "profile.s1_knots") for v in doc["s1_knots"])
-        values = tuple(_as_float(v, "profile.kappa_values") for v in doc["kappa_values"])
-        profile = TabulatedKappa(knots, values)
+        profile = TabulatedKappa(
+            _as_floats(doc["s1_knots"], "profile.s1_knots"),
+            _as_floats(doc["kappa_values"], "profile.kappa_values"),
+        )
         if s1_range is not None:
             lo, hi = profile.domain
             if abs(s1_range[0] - lo) > 1e-12 or abs(s1_range[1] - hi) > 1e-12:
@@ -269,9 +275,7 @@ def _load_prescribed(doc: dict) -> RuledSurfaceSpec:
 
 def _load_sampled(doc: dict) -> RuledSurfaceSpec:
     _check_keys(doc, {"kind", "u", "f", "q"}, {"kind", "u", "f", "q"}, "spec")
-    if not isinstance(doc["u"], list):
-        raise SpecError("spec.u: expected a list of numbers")
-    u = [_as_float(v, "spec.u") for v in doc["u"]]
+    u = _as_floats(doc["u"], "spec.u")
     f_rows = _as_vec_rows(doc["f"], "spec.f")
     q_rows = _as_vec_rows(doc["q"], "spec.q")
     if not (len(u) == len(f_rows) == len(q_rows)):
@@ -332,10 +336,6 @@ def read_spec(path: str | Path) -> dict:
             raise SpecError(f"{path}: not valid JSON ({exc})") from None
 
 
-def load_surface_file(path: str | Path) -> RuledSurfaceSpec:
-    return load_surface(read_spec(path))
-
-
 # ---------------------------------------------------------------------------
 # documents
 
@@ -356,7 +356,7 @@ def sampled_spec_document(surface: RuledSurfaceSpec, count: int) -> dict:
 def _verdict_block(v: SlantVerdict, scalar_key: str, with_angle: bool) -> dict:
     block = {
         "verdict": v.verdict,
-        "axis": np.asarray(v.axis).tolist(),
+        "axis": v.axis.tolist(),
         scalar_key: v.constant,
         "residual": v.residual,
         "spread": v.spread,

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from slantsurf import Jet3, RuledSurfaceSpec, Vec3, catalog
-from slantsurf.geometry import cross, dot
+from slantsurf import Jet3, RuledSurfaceSpec, catalog
+from slantsurf.geometry import cross, dot, normalize
 
 TABULATED_LINEAR = {"s1_knots": [0.0, 1.5, 3.0], "kappa_values": [0.0, 1.5, 3.0]}
 
@@ -30,15 +30,15 @@ def catalog_instances() -> list[tuple[str, RuledSurfaceSpec]]:
     return build_catalog_instances()
 
 
-def rodrigues(axis: Vec3, angle: float):
-    """Rotation about a unit axis by an angle, as a map of a Vec3 or of (N, 3) rows."""
-    k = np.asarray(axis.normalized())
+def rodrigues(axis: np.ndarray, angle: float):
+    """Rotation about an axis by an angle, as a map of a length-3 vector or of (N, 3) rows."""
+    k = normalize(axis)
     c, s = math.cos(angle), math.sin(angle)
 
     def rotate(v):
-        rows = np.atleast_2d(np.asarray(v, dtype=float))
+        rows = np.atleast_2d(v)
         out = rows * c + cross(k, rows) * s + k * (dot(k, rows) * (1.0 - c))[:, None]
-        return Vec3(*out[0].tolist()) if isinstance(v, Vec3) else out
+        return out[0] if v.ndim == 1 else out
 
     return rotate
 

@@ -160,6 +160,30 @@ class TestAnalyze:
         assert run(parse_cli(["analyze", "--surface", spec])) == 1
         assert "moebius" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, key", [
+        ({"kind": "catalog", "name": "latitude_cone", "params": {"beta": "x"}}, "beta"),
+        ({"kind": "catalog", "name": "hyperboloid", "params": {"r": "x"}}, "r"),
+        ({"kind": "catalog", "name": "constant_sigma", "params": {"d": "x"}}, "d"),
+        ({"kind": "catalog", "name": "constant_sigma", "params": {"d": 0.5, "step": "x"}},
+         "step"),
+        ({"kind": "catalog", "name": "tabulated_kappa",
+          "params": {"s1_knots": 3, "kappa_values": [0.0, 1.0]}}, "s1_knots"),
+        ({"kind": "prescribed_kappa",
+          "profile": {"type": "tabulated", "s1_knots": 5, "kappa_values": [0.0, 1.0]}},
+         "s1_knots"),
+        ({"kind": "catalog", "name": "helicoid", "params": {"zzz": 1}}, "zzz"),
+        ({"kind": "catalog", "name": "hyperboloid", "params": {"R": 2}}, "R"),
+    ], ids=["cone-beta", "hyperboloid-r", "sigma-d", "sigma-step", "tabulated-knots",
+            "prescribed-knots", "helicoid-unknown", "hyperboloid-unknown"])
+    def test_bad_params_rejected_at_spec_load(self, spec, key, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        path = write_spec(tmp_path / "spec.json", spec)
+        assert main(["analyze", "--surface", path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and key in captured.err
+        assert not out.exists()
+
 
 class TestClassify:
     def test_constant_sigma_verdicts(self, sigma_spec, tmp_path):
@@ -291,6 +315,15 @@ class TestGenerate:
             if abs(s1) <= 1.5:
                 want = 0.5 * s1 / math.sqrt(1.0 - (0.5 * s1) ** 2)
                 assert row["kappa"] == pytest.approx(want, abs=1e-3)
+
+    def test_generate_rejects_non_object_spec(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "list.json", [1, 2])
+        out = tmp_path / "out.json"
+        assert main(["generate", "--surface", spec, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: spec: expected a JSON object\n"
+        assert not out.exists()
 
     def test_generate_rejects_sampled_input(self, sigma_spec, tmp_path, capsys):
         sampled = tmp_path / "sampled.json"

@@ -8,14 +8,13 @@ import pytest
 
 from slantsurf import (
     CylindricalDirector,
-    FrameSample,
+    FrameTable,
     Jet3,
     NonFiniteSample,
     NonOrthogonalInput,
     RuledSurfaceSpec,
     SampleGrid,
     TagError,
-    Vec3,
     asymptotic_normal,
     catalog,
     central_normal,
@@ -31,7 +30,7 @@ from slantsurf import (
     sigma,
     striction_point,
 )
-from slantsurf.geometry import cross, dot, norm
+from slantsurf.geometry import Vec3, cross, dot, norm
 
 TAN = {
     math.pi / 6: 0.5773502691896258,
@@ -177,8 +176,8 @@ class TestFrameSamples:
     def test_s1_total_length_of_latitude_circle(self, beta):
         surface = catalog("latitude_cone", {"beta": beta})
         samples = frame_samples(surface, SampleGrid.uniform(surface.param_range, 128))
-        assert samples[0].s1 == 0.0
-        assert samples[-1].s1 == pytest.approx(2 * math.pi * math.cos(beta), abs=1e-9)
+        assert samples.s1[0] == 0.0
+        assert samples.s1[-1] == pytest.approx(2 * math.pi * math.cos(beta), abs=1e-9)
 
     def test_s1_is_monotone(self, catalog_instances):
         for label, surface in catalog_instances:
@@ -208,22 +207,16 @@ class TestFrameSamples:
             frame_samples(spec, SampleGrid.uniform((0.0, 1.0), 32))
         assert "u=0" in str(err.value)
 
-    def test_rows_read_as_frame_samples(self):
-        surface = catalog("latitude_cone", {"beta": math.pi / 6})
-        table = frame_samples(surface, SampleGrid.uniform(surface.param_range, 32))
-        assert len(table) == len(list(table)) == 32
-        row = table[-1]
-        assert row.u == table.u[-1] and row.s1 == table.s1[-1]
-        assert row.darboux == Vec3(*table.darboux[-1])
-        assert type(row.kappa) is float
-
     def test_columns_equal_the_per_sample_reference(self, catalog_instances):
         """Columnar arithmetic keeps the scalar operation order bit for bit."""
         sampled = load_surface(sampled_spec_document(catalog("constant_sigma", {"d": 0.5}), 64))
         for label, surface in [*catalog_instances, ("sampled", sampled)]:
             grid = SampleGrid.uniform(surface.param_range, 64)
-            want = [FrameSample(*row) for row in reference_frame(surface, grid.u_values)]
-            assert list(frame_samples(surface, grid)) == want, label
+            table = frame_samples(surface, grid)
+            want = zip(*reference_frame(surface, grid.u_values))
+            for field, column in zip(dataclasses.fields(FrameTable), want):
+                rows = [dataclasses.astuple(v) if isinstance(v, Vec3) else v for v in column]
+                assert np.array_equal(getattr(table, field.name), rows), (label, field.name)
 
     def test_jet_calls_do_not_grow_with_the_grid(self):
         surface = catalog("constant_sigma", {"d": 0.5})

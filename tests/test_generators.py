@@ -14,7 +14,6 @@ from slantsurf import (
     SampleGrid,
     TabulatedKappa,
     UnknownCatalogName,
-    Vec3,
     build_surface,
     catalog,
     catalog_names,
@@ -25,7 +24,7 @@ from slantsurf import (
     reparam_to_s1,
     s1_derivatives,
 )
-from slantsurf.geometry import dot, norm
+from slantsurf.geometry import Vec3, dot, norm
 
 EZ = Vec3(0, 0, 1)
 
@@ -157,7 +156,7 @@ class TestBuildSurface:
         config = GeneratorConfig(profile=prof, step=0.01)
         surface = build_surface(integrate_frame(config), config)
         samples = frame_samples(surface, SampleGrid.uniform(surface.param_range, 64))
-        assert samples[-1].s1 == pytest.approx(2.0, abs=1e-12)
+        assert samples.s1[-1] == pytest.approx(2.0, abs=1e-12)
 
     def test_alpha_sets_base_tangent_direction(self):
         alpha = 0.6
@@ -217,8 +216,7 @@ class TestCatalog:
             if "kappa_const" not in expected:
                 continue
             samples = frame_samples(surface, SampleGrid.uniform(surface.param_range, 64))
-            for s in samples:
-                assert s.kappa == pytest.approx(expected["kappa_const"], abs=1e-9), label
+            assert samples.kappa == pytest.approx(expected["kappa_const"], abs=1e-9), label
 
     def test_custom_range_and_step(self):
         surface = catalog("constant_sigma",

@@ -12,13 +12,12 @@ from slantsurf import (
     Jet3,
     NonFiniteSample,
     TagError,
-    Vec3,
     det3,
     fd_jet,
     reparam_to_s1,
     s1_derivatives,
 )
-from slantsurf.geometry import norm
+from slantsurf.geometry import Vec3, norm
 
 coords = st.floats(-1.0, 1.0, allow_nan=False)
 vectors = st.builds(Vec3, coords, coords, coords)

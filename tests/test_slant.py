@@ -2,13 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from slantsurf import (
-    AxisDecomposition,
     EmptyInput,
     SampleGrid,
-    Vec3,
     catalog,
     classify,
     classify_samples,
@@ -22,8 +21,9 @@ from slantsurf import (
     verify_theorem_3_2,
     verify_theorems_3_3_3_4,
 )
+from slantsurf.geometry import dot, norm
 
-EX, EY, EZ = Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)
+EX, EY, EZ = np.eye(3)
 
 
 def samples_of(surface, count=256):
@@ -53,42 +53,40 @@ class TestConstancy:
 
 class TestDetectAxis:
     def test_constant_vectors_are_degenerate(self):
-        fit = detect_axis([EZ] * 20)
+        fit = detect_axis(np.tile(EZ, (20, 1)), np.arange(20))
         assert fit.degenerate
         assert fit.residual == 0.0
-        assert (fit.axis - EZ).norm() < 1e-15
+        assert norm(fit.axis - EZ) < 1e-15
 
     def test_latitude_circle_recovers_polar_axis(self):
         beta = math.pi / 5
-        qs = [
-            Vec3(math.cos(beta) * math.cos(t), math.cos(beta) * math.sin(t),
-                 math.sin(beta))
-            for t in [k * 0.17 for k in range(40)]
-        ]
-        fit = detect_axis(qs)
+        t = 0.17 * np.arange(40)
+        qs = np.stack([math.cos(beta) * np.cos(t), math.cos(beta) * np.sin(t),
+                       np.full(40, math.sin(beta))], axis=-1)
+        fit = detect_axis(qs, np.arange(40))
         assert not fit.degenerate and not fit.tied
         assert fit.residual < 1e-12
         # sign convention: mean projection is non-negative
-        assert (fit.axis - EZ).norm() < 1e-7
-        for q in qs:
-            assert q.dot(fit.axis) == pytest.approx(math.sin(beta), abs=1e-7)
+        assert norm(fit.axis - EZ) < 1e-7
+        assert dot(qs, fit.axis) == pytest.approx(math.sin(beta), abs=1e-7)
 
     def test_equator_circle_axis_found_but_projection_vanishes(self):
-        qs = [Vec3(math.cos(t), math.sin(t), 0.0) for t in
-              [k * 0.21 for k in range(40)]]
-        fit = detect_axis(qs)
+        t = 0.21 * np.arange(40)
+        qs = np.stack([np.cos(t), np.sin(t), np.zeros(40)], axis=-1)
+        fit = detect_axis(qs, np.arange(40))
         assert fit.residual < 1e-12
-        assert abs(qs[0].dot(fit.axis)) < 1e-9  # right angle, not slant
+        assert abs(dot(qs[0], fit.axis)) < 1e-9  # right angle, not slant
 
     def test_straight_line_motion_ties(self):
         # derivatives all parallel: every axis in the normal plane fits
-        vectors = [Vec3(1.0, 0.05 * k, 0.0) for k in range(20)]
-        fit = detect_axis(vectors)
+        k = np.arange(20)
+        vectors = np.stack([np.ones(20), 0.05 * k, np.zeros(20)], axis=-1)
+        fit = detect_axis(vectors, k)
         assert fit.tied
 
     def test_needs_sixteen_samples(self):
         with pytest.raises(ValueError):
-            detect_axis([EZ] * 15)
+            detect_axis(np.tile(EZ, (15, 1)), np.arange(15))
 
 
 class TestHSlantAxis:
@@ -138,7 +136,7 @@ class TestClassify:
         assert report.a_slant.constant == pytest.approx(0.8660254037844387, abs=1e-9)
         assert report.darboux_strict.constant == pytest.approx(
             1.1547005383792517, abs=1e-9)  # |W| = 1/cos(beta)
-        assert (report.a_slant.axis - EZ).norm() < 1e-9
+        assert norm(report.a_slant.axis - EZ) < 1e-9
 
     @pytest.mark.parametrize("d,h_const,cos_const", [
         (0.25, 0.24253562503633297, 0.9701425001453319),
@@ -169,20 +167,17 @@ class TestClassify:
         report = classify_samples(samples)
         axis = report.h_slant.axis
         scale = math.sqrt(1.0 + d * d)
-        for s in samples:
-            want = tuple(c / scale for c in h_slant_axis(s.kappa, d))
-            got = (s.q.dot(axis), s.h.dot(axis), s.a.dot(axis))
-            for g, w in zip(got, want):
-                assert g == pytest.approx(w, abs=1e-8)
+        want = h_slant_axis(samples.kappa, d)
+        got = (dot(samples.q, axis), dot(samples.h, axis), dot(samples.a, axis))
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w / scale, abs=1e-8)
 
 
 class TestAxisDecomposition:
     def test_reconstructs_axis(self):
         samples = samples_of(catalog("latitude_cone", {"beta": math.pi / 6}))
-        decomp = AxisDecomposition.of_axis(samples, EZ)
-        for i, s in enumerate(samples):
-            back = decomp.reconstruct(i, s)
-            assert (back - EZ).norm() < 1e-12
+        back = sum(v * dot(v, EZ)[:, None] for v in (samples.q, samples.h, samples.a))
+        assert np.all(norm(back - EZ) < 1e-12)
 
     def test_coefficient_system_on_constant_sigma(self):
         """The projections solve b1' = b2, b2' = -b1 + kappa*b3, b3' = -kappa*b2."""
@@ -190,10 +185,8 @@ class TestAxisDecomposition:
         samples = samples_of(catalog("constant_sigma", {"d": d}), 512)
         report = classify_samples(samples)
         axis = report.h_slant.axis * math.sqrt(1.0 + d * d)  # undo normalization
-        decomp = AxisDecomposition.of_axis(samples, axis)
-        b1, b2, b3 = decomp.coeff_q, decomp.coeff_h, decomp.coeff_a
-        s1 = [s.s1 for s in samples]
-        kap = [s.kappa for s in samples]
+        b1, b2, b3 = dot(samples.q, axis), dot(samples.h, axis), dot(samples.a, axis)
+        s1, kap = samples.s1, samples.kappa
         for i in range(1, len(samples) - 1):
             ds = s1[i + 1] - s1[i - 1]
             b1_dot = (b1[i + 1] - b1[i - 1]) / ds
@@ -259,9 +252,8 @@ class TestAuditors:
         record = verify_theorems_3_3_3_4(surface, grid, axes=[("polar", EZ)])
         assert record.passed
         samples = samples_of(surface, 128)
-        decomp = AxisDecomposition.of_axis(samples, EZ)
         # third coefficient of the polar axis is cos(beta)
-        assert decomp.coeff_a[0] == pytest.approx(0.8660254037844387, abs=1e-12)
+        assert dot(samples.a, EZ)[0] == pytest.approx(0.8660254037844387, abs=1e-12)
 
     def test_decomposition_audit_rejects_varying_kappa(self):
         surface = catalog("constant_sigma", {"d": 0.5})

@@ -9,20 +9,19 @@ import pytest
 from slantsurf import (
     SampleGrid,
     SpecError,
-    Vec3,
     catalog,
     csv_table,
     dumps_deterministic,
     export_obj,
     frame_samples,
     load_surface,
-    load_surface_file,
+    read_spec,
     report_document,
     sampled_spec_document,
     write_json_atomic,
     write_text_atomic,
 )
-from slantsurf.geometry import norm
+from slantsurf.geometry import Vec3, norm
 
 
 class TestDumps:
@@ -144,11 +143,11 @@ class TestLoadSurface:
         surface = load_surface({"kind": "sampled", "u": u, "f": f, "q": q})
         assert abs(norm(surface.director(np.array([1.0])).d0)[0] - 1.0) < 1e-12
 
-    def test_load_surface_file_wraps_json_errors(self, tmp_path):
+    def test_read_spec_wraps_json_errors(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{]")
         with pytest.raises(SpecError):
-            load_surface_file(path)
+            read_spec(path)
 
 
 class TestDocuments:
