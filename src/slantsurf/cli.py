@@ -14,12 +14,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .frame import SampleGrid, frame_samples
-from .generators import BadParams, OutOfDomain, UnknownCatalogName
+from .generators import UnknownCatalogName
 from .geometry import CylindricalDirector
 from .slant import (
     MIN_AXIS_SAMPLES,
@@ -43,22 +42,11 @@ from .surface_io import (
     write_text_atomic,
 )
 
-__all__ = [
-    "Analyze",
-    "Classify",
-    "Generate",
-    "Verify",
-    "Export",
-    "Command",
-    "parse_cli",
-    "run",
-    "main",
-]
+__all__ = ["parse_cli", "run", "main"]
 
-DEFAULT_SAMPLES = 512
 DEFAULT_TOL = 1e-6
 SAMPLED_TOL = 1e-3
-DEFAULT_ANGLE_TOL = 1e-3
+DEFAULT_SAMPLES = 512
 
 AUDITORS = {
     "2.1": verify_theorem_2_1,
@@ -68,47 +56,6 @@ AUDITORS = {
     "3.3-3.4": verify_theorems_3_3_3_4,
 }
 THEOREM_IDS = (*AUDITORS, "all")
-
-
-@dataclass(frozen=True)
-class Analyze:
-    surface: str
-    samples: int = DEFAULT_SAMPLES
-    tol: float | None = None
-    angle_tol: float = DEFAULT_ANGLE_TOL
-    out: str = "report.json"
-    csv: bool = False
-
-
-class Classify(Analyze):
-    """``analyze`` that also prints the five verdicts."""
-
-
-@dataclass(frozen=True)
-class Generate:
-    surface: str
-    samples: int = DEFAULT_SAMPLES
-    out: str = "surface.json"
-
-
-@dataclass(frozen=True)
-class Verify(Analyze):
-    """``analyze`` plus the named audits."""
-
-    theorem: str = "all"
-
-
-@dataclass(frozen=True)
-class Export:
-    surface: str
-    grid_cols: int = 64
-    grid_rows: int = 8
-    v_min: float = -1.0
-    v_max: float = 1.0
-    out: str = "surface.obj"
-
-
-Command = Analyze | Classify | Generate | Verify | Export
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,13 +78,14 @@ def _grid(text: str) -> tuple[int, int]:
 
 
 def _v_range(text: str) -> tuple[float, float]:
-    head, sep, tail = text.partition(":")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"expected MIN:MAX, got {text!r}")
+    head, _, tail = text.partition(":")
     try:
-        return float(head), float(tail)
+        lo, hi = float(head), float(tail)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected MIN:MAX, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise argparse.ArgumentTypeError(f"expected finite MIN < MAX, got {text!r}")
+    return lo, hi
 
 
 def _value_where(convert, check, rule: str):
@@ -161,46 +109,46 @@ _tol = _value_where(float, lambda x: math.isfinite(x) and x > 0.0, "finite and >
 _angle_tol = _value_where(float, lambda x: 0.0 <= x < 1.0, "in [0, 1)")
 
 
-def _add_analysis_flags(sub: argparse.ArgumentParser, default_out: str) -> None:
+def _add_analysis_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--surface", required=True, help="surface spec JSON path")
     sub.add_argument("--samples", type=_count_at_least(MIN_AXIS_SAMPLES),
-                     default=DEFAULT_SAMPLES, help="number of u samples (default 512)")
+                     default=DEFAULT_SAMPLES, help="number of u samples (default %(default)s)")
     sub.add_argument("--tol", type=_tol, default=None,
                      help="constancy tolerance (default 1e-6; 1e-3 for sampled specs)")
-    sub.add_argument("--angle-tol", type=_angle_tol, default=DEFAULT_ANGLE_TOL,
-                     help="right-angle exclusion margin (default 1e-3)")
-    sub.add_argument("--out", default=default_out, help="report path")
+    # string defaults go through the type converter, so the help shows them as typed
+    sub.add_argument("--angle-tol", type=_angle_tol, default="1e-3",
+                     help="right-angle exclusion margin (default %(default)s)")
+    sub.add_argument("--out", default="report.json", help="report path")
     sub.add_argument("--csv", action="store_true",
                      help="also write the sample table as CSV next to the report")
 
 
-def parse_cli(argv: Sequence[str]) -> Command:
+def parse_cli(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse ``argv``; ``command`` on the result names the subcommand."""
     parser = _Parser(prog="slant",
                      description="slant classification of ruled surfaces")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    _add_analysis_flags(subs.add_parser("analyze", help="sample and report"),
-                        "report.json")
-    _add_analysis_flags(subs.add_parser("classify", help="answer the slant questions"),
-                        "report.json")
+    _add_analysis_flags(subs.add_parser("analyze", help="sample and report"))
+    _add_analysis_flags(subs.add_parser("classify", help="answer the slant questions"))
 
     gen = subs.add_parser("generate", help="tabulate a spec into a sampled spec")
     gen.add_argument("--surface", required=True, help="catalog or prescribed_kappa spec")
     gen.add_argument("--samples", type=_count_at_least(MIN_SAMPLED_ROWS),
-                     default=DEFAULT_SAMPLES, help="rows to tabulate (default 512)")
+                     default=DEFAULT_SAMPLES, help="rows to tabulate (default %(default)s)")
     gen.add_argument("--out", default="surface.json", help="output spec path")
 
     ver = subs.add_parser("verify", help="run numerical audits")
-    _add_analysis_flags(ver, "report.json")
+    _add_analysis_flags(ver)
     ver.add_argument("--theorem", choices=THEOREM_IDS, default="all",
-                     help="which audit to run (default all)")
+                     help="which audit to run (default %(default)s)")
 
     exp = subs.add_parser("export", help="mesh the strip as OBJ")
     exp.add_argument("--surface", required=True, help="surface spec JSON path")
-    exp.add_argument("--grid", type=_grid, default=(64, 8),
-                     help="mesh resolution COLSxROWS (default 64x8)")
-    exp.add_argument("--v-range", type=_v_range, default=(-1.0, 1.0),
-                     help="ruling extent MIN:MAX (default -1:1)")
+    exp.add_argument("--grid", type=_grid, default="64x8",
+                     help="mesh resolution COLSxROWS (default %(default)s)")
+    exp.add_argument("--v-range", type=_v_range, default="-1:1",
+                     help="ruling extent MIN:MAX (default %(default)s)")
     exp.add_argument("--out", default="surface.obj", help="output OBJ path")
 
     # argparse refuses option values that start with a dash, which v ranges
@@ -216,52 +164,49 @@ def parse_cli(argv: Sequence[str]) -> Command:
             skip = True
         else:
             merged.append(token)
-
-    args = parser.parse_args(merged)
-    if args.command in ("analyze", "classify", "verify"):
-        analysis = (args.surface, args.samples, args.tol, args.angle_tol, args.out, args.csv)
-        if args.command == "verify":
-            return Verify(*analysis, args.theorem)
-        return (Analyze if args.command == "analyze" else Classify)(*analysis)
-    if args.command == "generate":
-        return Generate(args.surface, args.samples, args.out)
-    return Export(args.surface, args.grid[0], args.grid[1],
-                  args.v_range[0], args.v_range[1], args.out)
+    return parser.parse_args(merged)
 
 
-def _resolve_tol(tol: float | None, kind: str) -> float:
-    if tol is not None:
-        return tol
-    return SAMPLED_TOL if kind == "sampled" else DEFAULT_TOL
-
-
-def _analysis_report(cmd: Analyze):
-    surface = load_surface(read_spec(cmd.surface))
-    tol = _resolve_tol(cmd.tol, surface.provenance["kind"])
-    grid = SampleGrid.uniform(surface.param_range, cmd.samples)
+def _analysis_report(args: argparse.Namespace):
+    surface = load_surface(read_spec(args.surface))
+    tol = args.tol
+    if tol is None:
+        tol = SAMPLED_TOL if surface.provenance["kind"] == "sampled" else DEFAULT_TOL
+    grid = SampleGrid.uniform(surface.param_range, args.samples)
     samples = frame_samples(surface, grid)
-    report = classify_samples(samples, tol, cmd.angle_tol)
+    report = classify_samples(samples, tol, args.angle_tol)
     return surface, grid, samples, report
 
 
-def _write_report(cmd: Analyze, surface, samples, report, audits) -> None:
-    write_json_atomic(cmd.out, report_document(surface, samples, report, audits))
-    print(f"wrote {cmd.out}")
-    if cmd.csv:
-        csv_path = Path(cmd.out).with_suffix(".csv")
+def _write_report(args: argparse.Namespace, surface, samples, report, audits) -> None:
+    write_json_atomic(args.out, report_document(surface, samples, report, audits))
+    print(f"wrote {args.out}")
+    if args.csv:
+        csv_path = Path(args.out).with_suffix(".csv")
         write_text_atomic(csv_path, csv_table(samples))
         print(f"wrote {csv_path}")
 
 
-def _run_verify(cmd: Verify) -> int:
-    surface, grid, samples, report = _analysis_report(cmd)
-    ids = list(AUDITORS) if cmd.theorem == "all" else [cmd.theorem]
+def _run_analyze(args: argparse.Namespace) -> None:
+    surface, _, samples, report = _analysis_report(args)
+    if args.command == "classify":
+        print(
+            f"q_slant={report.q_slant.verdict} "
+            f"h_slant={report.h_slant.verdict} "
+            f"a_slant={report.a_slant.verdict} "
+            f"darboux_strict={report.darboux_strict.verdict} "
+            f"darboux_angular={report.darboux_angular.verdict}"
+        )
+    _write_report(args, surface, samples, report, ())
+
+
+def _run_verify(args: argparse.Namespace) -> None:
+    surface, grid, samples, report = _analysis_report(args)
+    ids = list(AUDITORS) if args.theorem == "all" else [args.theorem]
     # every audit reads this one classification of the samples
-    kwargs = {"angle_tol": cmd.angle_tol, "samples": samples, "report": report}
-    if cmd.tol is not None:
-        kwargs["tol"] = cmd.tol
-    elif report.tol != DEFAULT_TOL:
-        # sampled spec: keep audits on the loosened budget too
+    kwargs = {"angle_tol": args.angle_tol, "samples": samples, "report": report}
+    if args.tol is not None or report.tol != DEFAULT_TOL:
+        # an explicit or sampled-spec budget holds for the audits too
         kwargs["tol"] = report.tol
     records = []
     for tid in ids:
@@ -270,51 +215,45 @@ def _run_verify(cmd: Verify) -> int:
         state = "passed" if record.passed else (
             "not applicable" if record.passed is None else "FAILED")
         print(f"audit {tid}: {state}")
-    _write_report(cmd, surface, samples, report, records)
-    return 0
+    _write_report(args, surface, samples, report, records)
 
 
-def run(command: Command) -> int:
-    """Execute a parsed command; returns the process exit code."""
+def _run_generate(args: argparse.Namespace) -> None:
+    doc = read_spec(args.surface)
+    if isinstance(doc, dict) and doc.get("kind") == "sampled":
+        raise SpecError("generate needs a catalog or prescribed_kappa spec")
+    write_json_atomic(args.out, sampled_spec_document(load_surface(doc), args.samples))
+    print(f"wrote {args.out}")
+
+
+def _run_export(args: argparse.Namespace) -> None:
+    surface = load_surface(read_spec(args.surface))
+    cols, rows = args.grid
+    write_text_atomic(args.out, export_obj(surface, cols, *args.v_range, rows))
+    print(f"wrote {args.out}")
+
+
+_HANDLERS = {
+    "analyze": _run_analyze,
+    "classify": _run_analyze,
+    "verify": _run_verify,
+    "generate": _run_generate,
+    "export": _run_export,
+}
+
+
+def run(args: argparse.Namespace) -> int:
+    """Execute the subcommand ``parse_cli`` returned; returns the process exit code."""
     try:
-        if isinstance(command, Verify):
-            return _run_verify(command)
-        if isinstance(command, Analyze):
-            surface, grid, samples, report = _analysis_report(command)
-            if isinstance(command, Classify):
-                print(
-                    f"q_slant={report.q_slant.verdict} "
-                    f"h_slant={report.h_slant.verdict} "
-                    f"a_slant={report.a_slant.verdict} "
-                    f"darboux_strict={report.darboux_strict.verdict} "
-                    f"darboux_angular={report.darboux_angular.verdict}"
-                )
-            _write_report(command, surface, samples, report, ())
-            return 0
-        if isinstance(command, Generate):
-            doc = read_spec(command.surface)
-            if isinstance(doc, dict) and doc.get("kind") == "sampled":
-                raise SpecError("generate needs a catalog or prescribed_kappa spec")
-            surface = load_surface(doc)
-            write_json_atomic(command.out,
-                              sampled_spec_document(surface, command.samples))
-            print(f"wrote {command.out}")
-            return 0
-        if isinstance(command, Export):
-            surface = load_surface(read_spec(command.surface))
-            text = export_obj(surface, command.grid_cols, command.v_min,
-                              command.v_max, command.grid_rows)
-            write_text_atomic(command.out, text)
-            print(f"wrote {command.out}")
-            return 0
-        raise SpecError(f"unknown command {command!r}")
+        _HANDLERS[args.command](args)
+        return 0
     except CylindricalDirector as exc:
         print(f"error: cylindrical surface: {exc}", file=sys.stderr)
         return 2
     except UnknownCatalogName as exc:
         print(f"error: unknown catalog surface {exc}", file=sys.stderr)
         return 1
-    except (SpecError, BadParams, OutOfDomain, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -570,7 +570,8 @@ _LIST_PARAMS = ("s1_range", "s1_knots", "kappa_values")
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _check_params(name: str, params: dict, accepted: tuple[str, ...]) -> None:
@@ -581,6 +582,8 @@ def _check_params(name: str, params: dict, accepted: tuple[str, ...]) -> None:
         if key in _LIST_PARAMS:
             ok = isinstance(value, (list, tuple)) and all(map(_is_number, value))
             want = "a list of numbers"
+            if key == "s1_range":
+                ok, want = ok and len(value) == 2, "two numbers [lo, hi]"
         else:
             ok, want = _is_number(value), "a number"
         if not ok:

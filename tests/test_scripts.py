@@ -46,3 +46,9 @@ def test_make_demo_surfaces_writes_every_artifact(tmp_path):
     assert audits["3.3-3.4"]["applicable"] is False
     assert audits["3.3-3.4"]["notes"][0].startswith(
         "the decomposition audit needs constant conical curvature")
+
+
+def test_compare_outputs_finds_no_difference_between_equal_trees(tmp_path):
+    src = str(ROOT / "src")
+    lines = run_script("compare_outputs.py", src, src, cwd=tmp_path)
+    assert len(lines) == 1 and lines[0].startswith("0 of "), lines
