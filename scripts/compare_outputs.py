@@ -33,6 +33,9 @@ SPECS = {
     "pk_sigma.json": {"kind": "prescribed_kappa",
                       "profile": {"type": "constant_sigma", "d": 0.4},
                       "s1_range": [-1.8, 1.8], "alpha": 0.3, "step": 0.01},
+    "pk_const.json": {"kind": "prescribed_kappa",
+                      "profile": {"type": "constant", "kappa0": 0.7},
+                      "s1_range": [0.0, 2.0], "step": 0.013},
     "pk_tab.json": {"kind": "prescribed_kappa",
                     "profile": {"type": "tabulated", "s1_knots": [0.0, 1.0, 2.0, 3.0],
                                 "kappa_values": [0.0, 0.8, -0.4, 0.6]}},
@@ -59,12 +62,14 @@ INVOCATIONS = [
     ["analyze", "--surface", "sigma.json", *N, "--out", "a_sigma.json", "--csv"],
     *(["classify", "--surface", spec, *N, "--out", f"c_{spec}"]
       for spec in ("helicoid.json", "cone.json", "hyperboloid.json", "plane.json",
-                   "sigma.json", "tab.json", "pk_sigma.json", "pk_tab.json")),
+                   "sigma.json", "tab.json", "pk_sigma.json", "pk_const.json",
+                   "pk_tab.json")),
     *(["verify", "--surface", "sigma.json", *N, "--theorem", tid,
        "--out", f"v_sigma_{tid}.json"]
       for tid in ("2.1", "3.1", "cor3.1", "3.2", "3.3-3.4", "all")),
     ["verify", "--surface", "cone.json", *N, "--out", "v_cone.json"],
     ["verify", "--surface", "pk_tab.json", *N, "--out", "v_pk_tab.json", "--csv"],
+    ["verify", "--surface", "pk_const.json", *N, "--out", "v_pk_const.json"],
     ["verify", "--surface", "sigma.json", *N, "--tol", "1e-4", "--out", "v_tol.json"],
     ["verify", "--surface", "cone.json", *N, "--angle-tol", "0.01",
      "--out", "v_angle.json"],
@@ -100,6 +105,7 @@ INVOCATIONS = [
     # exit 3: I/O
     ["analyze", "--surface", "missing.json", *N],
     ["classify", "--surface", ".", *N],
+    ["classify", "--surface", "helicoid.json", *N, "--out", "no_such_dir/r.json"],
 ]
 
 # runs in the child: each invocation through slantsurf.cli.main, then the

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .frame import RuledSurfaceSpec
-from .geometry import EX, EY, EZ, Jet3, Vec3, cross, dot, normalize, power
+from .geometry import Jet3, cross, det3, dot, norm, normalize, power
 
 __all__ = [
     "OutOfDomain",
@@ -191,7 +191,8 @@ class GeneratorConfig:
     profile: KappaProfile
     step: float = 0.01
     alpha: float = 0.0  # angle of the base-curve tangent in the (q, a) plane
-    initial_frame: tuple[Vec3, Vec3, Vec3] = (EX, EY, EZ)
+    # rows q, h, a of a right-handed orthonormal triple, any 3x3 array-like
+    initial_frame: tuple = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
     def __post_init__(self) -> None:
         lo, hi = self.profile.domain
@@ -202,39 +203,43 @@ class GeneratorConfig:
                 f"step {self.step!r} too coarse: need at least "
                 f"{MIN_STEPS_PER_DOMAIN} steps across [{lo!r}, {hi!r}]"
             )
-        q0, h0, a0 = self.initial_frame
-        worst = max(
-            abs(q0.norm() - 1.0),
-            abs(h0.norm() - 1.0),
-            abs(a0.norm() - 1.0),
-            abs(q0.dot(h0)),
-            abs(q0.dot(a0)),
-            abs(h0.dot(a0)),
-        )
+        frame = np.array(self.initial_frame, dtype=object)
+        if frame.shape != (3, 3) or not all(map(_is_number, frame.flat)):
+            raise BadParams("initial frame must be 3 rows of 3 finite numbers")
+        q0, h0, a0 = rows = frame.astype(float)
+        worst = max(*np.abs(norm(rows) - 1.0), abs(dot(q0, h0)), abs(dot(q0, a0)), abs(dot(h0, a0)))
         if worst > 1e-12:
             raise BadParams("initial frame must be orthonormal to 1e-12")
+        if det3(q0, h0, a0) < 0.0:
+            raise BadParams("initial frame must be right-handed: det(q, h, a) < 0")
 
 
-def _gram_schmidt(q: Vec3, h: Vec3, a: Vec3) -> tuple[Vec3, Vec3, Vec3]:
-    q = q.normalized()
-    h = (h - q * h.dot(q)).normalized()
-    a = a - q * a.dot(q)
-    a = (a - h * a.dot(h)).normalized()
-    return q, h, a
+def _unit(v: np.ndarray) -> np.ndarray:
+    # one row: math.sqrt on the scalar skips normalize's zero check and broadcast
+    return v / math.sqrt(dot(v, v))
 
 
-def _frame_derivative(q: Vec3, h: Vec3, a: Vec3, kappa: float) -> tuple[Vec3, Vec3, Vec3]:
-    return (h, -q + a * kappa, h * (-kappa))
+def _gram_schmidt(frame: np.ndarray) -> np.ndarray:
+    q, h, a = frame
+    q = _unit(q)
+    h = _unit(h - q * dot(h, q))
+    a = a - q * dot(a, q)
+    return np.array((q, h, _unit(a - h * dot(a, h))))
+
+
+def _frame_derivative(frame: np.ndarray, kappa: float) -> np.ndarray:
+    q, h, a = frame
+    return np.array((h, -q + a * kappa, h * (-kappa)))
 
 
 @dataclass
 class FramePath:
-    """Frame triples at the RK4 nodes, iterable as (s1, q, h, a) rows."""
+    """Frames at the RK4 nodes as (N, 3) arrays, iterable as (s1, q, h, a) rows."""
 
     s1: list[float]
-    q: list[Vec3]
-    h: list[Vec3]
-    a: list[Vec3]
+    q: np.ndarray
+    h: np.ndarray
+    a: np.ndarray
     profile: KappaProfile
 
     def __iter__(self):
@@ -254,7 +259,6 @@ def integrate_frame(config: GeneratorConfig) -> FramePath:
     """
     profile = config.profile
     lo, hi = profile.domain
-    q, h, a = config.initial_frame
 
     edge = 1e-12 * max(1.0, abs(hi), abs(lo))
     s_nodes = [lo]
@@ -268,21 +272,17 @@ def integrate_frame(config: GeneratorConfig) -> FramePath:
     stage_s = [(s, s + dt / 2.0, s + dt) for s, dt in zip(s_nodes, steps)]
     kappas = kappa_of_s1(profile, np.clip(np.array(stage_s), lo, hi)).tolist()
 
-    qs, hs, as_ = [q], [h], [a]
-    for dt, (k_start, k_half, k_end) in zip(steps, kappas):
+    frames = np.empty((len(s_nodes), 3, 3))
+    frames[0] = frame = np.array(config.initial_frame, dtype=float)
+    for i, (dt, (k_start, k_half, k_end)) in enumerate(zip(steps, kappas), 1):
         half = dt / 2.0
-        k1 = _frame_derivative(q, h, a, k_start)
-        k2 = _frame_derivative(q + k1[0] * half, h + k1[1] * half, a + k1[2] * half, k_half)
-        k3 = _frame_derivative(q + k2[0] * half, h + k2[1] * half, a + k2[2] * half, k_half)
-        k4 = _frame_derivative(q + k3[0] * dt, h + k3[1] * dt, a + k3[2] * dt, k_end)
-        q = q + (k1[0] + k2[0] * 2.0 + k3[0] * 2.0 + k4[0]) * (dt / 6.0)
-        h = h + (k1[1] + k2[1] * 2.0 + k3[1] * 2.0 + k4[1]) * (dt / 6.0)
-        a = a + (k1[2] + k2[2] * 2.0 + k3[2] * 2.0 + k4[2]) * (dt / 6.0)
-        q, h, a = _gram_schmidt(q, h, a)
-        qs.append(q)
-        hs.append(h)
-        as_.append(a)
-    return FramePath(s_nodes, qs, hs, as_, profile)
+        k1 = _frame_derivative(frame, k_start)
+        k2 = _frame_derivative(frame + k1 * half, k_half)
+        k3 = _frame_derivative(frame + k2 * half, k_half)
+        k4 = _frame_derivative(frame + k3 * dt, k_end)
+        frame = _gram_schmidt(frame + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6.0))
+        frames[i] = frame
+    return FramePath(s_nodes, frames[:, 0], frames[:, 1], frames[:, 2], profile)
 
 
 def _two_point_taylor(width, left: tuple, right: tuple) -> list:
@@ -367,7 +367,7 @@ def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpe
     """
     profile = frames.profile
     s = np.array(frames.s1)
-    q, h, a = (np.array(vs, dtype=float) for vs in (frames.q, frames.h, frames.a))
+    q, h, a = frames.q, frames.h, frames.a
     kap, kp = _kappa_columns(profile, s)
     q_poly = _vector_poly(s, (q, h, -q + a * kap, h * (-(1.0 + kap * kap)) + a * kp))
     cos_a, sin_a = math.cos(config.alpha), math.sin(config.alpha)

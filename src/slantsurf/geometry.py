@@ -1,18 +1,17 @@
-"""Exact 3-vector algebra and third-order jets of space curves.
+"""Row-wise 3-vector algebra and third-order jets of space curves.
 
-Frame data is columnar: a curve sampled at N parameter values is an
-``(N, 3)`` array, and a ``Jet3`` bundles four such arrays, the curve value
-and its first three derivatives.  ``Vec3`` is the value type of the RK4
-state and the initial frame of the generators.  A ``Jet3`` remembers
+Vectors are rows: one vector is a length-3 array, and a curve sampled at N
+parameter values is an ``(N, 3)`` array.  A ``Jet3`` bundles four such
+arrays, the curve value and its first three derivatives.  A ``Jet3`` remembers
 which parameter its derivatives are taken against (the raw curve parameter
 ``"u"`` or the spherical arc length ``"s1"``); mixing the two in one
 expression is a contract violation and raises ``TagError`` instead of
 silently producing wrong curvatures.
 
 The row operations ``dot``, ``cross`` and ``norm`` work column by column
-(x*x' + y*y' + z*z') in the operation order of ``Vec3``, and ``power``
-calls the C library's pow as ``float ** float`` does, so every row of a
-columnar result is bit-identical to the same arithmetic on one ``Vec3``.
+(x*x' + y*y' + z*z', left to right), and ``power`` calls the C library's
+pow as ``float ** float`` does, so every row of a columnar result is
+bit-identical to the same arithmetic written out on Python floats.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "EPS_CYL",
-    "Vec3",
     "Jet3",
     "S1Derivatives",
     "NonFiniteSample",
@@ -73,62 +71,6 @@ class TagError(ValueError):
     """A jet was used under the wrong parameter tag."""
 
 
-@dataclass(frozen=True, slots=True)
-class Vec3:
-    """Point or direction in Euclidean 3-space."""
-
-    x: float
-    y: float
-    z: float
-
-    def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "Vec3":
-        return Vec3(-self.x, -self.y, -self.z)
-
-    def __mul__(self, scalar: float) -> "Vec3":
-        return Vec3(self.x * scalar, self.y * scalar, self.z * scalar)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: float) -> "Vec3":
-        return Vec3(self.x / scalar, self.y / scalar, self.z / scalar)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.array((self.x, self.y, self.z), dtype=dtype)
-
-    def dot(self, other: "Vec3") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def cross(self, other: "Vec3") -> "Vec3":
-        return Vec3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
-
-    def norm(self) -> float:
-        return math.sqrt(self.dot(self))
-
-    def normalized(self) -> "Vec3":
-        n = self.norm()
-        if n == 0.0:
-            raise ZeroDivisionError("cannot normalize the zero vector")
-        return self / n
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
-
-
-EX = Vec3(1.0, 0.0, 0.0)
-EY = Vec3(0.0, 1.0, 0.0)
-EZ = Vec3(0.0, 0.0, 1.0)
-
-
 def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise inner product of (..., 3) arrays."""
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
@@ -168,9 +110,8 @@ def power(x, exponent: float) -> np.ndarray:
     return np.array([v**exponent for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def det3(a, b, c) -> np.ndarray:
+def det3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Row-wise determinant of the 3x3 matrices with columns a, b, c."""
-    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
     return dot(a, cross(b, c))
 
 

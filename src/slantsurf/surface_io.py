@@ -140,20 +140,23 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     """Write through a private temp file in the target directory, then rename.
 
     Concurrent writers to one path never share a temp file, and a failed
-    write removes its own.
+    write removes its own.  An ``OSError`` names ``path``, never the temp file.
     """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    target, tmp = Path(path), None
     try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
         with open(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         # mkstemp creates the file 0600; give it the mode a plain open would
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
+        os.replace(tmp, target)
+    except BaseException as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 

@@ -1,6 +1,7 @@
-"""Shared fixtures: reference surfaces and rigid-motion helpers."""
+"""Shared fixtures: reference surfaces, rigid-motion helpers and a scalar 3-vector."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,6 +10,49 @@ from slantsurf import Jet3, RuledSurfaceSpec, catalog
 from slantsurf.geometry import cross, dot, normalize
 
 TABULATED_LINEAR = {"s1_knots": [0.0, 1.5, 3.0], "kappa_values": [0.0, 1.5, 3.0]}
+
+
+@dataclass(frozen=True, slots=True)
+class Vec3:
+    """One 3-vector as three Python floats: the scalar reference for row arithmetic."""
+
+    x: float
+    y: float
+    z: float
+
+    def __add__(self, other: "Vec3") -> "Vec3":
+        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
+
+    def __sub__(self, other: "Vec3") -> "Vec3":
+        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
+
+    def __neg__(self) -> "Vec3":
+        return Vec3(-self.x, -self.y, -self.z)
+
+    def __mul__(self, scalar: float) -> "Vec3":
+        return Vec3(self.x * scalar, self.y * scalar, self.z * scalar)
+
+    def __truediv__(self, scalar: float) -> "Vec3":
+        return Vec3(self.x / scalar, self.y / scalar, self.z / scalar)
+
+    def dot(self, other: "Vec3") -> float:
+        return self.x * other.x + self.y * other.y + self.z * other.z
+
+    def cross(self, other: "Vec3") -> "Vec3":
+        return Vec3(
+            self.y * other.z - self.z * other.y,
+            self.z * other.x - self.x * other.z,
+            self.x * other.y - self.y * other.x,
+        )
+
+    def norm(self) -> float:
+        return math.sqrt(self.dot(self))
+
+    def normalized(self) -> "Vec3":
+        n = self.norm()
+        if n == 0.0:
+            raise ZeroDivisionError("cannot normalize the zero vector")
+        return self / n
 
 
 def build_catalog_instances() -> list[tuple[str, RuledSurfaceSpec]]:

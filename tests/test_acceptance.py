@@ -29,7 +29,7 @@ from slantsurf import (
     verify_corollary_3_1,
 )
 from slantsurf.cli import parse_cli, run
-from slantsurf.geometry import Vec3, cross, dot, norm, normalize
+from slantsurf.geometry import cross, dot, norm, normalize
 
 
 def report(criterion: int, label: str) -> None:
@@ -172,8 +172,7 @@ def test_c07_generator_fidelity():
     def circle_error(step):
         profile = ConstantKappa(0.0, (0.0, 2.0 * math.pi))
         path = integrate_frame(GeneratorConfig(profile=profile, step=step))
-        return max((q - Vec3(math.cos(s), math.sin(s), 0.0)).norm()
-                   for s, q, h, a in path)
+        return max(norm(q - [math.cos(s), math.sin(s), 0.0]) for s, q, h, a in path)
 
     assert circle_error(0.01) < 1e-8
     ratio = circle_error(0.05) / circle_error(0.025)

@@ -217,6 +217,21 @@ class TestClassify:
         for key in ("q", "h", "a", "darboux_strict", "darboux_angular"):
             assert "residual" in slant[key] and "spread" in slant[key]
 
+    @pytest.mark.parametrize("out, prefix", [
+        ("no_such_dir/r.json", "error: [Errno 2] No such file or directory"),
+        (".", "error: [Errno "),  # renaming onto "." fails; the errno depends on the OS
+    ], ids=["no_such_dir", "dot"])
+    def test_write_error_names_the_out_path(self, out, prefix, helicoid_spec, tmp_path,
+                                            monkeypatch, capsys):
+        # the private temp file must neither appear in the message nor stay behind
+        monkeypatch.chdir(tmp_path)
+        code = run(parse_cli(["classify", "--surface", helicoid_spec, "--samples", "64",
+                              "--out", out]))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.endswith(f": {out!r}\n"), err
+        assert [p.name for p in tmp_path.iterdir()] == ["helicoid.json"]
+
 
 class TestCylindricalRejection:
     def test_constant_director_exits_two(self, tmp_path, capsys):

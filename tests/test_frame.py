@@ -30,7 +30,8 @@ from slantsurf import (
     sigma,
     striction_point,
 )
-from slantsurf.geometry import Vec3, cross, dot, norm
+from conftest import Vec3
+from slantsurf.geometry import cross, dot, norm
 
 TAN = {
     math.pi / 6: 0.5773502691896258,

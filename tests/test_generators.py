@@ -1,10 +1,12 @@
 """Curvature profiles, frame integration, and surface assembly."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from conftest import Vec3, rodrigues
 from slantsurf import (
     BadParams,
     ConstantKappa,
@@ -24,9 +26,57 @@ from slantsurf import (
     reparam_to_s1,
     s1_derivatives,
 )
-from slantsurf.geometry import Vec3, dot, norm
+from slantsurf.geometry import dot, norm
 
-EZ = Vec3(0, 0, 1)
+
+def reference_march(config: GeneratorConfig) -> tuple[list, list, list, list]:
+    """The RK4 march one Vec3 at a time: s1 nodes and the q, h, a rows."""
+    profile = config.profile
+    lo, hi = profile.domain
+    q, h, a = (Vec3(*map(float, row)) for row in config.initial_frame)
+    edge = 1e-12 * max(1.0, abs(hi), abs(lo))
+    s_nodes, steps, s = [lo], [], lo
+    while s < hi - edge:
+        dt = min(config.step, hi - s)
+        steps.append(dt)
+        s = hi if hi - (s + dt) <= edge else s + dt
+        s_nodes.append(s)
+    stage_s = [(s, s + dt / 2.0, s + dt) for s, dt in zip(s_nodes, steps)]
+    kappas = kappa_of_s1(profile, np.clip(np.array(stage_s), lo, hi)).tolist()
+
+    def derivative(q, h, a, kappa):
+        return (h, -q + a * kappa, h * (-kappa))
+
+    qs, hs, as_ = [q], [h], [a]
+    for dt, (k_start, k_half, k_end) in zip(steps, kappas):
+        half = dt / 2.0
+        k1 = derivative(q, h, a, k_start)
+        k2 = derivative(q + k1[0] * half, h + k1[1] * half, a + k1[2] * half, k_half)
+        k3 = derivative(q + k2[0] * half, h + k2[1] * half, a + k2[2] * half, k_half)
+        k4 = derivative(q + k3[0] * dt, h + k3[1] * dt, a + k3[2] * dt, k_end)
+        q = q + (k1[0] + k2[0] * 2.0 + k3[0] * 2.0 + k4[0]) * (dt / 6.0)
+        h = h + (k1[1] + k2[1] * 2.0 + k3[1] * 2.0 + k4[1]) * (dt / 6.0)
+        a = a + (k1[2] + k2[2] * 2.0 + k3[2] * 2.0 + k4[2]) * (dt / 6.0)
+        # Gram-Schmidt in the order q, h, a
+        q = q.normalized()
+        h = (h - q * h.dot(q)).normalized()
+        a = a - q * a.dot(q)
+        a = (a - h * a.dot(h)).normalized()
+        qs.append(q)
+        hs.append(h)
+        as_.append(a)
+    rows = ([dataclasses.astuple(v) for v in vs] for vs in (qs, hs, as_))
+    return (s_nodes, *rows)
+
+
+# a right-handed orthonormal frame in general position
+ROTATED = rodrigues(np.array([1.0, -2.0, 0.5]), 2.1)(np.eye(3))
+
+
+def same_bits(got, want) -> bool:
+    """Equal as float arrays, signed zeros included."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestProfiles:
@@ -99,8 +149,34 @@ class TestGeneratorConfig:
             GeneratorConfig(
                 profile=prof,
                 step=0.01,
-                initial_frame=(Vec3(1, 0, 0), Vec3(0.1, 1, 0), Vec3(0, 0, 1)),
+                initial_frame=((1, 0, 0), (0.1, 1, 0), (0, 0, 1)),
             )
+
+    def test_rejects_left_handed_initial_frame(self):
+        # orthonormal, but its director would turn with -kappa
+        prof = ConstantKappa(0.5, (0.0, 1.0))
+        with pytest.raises(BadParams, match="right-handed"):
+            GeneratorConfig(profile=prof, initial_frame=((1, 0, 0), (0, 1, 0), (0, 0, -1)))
+
+    @pytest.mark.parametrize("frame", [
+        ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+        ((1.0, 0.0, 0.0), (0.0, 1.0), (0.0, 0.0, 1.0)),
+        ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)),
+        ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, math.nan)),
+        ((math.inf, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+        (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1")),
+        ((True, False, False), (False, True, False), (False, False, True)),
+        np.eye(3)[:, :, None],
+    ], ids=["two-rows", "short-row", "long-rows", "nan", "inf", "strings", "bools", "3x3x1"])
+    def test_rejects_malformed_initial_frame(self, frame):
+        prof = ConstantKappa(0.5, (0.0, 1.0))
+        with pytest.raises(BadParams, match="3 rows of 3 finite numbers"):
+            GeneratorConfig(profile=prof, initial_frame=frame)
+
+    def test_accepts_any_right_handed_array_like(self):
+        prof = ConstantKappa(0.5, (0.0, 1.0))
+        for frame in (np.eye(3), ROTATED, ROTATED.tolist()):
+            GeneratorConfig(profile=prof, initial_frame=frame)
 
 
 class TestIntegrateFrame:
@@ -116,22 +192,34 @@ class TestIntegrateFrame:
         prof = ConstantSigma(0.5)
         path = integrate_frame(GeneratorConfig(profile=prof, step=0.01))
         for _, q, h, a in path:
-            assert abs(q.norm() - 1.0) < 1e-14
-            assert abs(h.norm() - 1.0) < 1e-14
-            assert abs(a.norm() - 1.0) < 1e-14
-            assert abs(q.dot(h)) < 1e-14
-            assert abs(q.dot(a)) < 1e-14
-            assert abs(h.dot(a)) < 1e-14
+            assert abs(norm(q) - 1.0) < 1e-14
+            assert abs(norm(h) - 1.0) < 1e-14
+            assert abs(norm(a) - 1.0) < 1e-14
+            assert abs(dot(q, h)) < 1e-14
+            assert abs(dot(q, a)) < 1e-14
+            assert abs(dot(h, a)) < 1e-14
 
     def test_zero_curvature_traces_great_circle(self):
         prof = ConstantKappa(0.0, (0.0, 2.0 * math.pi))
         path = integrate_frame(GeneratorConfig(profile=prof, step=0.01))
         worst = 0.0
         for s, q, h, a in path:
-            want = Vec3(math.cos(s), math.sin(s), 0.0)
-            worst = max(worst, (q - want).norm())
-            assert a == EZ  # the rotation axis never moves
+            worst = max(worst, norm(q - [math.cos(s), math.sin(s), 0.0]))
+            assert np.array_equal(a, [0, 0, 1])  # the rotation axis never moves
         assert worst < 1e-8
+
+    @pytest.mark.parametrize("params", [
+        {"profile": ConstantKappa(0.7, (0.0, 2.0)), "step": 0.013},
+        {"profile": ConstantSigma(0.5)},
+        {"profile": TabulatedKappa((0.0, 0.35, 1.1, 2.6, 3.0), (0.2, -0.5, 0.9, 0.1, 1.3))},
+        {"profile": ConstantSigma(-0.4), "initial_frame": ROTATED},
+    ], ids=["constant_kappa", "constant_sigma", "tabulated_uneven", "rotated_frame"])
+    def test_bit_identical_to_the_vec3_reference(self, params):
+        config = GeneratorConfig(**params)
+        path = integrate_frame(config)
+        want = reference_march(config)
+        for name, column in zip(("s1", "q", "h", "a"), want):
+            assert same_bits(getattr(path, name), column), name
 
 
 class TestBuildSurface:

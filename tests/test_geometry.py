@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from conftest import Vec3
 from slantsurf import (
     CylindricalDirector,
     Jet3,
@@ -17,71 +18,62 @@ from slantsurf import (
     reparam_to_s1,
     s1_derivatives,
 )
-from slantsurf.geometry import Vec3, norm
+from slantsurf.geometry import cross, dot, norm, normalize
 
 coords = st.floats(-1.0, 1.0, allow_nan=False)
-vectors = st.builds(Vec3, coords, coords, coords)
+vectors = st.tuples(coords, coords, coords).map(np.array)
 
 
 class TestVec3:
-    def test_componentwise_arithmetic(self):
-        v = Vec3(1.0, -2.0, 3.0)
-        w = Vec3(0.5, 0.5, 0.5)
-        assert v + w == Vec3(1.5, -1.5, 3.5)
-        assert v - w == Vec3(0.5, -2.5, 2.5)
-        assert -v == Vec3(-1.0, 2.0, -3.0)
-        assert v * 2.0 == 2.0 * v == Vec3(2.0, -4.0, 6.0)
-        assert v / 2.0 == Vec3(0.5, -1.0, 1.5)
+    """Single 3-vectors as length-3 rows."""
 
     def test_dot_cross_norm(self):
-        ex, ey, ez = Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)
-        assert ex.cross(ey) == ez
-        assert ey.cross(ez) == ex
-        assert ez.cross(ex) == ey
-        assert ex.dot(ey) == 0.0
-        assert Vec3(3.0, 4.0, 0.0).norm() == 5.0
+        ex, ey, ez = np.eye(3)
+        assert np.array_equal(cross(ex, ey), ez)
+        assert np.array_equal(cross(ey, ez), ex)
+        assert np.array_equal(cross(ez, ex), ey)
+        assert dot(ex, ey) == 0.0
+        assert norm(np.array([3.0, 4.0, 0.0])) == 5.0
 
     def test_normalized_zero_vector_raises(self):
         with pytest.raises(ZeroDivisionError):
-            Vec3(0.0, 0.0, 0.0).normalized()
-
-    def test_is_finite(self):
-        assert Vec3(1.0, 2.0, 3.0).is_finite()
-        assert not Vec3(math.nan, 0.0, 0.0).is_finite()
-        assert not Vec3(0.0, math.inf, 0.0).is_finite()
+            normalize(np.zeros(3))
 
     @given(vectors, vectors)
     def test_cross_antisymmetry_is_exact(self, a, b):
-        assert a.cross(b) == -(b.cross(a))
+        assert np.array_equal(cross(a, b), -cross(b, a))
 
     @given(vectors, vectors)
     def test_cross_orthogonal_to_factors(self, a, b):
-        c = a.cross(b)
-        assert abs(c.dot(a)) <= 4e-15
-        assert abs(c.dot(b)) <= 4e-15
+        c = cross(a, b)
+        assert abs(dot(c, a)) <= 4e-15
+        assert abs(dot(c, b)) <= 4e-15
 
     @given(vectors, vectors, vectors)
     def test_det3_matches_triple_product(self, a, b, c):
-        assert det3(a, b, c) == a.dot(b.cross(c))
+        # the row arithmetic keeps the scalar operation order exactly
+        scalar = Vec3(*a.tolist()).dot(Vec3(*b.tolist()).cross(Vec3(*c.tolist())))
+        assert det3(a, b, c) == scalar
         assert abs(det3(a, b, c) - det3(b, c, a)) <= 1e-14
         assert abs(det3(a, b, c) + det3(b, a, c)) <= 1e-14
 
     @given(vectors)
     def test_normalized_has_unit_norm(self, v):
-        assume(v.norm() > 1e-6)
-        assert abs(v.normalized().norm() - 1.0) <= 1e-12
+        assume(norm(v) > 1e-6)
+        assert abs(norm(normalize(v)) - 1.0) <= 1e-12
 
 
 class TestJet3:
     def test_default_tag_is_u(self):
-        jet = Jet3(Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1), Vec3(0, 0, 0))
+        ex, ey, ez = np.eye(3)[:, None]
+        jet = Jet3(ex, ey, ez, np.zeros((1, 3)))
         assert jet.param == "u"
 
     def test_is_finite_scans_all_orders(self):
-        bad = Vec3(math.nan, 0.0, 0.0)
-        good = Vec3(1.0, 0.0, 0.0)
-        assert Jet3(good, good, good, good).is_finite()
-        assert not Jet3(good, good, bad, good).is_finite()
+        bad = np.array([[math.nan, 0.0, 0.0]])
+        good = np.array([[1.0, 0.0, 0.0]])
+        assert Jet3(good, good, good, good).is_finite().all()
+        assert not Jet3(good, good, bad, good).is_finite().any()
 
 
 def line(t):
@@ -137,7 +129,7 @@ class TestFdJet:
     @pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
     def test_bad_step_rejected(self, step):
         with pytest.raises(ValueError):
-            fd_jet(lambda t: Vec3(t, 0.0, 0.0), 0.0, step)
+            fd_jet(line, np.array([0.0]), step)
 
 
 def circle_jet(phi, speed=1.0, accel=0.0, jerk=0.0):
@@ -179,7 +171,8 @@ class TestS1Derivatives:
         assert s1d.s1ppp == pytest.approx(0.0, abs=1e-13)
 
     def test_rejects_s1_tagged_jets(self):
-        jet = Jet3(Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 0), Vec3(0, 0, 0),
+        zero = np.zeros((1, 3))
+        jet = Jet3(np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]]), zero, zero,
                    param="s1")
         with pytest.raises(TagError):
             s1_derivatives(jet)

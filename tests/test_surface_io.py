@@ -21,7 +21,7 @@ from slantsurf import (
     write_json_atomic,
     write_text_atomic,
 )
-from slantsurf.geometry import Vec3, norm
+from slantsurf.geometry import cross, dot, norm
 
 
 class TestDumps:
@@ -226,12 +226,12 @@ class TestExportObj:
         surface = catalog("helicoid")
         text = export_obj(surface, 3, 0.5, 1.0, 2)
         lines = text.splitlines()
-        verts = [Vec3(*map(float, l.split()[1:])) for l in lines if l.startswith("v ")]
+        verts = np.array([l.split()[1:] for l in lines if l.startswith("v ")], dtype=float)
         first = next(l for l in lines if l.startswith("f "))
         i, j, k = (int(x) - 1 for x in first.split()[1:])
-        normal = (verts[j] - verts[i]).cross(verts[k] - verts[i])
-        a = Vec3(0.0, 0.0, 1.0)  # asymptotic normal of the helicoid director
-        assert normal.dot(a) > 0.0
+        normal = cross(verts[j] - verts[i], verts[k] - verts[i])
+        a = np.array([0.0, 0.0, 1.0])  # asymptotic normal of the helicoid director
+        assert dot(normal, a) > 0.0
 
     def test_validation(self):
         surface = catalog("helicoid")
