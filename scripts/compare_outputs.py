@@ -89,6 +89,7 @@ INVOCATIONS = [
     ["classify", "--surface", "sigma.json", "--tol", "nan"],
     ["export", "--surface", "helicoid.json", "--grid", "1x1"],
     ["export", "--surface", "helicoid.json", "--v-range", "abc"],
+    ["analyze", "--surface", "helicoid.json", *N, "--out", "r.csv", "--csv"],
     # exit 1: spec and params
     ["analyze", "--surface", "bad_beta.json", *N],
     ["analyze", "--surface", "unknown_param.json", *N],
@@ -106,6 +107,7 @@ INVOCATIONS = [
     ["analyze", "--surface", "missing.json", *N],
     ["classify", "--surface", ".", *N],
     ["classify", "--surface", "helicoid.json", *N, "--out", "no_such_dir/r.json"],
+    ["verify", "--surface", "sigma.json", *N, "--out", "no_such_dir/r.json"],
 ]
 
 # runs in the child: each invocation through slantsurf.cli.main, then the

@@ -44,7 +44,6 @@ from .geometry import (
     CylindricalDirector,
     Jet3,
     NonFiniteSample,
-    TagError,
     det3,
     fd_jet,
     reparam_to_s1,

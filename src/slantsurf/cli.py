@@ -164,7 +164,11 @@ def parse_cli(argv: Sequence[str]) -> argparse.Namespace:
             skip = True
         else:
             merged.append(token)
-    return parser.parse_args(merged)
+    args = parser.parse_args(merged)
+    if getattr(args, "csv", False) and Path(args.out).suffix == ".csv":
+        subs.choices[args.command].error(
+            f"--csv would overwrite the report {args.out!r}: give --out another suffix")
+    return args
 
 
 def _analysis_report(args: argparse.Namespace):
@@ -178,44 +182,32 @@ def _analysis_report(args: argparse.Namespace):
     return surface, grid, samples, report
 
 
-def _write_report(args: argparse.Namespace, surface, samples, report, audits) -> None:
-    write_json_atomic(args.out, report_document(surface, samples, report, audits))
-    print(f"wrote {args.out}")
+def _run_analysis(args: argparse.Namespace) -> None:
+    """analyze, classify and verify: stdout lines appear only once the report is on disk."""
+    surface, grid, samples, report = _analysis_report(args)
+    lines, records = [], []
+    if args.command == "classify":
+        names = ("q_slant", "h_slant", "a_slant", "darboux_strict", "darboux_angular")
+        lines.append(" ".join(f"{name}={getattr(report, name).verdict}" for name in names))
+    elif args.command == "verify":
+        ids = list(AUDITORS) if args.theorem == "all" else [args.theorem]
+        # every audit reads this one classification of the samples
+        kwargs = {"angle_tol": args.angle_tol, "samples": samples, "report": report}
+        if args.tol is not None or report.tol != DEFAULT_TOL:
+            # an explicit or sampled-spec budget holds for the audits too
+            kwargs["tol"] = report.tol
+        for tid in ids:
+            record = AUDITORS[tid](surface, grid, **kwargs)
+            records.append(record)
+            state = "passed" if record.passed else (
+                "not applicable" if record.passed is None else "FAILED")
+            lines.append(f"audit {tid}: {state}")
+    write_json_atomic(args.out, report_document(surface, samples, report, records))
+    print(*lines, f"wrote {args.out}", sep="\n")
     if args.csv:
         csv_path = Path(args.out).with_suffix(".csv")
         write_text_atomic(csv_path, csv_table(samples))
         print(f"wrote {csv_path}")
-
-
-def _run_analyze(args: argparse.Namespace) -> None:
-    surface, _, samples, report = _analysis_report(args)
-    if args.command == "classify":
-        print(
-            f"q_slant={report.q_slant.verdict} "
-            f"h_slant={report.h_slant.verdict} "
-            f"a_slant={report.a_slant.verdict} "
-            f"darboux_strict={report.darboux_strict.verdict} "
-            f"darboux_angular={report.darboux_angular.verdict}"
-        )
-    _write_report(args, surface, samples, report, ())
-
-
-def _run_verify(args: argparse.Namespace) -> None:
-    surface, grid, samples, report = _analysis_report(args)
-    ids = list(AUDITORS) if args.theorem == "all" else [args.theorem]
-    # every audit reads this one classification of the samples
-    kwargs = {"angle_tol": args.angle_tol, "samples": samples, "report": report}
-    if args.tol is not None or report.tol != DEFAULT_TOL:
-        # an explicit or sampled-spec budget holds for the audits too
-        kwargs["tol"] = report.tol
-    records = []
-    for tid in ids:
-        record = AUDITORS[tid](surface, grid, **kwargs)
-        records.append(record)
-        state = "passed" if record.passed else (
-            "not applicable" if record.passed is None else "FAILED")
-        print(f"audit {tid}: {state}")
-    _write_report(args, surface, samples, report, records)
 
 
 def _run_generate(args: argparse.Namespace) -> None:
@@ -234,9 +226,9 @@ def _run_export(args: argparse.Namespace) -> None:
 
 
 _HANDLERS = {
-    "analyze": _run_analyze,
-    "classify": _run_analyze,
-    "verify": _run_verify,
+    "analyze": _run_analysis,
+    "classify": _run_analysis,
+    "verify": _run_analysis,
     "generate": _run_generate,
     "export": _run_export,
 }

@@ -32,19 +32,15 @@ import numpy as np
 
 from .geometry import (
     EPS_CYL,
-    PARAM_S1,
-    PARAM_U,
     CylindricalDirector,
     Jet3,
     NonFiniteSample,
-    TagError,
     cross,
     det3,
     dot,
     norm,
     power,
     reparam_to_s1,
-    s1_derivatives,
 )
 
 __all__ = [
@@ -73,8 +69,8 @@ class NonOrthogonalInput(ValueError):
 class RuledSurfaceSpec:
     """Ruled surface given by third-order jets of its base curve and director.
 
-    ``base_curve`` and ``director`` map a 1-D array of parameter values to a
-    u-tagged ``Jet3`` with one row per value; the director jet must have unit
+    ``base_curve`` and ``director`` map a 1-D array of parameter values u to a
+    ``Jet3`` of u-derivatives, one row per value; the director jet must have unit
     values.  ``provenance`` records where the surface came from (catalog
     entry, prescribed-curvature build, or user samples) and flows into report
     metadata unchanged.  ``expected`` is optional metadata for tests:
@@ -145,8 +141,6 @@ class SampleGrid:
 
 def striction_point(f_jet: Jet3, q_jet: Jet3) -> np.ndarray:
     """Striction points c = f - (<q', f'>/<q', q'>) q at common parameters."""
-    if f_jet.param != PARAM_U or q_jet.param != PARAM_U:
-        raise TagError("striction_point expects u-jets for base curve and director")
     qq = dot(q_jet.d1, q_jet.d1)
     if np.any(qq <= EPS_CYL * EPS_CYL):
         raise CylindricalDirector()
@@ -155,8 +149,6 @@ def striction_point(f_jet: Jet3, q_jet: Jet3) -> np.ndarray:
 
 def asymptotic_normal(q_jet: Jet3) -> np.ndarray:
     """Unit normals a = (q x q') / |q'|, the limit of the surface normal."""
-    if q_jet.param != PARAM_U:
-        raise TagError("asymptotic_normal expects a u-jet")
     n1 = norm(q_jet.d1)
     if np.any(n1 <= EPS_CYL):
         raise CylindricalDirector()
@@ -176,8 +168,6 @@ def central_normal(q: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def conical_curvature(q_s1: Jet3) -> np.ndarray:
     """Conical curvature kappa = det(q, dq/ds1, d2q/ds1^2)."""
-    if q_s1.param != PARAM_S1:
-        raise TagError("conical_curvature expects an s1-jet")
     return det3(q_s1.d0, q_s1.d1, q_s1.d2)
 
 
@@ -188,8 +178,6 @@ def kappa_prime(q_s1: Jet3) -> np.ndarray:
     -(1 + kappa^2) h + kappa' a, and the h part is killed by the first two
     columns.
     """
-    if q_s1.param != PARAM_S1:
-        raise TagError("kappa_prime expects an s1-jet")
     return det3(q_s1.d0, q_s1.d1, q_s1.d3)
 
 
@@ -239,19 +227,19 @@ def frame_samples(surface: RuledSurfaceSpec, grid: SampleGrid) -> FrameTable:
     f_jet = surface.base_curve(u)
     q_jet = surface.director(u)
     q_mid = surface.director(mid)
+    speed = norm(q_jet.d1)
     mid_speed = norm(q_mid.d1)
     _raise_first_fault(
         np.concatenate((u, mid)),
         np.concatenate((f_jet.is_finite() & q_jet.is_finite(), q_mid.is_finite())),
-        np.concatenate((norm(q_jet.d1), mid_speed)),
+        np.concatenate((speed, mid_speed)),
     )
-    s1d = s1_derivatives(q_jet)
     a = asymptotic_normal(q_jet)
     h = central_normal(q_jet.d0, a)
-    q_s1 = reparam_to_s1(q_jet, s1d)
+    q_s1 = reparam_to_s1(q_jet)
     kap = conical_curvature(q_s1)
     kp = kappa_prime(q_s1)
-    steps = (u[1:] - u[:-1]) / 6.0 * (s1d.s1p[:-1] + 4.0 * mid_speed + s1d.s1p[1:])
+    steps = (u[1:] - u[:-1]) / 6.0 * (speed[:-1] + 4.0 * mid_speed + speed[1:])
     return FrameTable(
         u=u,
         s1=np.cumsum(np.concatenate(([0.0], steps))),

@@ -394,7 +394,6 @@ def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpe
             d1=tangent(q, a),
             d2=h * scale,
             d3=h * (-kp * sin_a) + (-q + a * kap) * scale,
-            param="u",
         )
 
     node_jet = base_jet_of_frame(q, h, a, kap, kp, c_nodes)
@@ -408,7 +407,6 @@ def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpe
             d1=h,
             d2=-q + a * kap,
             d3=h * (-(1.0 + kap * kap)) + a * kp,
-            param="u",
         )
 
     def base_curve(u: np.ndarray) -> Jet3:
@@ -447,7 +445,6 @@ def _circle_director(height: float, radius: float):
             d1=_columns(u, -radius * su, radius * cu, 0.0),
             d2=_columns(u, -radius * cu, -radius * su, 0.0),
             d3=_columns(u, radius * su, -radius * cu, 0.0),
-            param="u",
         )
 
     return jet
@@ -455,13 +452,13 @@ def _circle_director(height: float, radius: float):
 
 def _origin(u: np.ndarray) -> Jet3:
     zero = np.zeros((len(u), 3))
-    return Jet3(zero, zero, zero, zero, "u")
+    return Jet3(zero, zero, zero, zero)
 
 
 def _helicoid() -> RuledSurfaceSpec:
     def base(u: np.ndarray) -> Jet3:
         zero = np.zeros((len(u), 3))
-        return Jet3(_columns(u, 0.0, 0.0, u), _columns(u, 0.0, 0.0, 1.0), zero, zero, "u")
+        return Jet3(_columns(u, 0.0, 0.0, u), _columns(u, 0.0, 0.0, 1.0), zero, zero)
 
     return RuledSurfaceSpec(
         base_curve=base,
@@ -501,7 +498,6 @@ def _hyperboloid(params: dict) -> RuledSurfaceSpec:
             d1=_columns(u, -cu * scale, -su * scale, 0.0),
             d2=_columns(u, su * scale, -cu * scale, 0.0),
             d3=_columns(u, cu * scale, su * scale, 0.0),
-            param="u",
         )
 
     return RuledSurfaceSpec(

@@ -2,11 +2,9 @@
 
 Vectors are rows: one vector is a length-3 array, and a curve sampled at N
 parameter values is an ``(N, 3)`` array.  A ``Jet3`` bundles four such
-arrays, the curve value and its first three derivatives.  A ``Jet3`` remembers
-which parameter its derivatives are taken against (the raw curve parameter
-``"u"`` or the spherical arc length ``"s1"``); mixing the two in one
-expression is a contract violation and raises ``TagError`` instead of
-silently producing wrong curvatures.
+arrays, the curve value and its first three derivatives.  Curve samplers
+return jets against the raw curve parameter u; ``reparam_to_s1`` rewrites
+a director's u-jet against the spherical arc length s1.
 
 The row operations ``dot``, ``cross`` and ``norm`` work column by column
 (x*x' + y*y' + z*z', left to right), and ``power`` calls the C library's
@@ -25,10 +23,8 @@ import numpy as np
 __all__ = [
     "EPS_CYL",
     "Jet3",
-    "S1Derivatives",
     "NonFiniteSample",
     "CylindricalDirector",
-    "TagError",
     "dot",
     "cross",
     "norm",
@@ -42,9 +38,6 @@ __all__ = [
 
 # absolute threshold on |dq/du| below which the director counts as constant
 EPS_CYL = 1e-9
-
-PARAM_U = "u"
-PARAM_S1 = "s1"
 
 # offsets of the five-point stencil, in steps
 STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
@@ -65,10 +58,6 @@ class CylindricalDirector(ValueError):
         if u is not None:
             message = f"{message} at u={u!r}"
         super().__init__(message)
-
-
-class TagError(ValueError):
-    """A jet was used under the wrong parameter tag."""
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -117,7 +106,7 @@ def det3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Jet3:
-    """Curve values and first three derivatives against the tagged parameter.
+    """Curve values and first three derivatives against one parameter.
 
     Each of ``d0``..``d3`` is an (N, 3) array, row i belonging to the i-th
     parameter value the jet was evaluated at.
@@ -127,24 +116,10 @@ class Jet3:
     d1: np.ndarray
     d2: np.ndarray
     d3: np.ndarray
-    param: str = PARAM_U
 
     def is_finite(self) -> np.ndarray:
         """Per row: whether the value and all three derivatives are finite."""
         return np.isfinite(np.stack((self.d0, self.d1, self.d2, self.d3))).all(axis=(0, -1))
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class S1Derivatives:
-    """Derivatives of the spherical-image arc length s1 against u, per row.
-
-    s1p must be positive: a vanishing value means the director stalls and the
-    surface is locally cylindrical.
-    """
-
-    s1p: np.ndarray
-    s1pp: np.ndarray
-    s1ppp: np.ndarray
 
 
 def fd_jet(curve: Callable[[np.ndarray], np.ndarray], u0, step: float) -> Jet3:
@@ -168,36 +143,32 @@ def fd_jet(curve: Callable[[np.ndarray], np.ndarray], u0, step: float) -> Jet3:
     d1 = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / (12.0 * step)
     d2 = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (12.0 * step * step)
     d3 = (f[4] - 2.0 * f[3] + 2.0 * f[1] - f[0]) / (2.0 * step**3)
-    return Jet3(f[2], d1, d2, d3, PARAM_U)
+    return Jet3(f[2], d1, d2, d3)
 
 
-def s1_derivatives(q_jet: Jet3) -> S1Derivatives:
-    """First three u-derivatives of the director's spherical arc length.
+def s1_derivatives(q_jet: Jet3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u-derivatives (s1p, s1pp, s1ppp) of the director's spherical arc length.
 
-    With n(u) = |dq/du| these are n, n' and n'' expressed through the jet:
+    With n(u) = |dq/du| these are n, n' and n'' expressed through the u-jet:
 
         s1p   = |d1|
         s1pp  = <d1, d2> / |d1|
         s1ppp = (<d2, d2> + <d1, d3>) / |d1| - <d1, d2>^2 / |d1|^3
+
+    Where s1p <= EPS_CYL the director stalls: ``CylindricalDirector``.
     """
-    if q_jet.param != PARAM_U:
-        raise TagError(f"s1_derivatives expects a u-jet, got {q_jet.param!r}")
     n1 = norm(q_jet.d1)
     if np.any(n1 <= EPS_CYL):
         raise CylindricalDirector()
     g12 = dot(q_jet.d1, q_jet.d2)
     s1pp = g12 / n1
     s1ppp = (dot(q_jet.d2, q_jet.d2) + dot(q_jet.d1, q_jet.d3)) / n1 - g12 * g12 / power(n1, 3)
-    return S1Derivatives(n1, s1pp, s1ppp)
+    return n1, s1pp, s1ppp
 
 
-def reparam_to_s1(jet_u: Jet3, s1d: S1Derivatives) -> Jet3:
-    """Rewrite a u-jet as an s1-jet via the chain rule up to third order."""
-    if jet_u.param != PARAM_U:
-        raise TagError(f"reparam_to_s1 expects a u-jet, got {jet_u.param!r}")
-    p, pp, ppp = s1d.s1p, s1d.s1pp, s1d.s1ppp
-    if np.any(p <= EPS_CYL):
-        raise CylindricalDirector()
+def reparam_to_s1(jet_u: Jet3) -> Jet3:
+    """Rewrite a director's u-jet as an s1-jet via the chain rule up to third order."""
+    p, pp, ppp = s1_derivatives(jet_u)
     p3, p4, p5 = power(p, 3), power(p, 4), power(p, 5)
     d1 = jet_u.d1 / p[:, None]
     d2 = (jet_u.d2 * p[:, None] - jet_u.d1 * pp[:, None]) / p3[:, None]
@@ -206,4 +177,4 @@ def reparam_to_s1(jet_u: Jet3, s1d: S1Derivatives) -> Jet3:
         - jet_u.d2 * (3.0 * pp / p4)[:, None]
         + jet_u.d1 * (3.0 * pp * pp / p5 - ppp / p4)[:, None]
     )
-    return Jet3(jet_u.d0, d1, d2, d3, PARAM_S1)
+    return Jet3(jet_u.d0, d1, d2, d3)

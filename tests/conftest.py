@@ -88,8 +88,7 @@ def rodrigues(axis: np.ndarray, angle: float):
 
 
 def rotate_jet(rotate, jet: Jet3) -> Jet3:
-    return Jet3(rotate(jet.d0), rotate(jet.d1), rotate(jet.d2), rotate(jet.d3),
-                jet.param)
+    return Jet3(rotate(jet.d0), rotate(jet.d1), rotate(jet.d2), rotate(jet.d3))
 
 
 def rotate_surface(rotate, surface: RuledSurfaceSpec) -> RuledSurfaceSpec:

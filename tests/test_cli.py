@@ -115,6 +115,23 @@ class TestParse:
         assert captured.out == ""
         assert flag in captured.err
 
+    @pytest.mark.parametrize("command", ["analyze", "classify", "verify"])
+    def test_csv_onto_a_csv_report_rejected_before_the_spec_is_read(self, command,
+                                                                    tmp_path, capsys):
+        # the table would go to --out with its suffix swapped for .csv: the report itself
+        missing = str(tmp_path / "missing.json")
+        with pytest.raises(SystemExit) as err:
+            main([command, "--surface", missing, "--out", str(tmp_path / "r.csv"), "--csv"])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--csv" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_report_without_csv_flag_accepted(self):
+        assert parse_cli(["analyze", "--surface", "s.json", "--out", "r.csv"]).out == "r.csv"
+        assert parse_cli(["analyze", "--surface", "s.json", "--out", "r", "--csv"]).csv
+
     def test_count_edges_accepted(self):
         assert parse_cli(["classify", "--surface", "s.json", "--samples", "16"]).samples == 16
         assert parse_cli(["generate", "--surface", "s.json", "--samples", "16"]).samples == 16
@@ -231,6 +248,18 @@ class TestClassify:
         err = capsys.readouterr().err
         assert err.startswith(prefix) and err.endswith(f": {out!r}\n"), err
         assert [p.name for p in tmp_path.iterdir()] == ["helicoid.json"]
+
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_failed_write_prints_nothing_on_stdout(self, command, helicoid_spec, tmp_path,
+                                                   capsys):
+        # verdict and audit lines appear only once the report is on disk
+        out = str(tmp_path / "no_such_dir" / "r.json")
+        code = run(parse_cli([command, "--surface", helicoid_spec, "--samples", "64",
+                              "--out", out]))
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2]")
 
 
 class TestCylindricalRejection:

@@ -14,7 +14,6 @@ from slantsurf import (
     NonOrthogonalInput,
     RuledSurfaceSpec,
     SampleGrid,
-    TagError,
     asymptotic_normal,
     catalog,
     central_normal,
@@ -25,7 +24,6 @@ from slantsurf import (
     kappa_prime,
     load_surface,
     reparam_to_s1,
-    s1_derivatives,
     sampled_spec_document,
     sigma,
     striction_point,
@@ -38,10 +36,6 @@ TAN = {
     math.pi / 4: 1.0,
     math.pi / 3: 1.7320508075688772,
 }
-
-
-def s1_jet(jet_u: Jet3) -> Jet3:
-    return reparam_to_s1(jet_u, s1_derivatives(jet_u))
 
 
 def at(*u: float) -> np.ndarray:
@@ -102,14 +96,14 @@ class TestCurvatures:
     @pytest.mark.parametrize("beta", [math.pi / 6, math.pi / 4, math.pi / 3])
     def test_latitude_cone_conical_curvature(self, beta):
         surface = catalog("latitude_cone", {"beta": beta})
-        kap = conical_curvature(s1_jet(surface.director(at(0.0, 1.1, 3.7))))
+        kap = conical_curvature(reparam_to_s1(surface.director(at(0.0, 1.1, 3.7))))
         assert kap == pytest.approx(TAN[beta], abs=1e-12)
 
     def test_two_curvature_forms_agree(self, catalog_instances):
         """det(q, q', q'') equals <q'', a> once derivatives are in s1."""
         for label, surface in catalog_instances:
             grid = SampleGrid.uniform(surface.param_range, 64)
-            jet = s1_jet(surface.director(grid.u_values))
+            jet = reparam_to_s1(surface.director(grid.u_values))
             a = asymptotic_normal(surface.director(grid.u_values))
             det_form = conical_curvature(jet)
             proj_form = dot(jet.d2, a)
@@ -117,17 +111,10 @@ class TestCurvatures:
 
     def test_kappa_prime_on_constant_sigma(self):
         surface = catalog("constant_sigma", {"d": 0.5})
-        jet = s1_jet(surface.director(at(-1.5, -0.3, 0.0, 0.8, 1.6)))
+        jet = reparam_to_s1(surface.director(at(-1.5, -0.3, 0.0, 0.8, 1.6)))
         kap = conical_curvature(jet)
         kp = kappa_prime(jet)
         assert kp == pytest.approx(0.5 * (1 + kap * kap) ** 1.5, rel=1e-9)
-
-    def test_curvature_requires_s1_tag(self):
-        surface = catalog("helicoid")
-        with pytest.raises(TagError):
-            conical_curvature(surface.director(at(0.0)))
-        with pytest.raises(TagError):
-            kappa_prime(surface.director(at(0.0)))
 
     def test_sigma_formula(self):
         assert sigma(0.0, 0.5) == 0.5

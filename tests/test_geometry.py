@@ -12,7 +12,6 @@ from slantsurf import (
     CylindricalDirector,
     Jet3,
     NonFiniteSample,
-    TagError,
     det3,
     fd_jet,
     reparam_to_s1,
@@ -64,11 +63,6 @@ class TestVec3:
 
 
 class TestJet3:
-    def test_default_tag_is_u(self):
-        ex, ey, ez = np.eye(3)[:, None]
-        jet = Jet3(ex, ey, ez, np.zeros((1, 3)))
-        assert jet.param == "u"
-
     def test_is_finite_scans_all_orders(self):
         bad = np.array([[math.nan, 0.0, 0.0]])
         good = np.array([[1.0, 0.0, 0.0]])
@@ -102,10 +96,6 @@ class TestFdJet:
         assert norm(jet.d1 - [-math.sin(u0), math.cos(u0), 1.0])[0] < 1e-10
         assert norm(jet.d2 - [-math.cos(u0), -math.sin(u0), 0.0])[0] < 1e-8
         assert norm(jet.d3 - [math.sin(u0), -math.cos(u0), 0.0])[0] < 1e-5
-
-    def test_result_is_u_tagged(self):
-        jet = fd_jet(line, np.array([0.0]), 0.1)
-        assert jet.param == "u"
 
     def test_non_finite_sample_names_parameter(self):
         def curve(t):
@@ -142,7 +132,6 @@ def circle_jet(phi, speed=1.0, accel=0.0, jerk=0.0):
         d1=t * speed,
         d2=p * (-speed * speed) + t * accel,
         d3=t * (jerk - speed**3) + p * (-3.0 * speed * accel),
-        param="u",
     )
 
 
@@ -156,26 +145,19 @@ class TestS1Derivatives:
             np.array([[-r, 0.0, 0.0]]),
             np.array([[0.0, -r, 0.0]]),
         )
-        s1d = s1_derivatives(jet)
-        assert s1d.s1p == pytest.approx(r, abs=1e-15)
-        assert s1d.s1pp == pytest.approx(0.0, abs=1e-15)
-        assert s1d.s1ppp == pytest.approx(0.0, abs=1e-15)
+        s1p, s1pp, s1ppp = s1_derivatives(jet)
+        assert s1p == pytest.approx(r, abs=1e-15)
+        assert s1pp == pytest.approx(0.0, abs=1e-15)
+        assert s1ppp == pytest.approx(0.0, abs=1e-15)
 
     def test_nonuniform_speed(self):
         # phi(u) = u^2/2 + u, so the sphere-curve speed is phi' = u + 1
         u0 = 0.5
         jet = circle_jet(u0 * u0 / 2 + u0, speed=u0 + 1.0, accel=1.0, jerk=0.0)
-        s1d = s1_derivatives(jet)
-        assert s1d.s1p == pytest.approx(1.5, abs=1e-14)
-        assert s1d.s1pp == pytest.approx(1.0, abs=1e-13)
-        assert s1d.s1ppp == pytest.approx(0.0, abs=1e-13)
-
-    def test_rejects_s1_tagged_jets(self):
-        zero = np.zeros((1, 3))
-        jet = Jet3(np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]]), zero, zero,
-                   param="s1")
-        with pytest.raises(TagError):
-            s1_derivatives(jet)
+        s1p, s1pp, s1ppp = s1_derivatives(jet)
+        assert s1p == pytest.approx(1.5, abs=1e-14)
+        assert s1pp == pytest.approx(1.0, abs=1e-13)
+        assert s1ppp == pytest.approx(0.0, abs=1e-13)
 
     def test_frozen_director_is_cylindrical(self):
         zero = np.zeros((1, 3))
@@ -190,9 +172,8 @@ class TestReparamToS1:
         u0 = 0.5
         phi = u0 * u0 / 2 + u0
         jet_u = circle_jet(phi, speed=u0 + 1.0, accel=1.0)
-        jet_s1 = reparam_to_s1(jet_u, s1_derivatives(jet_u))
+        jet_s1 = reparam_to_s1(jet_u)
         want = circle_jet(phi)  # unit speed: d/ds1 jets directly
-        assert jet_s1.param == "s1"
         assert norm(jet_s1.d0 - want.d0)[0] < 1e-15
         assert norm(jet_s1.d1 - want.d1)[0] < 1e-14
         assert norm(jet_s1.d2 - want.d2)[0] < 1e-13
@@ -202,15 +183,14 @@ class TestReparamToS1:
     def test_linear_scaling(self, c, phi):
         """With s1 = c*u the chain rule reduces to dividing by powers of c."""
         jet_u = circle_jet(phi, speed=c)
-        jet_s1 = reparam_to_s1(jet_u, s1_derivatives(jet_u))
+        jet_s1 = reparam_to_s1(jet_u)
         want = circle_jet(phi)
         assert norm(jet_s1.d1 - want.d1)[0] < 1e-12
         assert norm(jet_s1.d2 - want.d2)[0] < 1e-11
         assert norm(jet_s1.d3 - want.d3)[0] < 1e-10
 
-    def test_requires_u_tag(self):
-        jet = circle_jet(0.3)
-        s1d = s1_derivatives(jet)
-        already = reparam_to_s1(jet, s1d)
-        with pytest.raises(TagError):
-            reparam_to_s1(already, s1d)
+    def test_frozen_director_is_cylindrical(self):
+        zero = np.zeros((1, 3))
+        jet = Jet3(np.array([[0.0, 0.0, 1.0]]), zero, zero, zero)
+        with pytest.raises(CylindricalDirector):
+            reparam_to_s1(jet)
