@@ -53,6 +53,21 @@ SPECS = {
     "knot_nan.json": {"kind": "catalog", "name": "tabulated_kappa",
                       "params": {"s1_knots": [0.0, math.nan, 3.0],
                                  "kappa_values": [0.0, 1.0, 0.5]}},
+    "no_d.json": {"kind": "catalog", "name": "constant_sigma", "params": {"alpha": 0.2}},
+    "tab_span.json": {"kind": "catalog", "name": "tabulated_kappa",
+                      "params": {"s1_knots": [0.0, 1.0, 2.0, 3.0],
+                                 "kappa_values": [0.0, 0.8, -0.4, 0.6],
+                                 "s1_range": [0.0, 3.0]}},
+    "tab_range.json": {"kind": "catalog", "name": "tabulated_kappa",
+                       "params": {"s1_knots": [0.0, 1.0, 2.0, 3.0],
+                                  "kappa_values": [0.0, 0.8, -0.4, 0.6],
+                                  "s1_range": [0.0, 2.0]}},
+    "pk_range3.json": {"kind": "prescribed_kappa",
+                       "profile": {"type": "constant_sigma", "d": 0.4},
+                       "s1_range": [-1.0, 0.0, 1.0]},
+    "pk_alpha_nan.json": {"kind": "prescribed_kappa",
+                          "profile": {"type": "constant_sigma", "d": 0.4}, "alpha": math.nan},
+    "pk_profile_list.json": {"kind": "prescribed_kappa", "profile": ["constant_sigma", 0.4]},
     "broken.json": "{\"kind\": ",  # written as is: not valid JSON
 }
 
@@ -62,8 +77,8 @@ INVOCATIONS = [
     ["analyze", "--surface", "sigma.json", *N, "--out", "a_sigma.json", "--csv"],
     *(["classify", "--surface", spec, *N, "--out", f"c_{spec}"]
       for spec in ("helicoid.json", "cone.json", "hyperboloid.json", "plane.json",
-                   "sigma.json", "tab.json", "pk_sigma.json", "pk_const.json",
-                   "pk_tab.json")),
+                   "sigma.json", "tab.json", "tab_span.json", "pk_sigma.json",
+                   "pk_const.json", "pk_tab.json")),
     *(["verify", "--surface", "sigma.json", *N, "--theorem", tid,
        "--out", f"v_sigma_{tid}.json"]
       for tid in ("2.1", "3.1", "cor3.1", "3.2", "3.3-3.4", "all")),
@@ -99,6 +114,9 @@ INVOCATIONS = [
     ["analyze", "--surface", "range3.json", *N, "--out", "x_range3.json"],
     ["analyze", "--surface", "alpha_nan.json", *N, "--out", "x_alpha_nan.json"],
     ["analyze", "--surface", "knot_nan.json", *N, "--out", "x_knot_nan.json"],
+    *(["analyze", "--surface", spec, *N, "--out", f"x_{spec}"]
+      for spec in ("no_d.json", "tab_range.json", "pk_range3.json", "pk_alpha_nan.json",
+                   "pk_profile_list.json")),
     *(["export", "--surface", "missing.json", "--v-range", value]
       for value in ("1:1", "3:-2", "nan:1", "-inf:1")),
     # exit 2: cylindrical surface

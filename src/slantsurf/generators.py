@@ -40,6 +40,7 @@ __all__ = [
     "TabulatedKappa",
     "KappaProfile",
     "GeneratorConfig",
+    "generator_config",
     "FramePath",
     "kappa_of_s1",
     "integrate_frame",
@@ -63,7 +64,44 @@ class UnknownCatalogName(KeyError):
 
 
 class BadParams(ValueError):
-    """Catalog or generator parameters violate their constraints."""
+    """A spec document, catalog entry or generator parameter is invalid."""
+
+
+SpecError = BadParams
+
+
+def _is_number(value) -> bool:
+    # float and int first: they skip the slower numbers.Real check
+    return (isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def finite_float(value, where: str) -> float:
+    """``value`` as a float; anything but a finite real number raises ``BadParams``."""
+    if not _is_number(value):
+        raise BadParams(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
+def finite_floats(value, where: str, length: int | None = None) -> tuple[float, ...]:
+    """A list or tuple of finite numbers as floats, of ``length`` items when given."""
+    if not isinstance(value, (list, tuple)) or (length is not None and len(value) != length):
+        want = "a list of numbers" if length is None else f"a list of {length} numbers"
+        raise BadParams(f"{where}: expected {want}, got {value!r}")
+    for i, item in enumerate(value):
+        if not _is_number(item):
+            finite_float(item, f"{where}[{i}]")  # raises, naming the item
+    return tuple(map(float, value))
+
+
+def check_keys(doc: dict, required, optional, where: str) -> None:
+    """Reject keys of ``doc`` outside ``required`` and ``optional``, then missing required ones."""
+    unknown = sorted(set(doc) - {*required, *optional})
+    if unknown:
+        raise BadParams(f"{where}: unknown keys {unknown}")
+    missing = sorted(set(required) - set(doc))
+    if missing:
+        raise BadParams(f"{where}: missing keys {missing}")
 
 
 @dataclass(frozen=True)
@@ -212,6 +250,51 @@ class GeneratorConfig:
             raise BadParams("initial frame must be orthonormal to 1e-12")
         if det3(q0, h0, a0) < 0.0:
             raise BadParams("initial frame must be right-handed: det(q, h, a) < 0")
+
+
+# each profile type's class, number keys and list-of-numbers keys
+_PROFILES = {
+    "constant": (ConstantKappa, ("kappa0",), ()),
+    "constant_sigma": (ConstantSigma, ("d",), ()),
+    "tabulated": (TabulatedKappa, (), ("s1_knots", "kappa_values")),
+}
+# the keys beside the profile that shape the integration
+GENERATOR_KEYS = ("s1_range", "alpha", "step")
+
+
+def generator_config(profile, params: dict, where: str = "spec",
+                     profile_where: str = "profile") -> GeneratorConfig:
+    """Config of a kappa-profile document and the ``GENERATOR_KEYS`` in ``params``.
+
+    ``profile`` is ``{"type": ..., <that type's keys>}``; other keys of
+    ``params`` are ignored, and an omitted generator key keeps its dataclass
+    default.  Errors name keys as ``profile_where.key`` and ``where.key``.
+    """
+    if not isinstance(profile, dict) or "type" not in profile:
+        raise BadParams(f"{profile_where}: expected an object with a 'type' key")
+    kind = profile["type"]
+    if not isinstance(kind, str) or kind not in _PROFILES:
+        raise BadParams(f"{profile_where}.type: unknown type {kind!r}")
+    cls, number_keys, list_keys = _PROFILES[kind]
+    check_keys(profile, ("type", *number_keys, *list_keys), (), profile_where)
+    args = [finite_float(profile[key], f"{profile_where}.{key}") for key in number_keys]
+    args += [finite_floats(profile[key], f"{profile_where}.{key}") for key in list_keys]
+    window = {}
+    if "s1_range" in params:
+        window["domain"] = finite_floats(params["s1_range"], f"{where}.s1_range", 2)
+        if not window["domain"][1] > window["domain"][0]:
+            raise BadParams(f"{where}.s1_range: hi must exceed lo")
+    if cls is TabulatedKappa:  # the knots fix the window; s1_range may only restate it
+        kappa_profile = cls(*args)
+        lo, hi = kappa_profile.domain
+        if window and not np.allclose(window["domain"], (lo, hi), rtol=0.0, atol=1e-12):
+            raise BadParams(
+                f"{where}.s1_range: must match the tabulated knot span [{lo!r}, {hi!r}]")
+    else:
+        kappa_profile = cls(*args, **window)
+    fields = {key: finite_float(params[key], f"{where}.{key}")
+              for key in ("alpha", "step") if key in params}
+    return GeneratorConfig(kappa_profile, **fields)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -470,8 +553,8 @@ def _helicoid() -> RuledSurfaceSpec:
 
 
 def _latitude_cone(params: dict) -> RuledSurfaceSpec:
-    beta = params.get("beta")
-    if beta is None or not (0.0 < beta < math.pi / 2.0):
+    beta = finite_float(params["beta"], "latitude_cone.beta")
+    if not (0.0 < beta < math.pi / 2.0):
         raise BadParams(f"latitude_cone needs beta in (0, pi/2), got {beta!r}")
     return RuledSurfaceSpec(
         base_curve=_origin,
@@ -483,11 +566,11 @@ def _latitude_cone(params: dict) -> RuledSurfaceSpec:
 
 
 def _hyperboloid(params: dict) -> RuledSurfaceSpec:
-    radius = params.get("r", 1.0)
-    pitch = params.get("pitch", 1.0)
-    if not (radius > 0.0 and math.isfinite(radius)):
+    radius = finite_float(params.get("r", 1.0), "hyperboloid.r")
+    pitch = finite_float(params.get("pitch", 1.0), "hyperboloid.pitch")
+    if not radius > 0.0:
         raise BadParams(f"hyperboloid needs r > 0, got {radius!r}")
-    if pitch == 0.0 or not math.isfinite(pitch):
+    if pitch == 0.0:
         raise BadParams(f"hyperboloid needs non-zero pitch, got {pitch!r}")
     scale = 1.0 / math.sqrt(1.0 + pitch * pitch)
 
@@ -524,82 +607,50 @@ def _radial_plane() -> RuledSurfaceSpec:
     )
 
 
-def _generated_catalog_entry(name: str, profile: KappaProfile, params: dict) -> RuledSurfaceSpec:
-    config = GeneratorConfig(
-        profile=profile,
-        step=params.get("step", 0.01),
-        alpha=params.get("alpha", 0.0),
-    )
-    surface = build_surface(integrate_frame(config), config)
-    return replace(surface, provenance={"kind": "catalog", "name": name, "params": dict(params)})
+def _generated(name: str, kind: str) -> tuple:
+    """Catalog row of an entry that is shorthand for a prescribed-kappa document.
+
+    The entry's params are that document flattened: the ``kind`` profile's
+    keys beside ``s1_range``, ``alpha`` and ``step``.
+    """
+    _, number_keys, list_keys = _PROFILES[kind]
+
+    def build(params: dict) -> RuledSurfaceSpec:
+        profile = {"type": kind, **{k: v for k, v in params.items() if k not in GENERATOR_KEYS}}
+        config = generator_config(profile, params, name, name)
+        surface = build_surface(integrate_frame(config), config)
+        return replace(surface, provenance={"kind": "catalog", "name": name, "params": params})
+
+    return build, (*number_keys, *list_keys), GENERATOR_KEYS
 
 
-def _constant_sigma_entry(params: dict) -> RuledSurfaceSpec:
-    d = params.get("d")
-    if d is None:
-        raise BadParams("constant_sigma needs parameter d")
-    s1_range = tuple(params.get("s1_range", (-1.8, 1.8)))
-    profile = ConstantSigma(d=d, domain=s1_range)
-    return _generated_catalog_entry("constant_sigma", profile, params)
-
-
-def _tabulated_entry(params: dict) -> RuledSurfaceSpec:
-    knots = params.get("s1_knots")
-    values = params.get("kappa_values")
-    if knots is None or values is None:
-        raise BadParams("tabulated_kappa needs s1_knots and kappa_values")
-    profile = TabulatedKappa(tuple(knots), tuple(values))
-    return _generated_catalog_entry("tabulated_kappa", profile, params)
-
-
-# each entry's builder and the params it accepts
+# each entry's builder, required params and optional params
 _CATALOG = {
-    "helicoid": (lambda params: _helicoid(), ()),
-    "latitude_cone": (_latitude_cone, ("beta",)),
-    "hyperboloid": (_hyperboloid, ("r", "pitch")),
-    "radial_plane": (lambda params: _radial_plane(), ()),
-    "constant_sigma": (_constant_sigma_entry, ("d", "s1_range", "alpha", "step")),
-    "tabulated_kappa": (_tabulated_entry, ("s1_knots", "kappa_values", "alpha", "step")),
+    "helicoid": (lambda params: _helicoid(), (), ()),
+    "latitude_cone": (_latitude_cone, ("beta",), ()),
+    "hyperboloid": (_hyperboloid, (), ("r", "pitch")),
+    "radial_plane": (lambda params: _radial_plane(), (), ()),
+    "constant_sigma": _generated("constant_sigma", "constant_sigma"),
+    "tabulated_kappa": _generated("tabulated_kappa", "tabulated"),
 }
-# params holding a list of numbers; every other param holds one number
-_LIST_PARAMS = ("s1_range", "s1_knots", "kappa_values")
-
-
-def _is_number(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _check_params(name: str, params: dict, accepted: tuple[str, ...]) -> None:
-    unknown = sorted(set(params) - set(accepted))
-    if unknown:
-        raise BadParams(f"{name}: unknown params {unknown}")
-    for key, value in params.items():
-        if key in _LIST_PARAMS:
-            ok = isinstance(value, (list, tuple)) and all(map(_is_number, value))
-            want = "a list of numbers"
-            if key == "s1_range":
-                ok, want = ok and len(value) == 2, "two numbers [lo, hi]"
-        else:
-            ok, want = _is_number(value), "a number"
-        if not ok:
-            raise BadParams(f"{name}.{key}: expected {want}, got {value!r}")
 
 
 def catalog(name: str, params: dict | None = None) -> RuledSurfaceSpec:
     """Build a named reference surface.
 
     Closed-form entries: ``helicoid``, ``latitude_cone`` (beta),
-    ``hyperboloid`` (r, pitch), ``radial_plane``.  Generated entries:
-    ``constant_sigma`` (d, s1_range, alpha, step) and ``tabulated_kappa``
-    (s1_knots, kappa_values, alpha, step).  Unknown params and params of the
-    wrong type raise ``BadParams``.
+    ``hyperboloid`` (r, pitch), ``radial_plane``.  Generated entries are
+    shorthand for a ``prescribed_kappa`` document: ``constant_sigma`` (d) is
+    the ``constant_sigma`` profile and ``tabulated_kappa`` (s1_knots,
+    kappa_values) the ``tabulated`` one, and both also take s1_range, alpha
+    and step.  Unknown, missing, non-finite or wrongly typed params raise
+    ``BadParams``, the class spec files raise as ``SpecError``.
     """
     if name not in _CATALOG:
         raise UnknownCatalogName(name)
-    build, accepted = _CATALOG[name]
+    build, required, optional = _CATALOG[name]
     params = dict(params or {})
-    _check_params(name, params, accepted)
+    check_keys(params, required, optional, name)
     return build(params)
 
 

@@ -22,13 +22,13 @@ import numpy as np
 
 from .frame import FrameTable, RuledSurfaceSpec, SampleGrid
 from .generators import (
-    ConstantKappa,
-    ConstantSigma,
-    GeneratorConfig,
-    KappaProfile,
-    TabulatedKappa,
+    GENERATOR_KEYS,
+    SpecError,
     build_surface,
     catalog,
+    check_keys,
+    finite_floats,
+    generator_config,
     integrate_frame,
 )
 from .geometry import Jet3, fd_jet, norm, normalize
@@ -62,10 +62,6 @@ MIN_SAMPLED_ROWS = 16
 SAMPLED_UNIT_TOL = 1e-6
 # fd step for sampled specs, as a fraction of the u span
 SAMPLED_FD_FRACTION = 1e-3
-
-
-class SpecError(ValueError):
-    """A spec or report document violates its schema."""
 
 
 # ---------------------------------------------------------------------------
@@ -168,78 +164,15 @@ def write_json_atomic(path: str | Path, doc: dict) -> None:
 # spec loading
 
 
-def _as_float(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(f"{where}: expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise SpecError(f"{where}: must be finite")
-    return value
-
-
-def _as_floats(value, where: str) -> tuple[float, ...]:
-    if not isinstance(value, list):
-        raise SpecError(f"{where}: expected a list of numbers")
-    return tuple(_as_float(v, where) for v in value)
-
-
 def _as_vec_rows(value, where: str) -> np.ndarray:
     if not isinstance(value, list):
         raise SpecError(f"{where}: expected a list of [x, y, z] rows")
-    rows = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != 3:
-            raise SpecError(f"{where}[{i}]: expected a row of three numbers")
-        rows.append([_as_float(c, f"{where}[{i}]") for c in row])
+    rows = [finite_floats(row, f"{where}[{i}]", 3) for i, row in enumerate(value)]
     return np.array(rows, dtype=float).reshape(len(rows), 3)
 
 
-def _check_keys(doc: dict, allowed: set[str], required: set[str], where: str) -> None:
-    keys = set(doc)
-    extra = keys - allowed
-    missing = required - keys
-    if extra:
-        raise SpecError(f"{where}: unknown keys {sorted(extra)}")
-    if missing:
-        raise SpecError(f"{where}: missing keys {sorted(missing)}")
-
-
-def profile_from_dict(doc: dict, s1_range: tuple[float, float] | None) -> KappaProfile:
-    if not isinstance(doc, dict) or "type" not in doc:
-        raise SpecError("profile: expected an object with a 'type' key")
-    kind = doc["type"]
-    if kind == "constant":
-        _check_keys(doc, {"type", "kappa0"}, {"type", "kappa0"}, "profile")
-        domain = s1_range if s1_range is not None else (0.0, 2.0 * math.pi)
-        return ConstantKappa(_as_float(doc["kappa0"], "profile.kappa0"), domain)
-    if kind == "constant_sigma":
-        _check_keys(doc, {"type", "d"}, {"type", "d"}, "profile")
-        domain = s1_range if s1_range is not None else (-1.8, 1.8)
-        return ConstantSigma(_as_float(doc["d"], "profile.d"), domain)
-    if kind == "tabulated":
-        _check_keys(
-            doc,
-            {"type", "s1_knots", "kappa_values"},
-            {"type", "s1_knots", "kappa_values"},
-            "profile",
-        )
-        profile = TabulatedKappa(
-            _as_floats(doc["s1_knots"], "profile.s1_knots"),
-            _as_floats(doc["kappa_values"], "profile.kappa_values"),
-        )
-        if s1_range is not None:
-            lo, hi = profile.domain
-            if abs(s1_range[0] - lo) > 1e-12 or abs(s1_range[1] - hi) > 1e-12:
-                raise SpecError(
-                    "s1_range must match the tabulated knot span "
-                    f"[{lo!r}, {hi!r}]"
-                )
-        return profile
-    raise SpecError(f"profile.type: unknown type {kind!r}")
-
-
 def _load_catalog(doc: dict) -> RuledSurfaceSpec:
-    _check_keys(doc, {"kind", "name", "params"}, {"kind", "name"}, "spec")
+    check_keys(doc, ("kind", "name"), ("params",), "spec")
     name = doc["name"]
     if not isinstance(name, str):
         raise SpecError("spec.name: expected a string")
@@ -250,35 +183,14 @@ def _load_catalog(doc: dict) -> RuledSurfaceSpec:
 
 
 def _load_prescribed(doc: dict) -> RuledSurfaceSpec:
-    _check_keys(
-        doc,
-        {"kind", "profile", "s1_range", "alpha", "step"},
-        {"kind", "profile"},
-        "spec",
-    )
-    s1_range = None
-    if "s1_range" in doc:
-        raw = doc["s1_range"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise SpecError("spec.s1_range: expected [lo, hi]")
-        s1_range = (
-            _as_float(raw[0], "spec.s1_range"),
-            _as_float(raw[1], "spec.s1_range"),
-        )
-        if not s1_range[1] > s1_range[0]:
-            raise SpecError("spec.s1_range: hi must exceed lo")
-    profile = profile_from_dict(doc["profile"], s1_range)
-    config = GeneratorConfig(
-        profile=profile,
-        step=_as_float(doc.get("step", 0.01), "spec.step"),
-        alpha=_as_float(doc.get("alpha", 0.0), "spec.alpha"),
-    )
+    check_keys(doc, ("kind", "profile"), GENERATOR_KEYS, "spec")
+    config = generator_config(doc["profile"], doc)
     return build_surface(integrate_frame(config), config)
 
 
 def _load_sampled(doc: dict) -> RuledSurfaceSpec:
-    _check_keys(doc, {"kind", "u", "f", "q"}, {"kind", "u", "f", "q"}, "spec")
-    u = _as_floats(doc["u"], "spec.u")
+    check_keys(doc, ("kind", "u", "f", "q"), (), "spec")
+    u = finite_floats(doc["u"], "spec.u")
     f_rows = _as_vec_rows(doc["f"], "spec.f")
     q_rows = _as_vec_rows(doc["q"], "spec.q")
     if not (len(u) == len(f_rows) == len(q_rows)):

@@ -1,7 +1,9 @@
-"""Every name a module exports in ``__all__`` resolves."""
+"""Every name a module exports in ``__all__`` resolves, and every name it imports is used."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +18,32 @@ def test_star_import_resolves_every_export(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert [n for n in getattr(module, "__all__", ()) if n not in namespace] == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that no expression reads and ``__all__`` does not list."""
+    tree = ast.parse(source)
+    imported, used = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_unused_imports_detects_a_stray_name():
+    source = "import os, sys\nfrom math import pi, tau\n__all__ = ['tau']\nprint(sys.argv)\n"
+    assert unused_imports(source) == ["os", "pi"]
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in Path(slantsurf.__file__).parent.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

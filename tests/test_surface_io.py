@@ -2,14 +2,21 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from slantsurf import (
+    BadParams,
     SampleGrid,
     SpecError,
     catalog,
+    classify_samples,
     csv_table,
     dumps_deterministic,
     export_obj,
@@ -22,6 +29,9 @@ from slantsurf import (
     write_text_atomic,
 )
 from slantsurf.geometry import cross, dot, norm
+
+TABULATED = {"s1_knots": [0.0, 1.0, 2.0, 3.0], "kappa_values": [0.0, 0.8, -0.4, 0.6]}
+VERDICTS = ("q_slant", "h_slant", "a_slant", "darboux_strict", "darboux_angular")
 
 
 class TestDumps:
@@ -105,6 +115,63 @@ class TestLoadSurface:
         assert load_surface(doc).param_range == (0.0, 3.0)
         with pytest.raises(SpecError):
             load_surface({**doc, "s1_range": [0.0, 2.0]})
+
+    def test_constant_profile_classifies_like_a_latitude_cone(self):
+        surface = load_surface({"kind": "prescribed_kappa",
+                                "profile": {"type": "constant", "kappa0": 0.7},
+                                "s1_range": [0.0, 2.0]})
+        assert surface.param_range == (0.0, 2.0)
+        samples = frame_samples(surface, SampleGrid.uniform(surface.param_range, 128))
+        assert samples.kappa == pytest.approx(0.7, abs=1e-9)
+        report = classify_samples(samples)
+        assert tuple(int(getattr(report, name).verdict) for name in VERDICTS) == (1, 0, 1, 1, 1)
+
+    @pytest.mark.parametrize("name, params, profile", [
+        ("constant_sigma", {"d": 0.4, "s1_range": [-1.5, 1.2], "alpha": 0.3, "step": 0.02},
+         {"type": "constant_sigma", "d": 0.4}),
+        ("tabulated_kappa", {**TABULATED, "s1_range": [0.0, 3.0]},
+         {"type": "tabulated", **TABULATED}),
+    ], ids=["constant_sigma", "tabulated_kappa"])
+    def test_generated_catalog_entry_matches_its_prescribed_document(self, name, params, profile):
+        doc = {"kind": "prescribed_kappa", "profile": profile,
+               **{key: params[key] for key in ("s1_range", "alpha", "step") if key in params}}
+        surfaces = catalog(name, params), load_surface(doc)
+        tables, blocks = [], []
+        for surface in surfaces:
+            samples = frame_samples(surface, SampleGrid.uniform(surface.param_range, 96))
+            tables.append(csv_table(samples))
+            blocks.append(report_document(surface, samples, classify_samples(samples))["samples"])
+        assert tables[0] == tables[1]
+        assert blocks[0] == blocks[1]
+        assert surfaces[0].provenance == {"kind": "catalog", "name": name, "params": params}
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "catalog", "name": "constant_sigma", "params": {"alpha": 0.2}},
+         "constant_sigma: missing keys ['d']"),
+        ({"kind": "catalog", "name": "tabulated_kappa",
+          "params": {**TABULATED, "s1_range": [0.0, 2.0]}},
+         "tabulated_kappa.s1_range: must match the tabulated knot span [0.0, 3.0]"),
+        ({"kind": "catalog", "name": "hyperboloid", "params": {"R": 2.0}},
+         "hyperboloid: unknown keys ['R']"),
+        ({"kind": "catalog", "name": "constant_sigma", "params": {"d": 0.5, "s1_range": [1, -1]}},
+         "constant_sigma.s1_range: hi must exceed lo"),
+        ({"kind": "prescribed_kappa", "profile": {"type": "constant_sigma", "d": 0.4},
+          "s1_range": [-1.0, 0.0, 1.0]},
+         "spec.s1_range: expected a list of 2 numbers, got [-1.0, 0.0, 1.0]"),
+        ({"kind": "prescribed_kappa", "profile": {"type": "constant_sigma", "d": 0.4},
+          "alpha": math.nan},
+         "spec.alpha: expected a number, got nan"),
+        ({"kind": "prescribed_kappa", "profile": ["constant_sigma", 0.4]},
+         "profile: expected an object with a 'type' key"),
+        ({"kind": "sampled", "u": [0.0, 1.0, 2.0, math.inf], "f": [], "q": []},
+         "spec.u[3]: expected a number, got inf"),
+    ], ids=["catalog-missing", "catalog-span", "catalog-unknown", "catalog-reversed", "range3",
+            "alpha-nan", "profile-list", "sampled-inf"])
+    def test_both_spec_kinds_raise_one_error_class(self, doc, message):
+        assert SpecError is BadParams
+        with pytest.raises(SpecError) as info:
+            load_surface(doc)
+        assert str(info.value) == message
 
     def test_sampled_validation(self):
         u = [0.1 * k for k in range(20)]
@@ -198,6 +265,27 @@ class TestDocuments:
             write_text_atomic(target, "\ud800")  # lone surrogate: utf-8 refuses it
         assert [p.name for p in tmp_path.iterdir()] == ["doc.txt"]
         assert target.read_text() == "old\n"
+
+    def test_concurrent_writers_leave_one_whole_document(self, tmp_path):
+        target = tmp_path / "doc.json"
+        child = ("import json, sys\n"
+                 "from slantsurf import write_text_atomic\n"
+                 "text = json.dumps({'writer': sys.argv[2], 'rows': list(range(40000))})\n"
+                 "for _ in range(20):\n"
+                 "    write_text_atomic(sys.argv[1], text)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        writers = [subprocess.Popen([sys.executable, "-c", child, str(target), name], env=env)
+                   for name in ("a", "b")]
+        deadline = time.monotonic() + 120
+        while True:
+            running = any(w.poll() is None for w in writers) and time.monotonic() < deadline
+            if target.exists():
+                doc = json.loads(target.read_text())  # a torn file would not parse
+                assert doc["writer"] in {"a", "b"} and doc["rows"] == list(range(40000))
+            if not running:
+                break
+        assert [w.wait(timeout=60) for w in writers] == [0, 0]
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
     def test_atomic_write_keeps_plain_file_mode(self, tmp_path):
         plain = tmp_path / "plain.txt"
