@@ -68,6 +68,9 @@ SPECS = {
     "pk_alpha_nan.json": {"kind": "prescribed_kappa",
                           "profile": {"type": "constant_sigma", "d": 0.4}, "alpha": math.nan},
     "pk_profile_list.json": {"kind": "prescribed_kappa", "profile": ["constant_sigma", 0.4]},
+    # overflows the march: one error line, exit 1
+    "pk_huge.json": {"kind": "prescribed_kappa",
+                     "profile": {"type": "constant", "kappa0": 1e300}},
     "broken.json": "{\"kind\": ",  # written as is: not valid JSON
 }
 
@@ -96,6 +99,8 @@ INVOCATIONS = [
     ["verify", "--surface", "g_sigma.json", *N, "--out", "v_g_sigma.json"],
     ["verify", "--surface", "g_pk_tab.json", *N, "--tol", "1e-2", "--out", "v_g_tab.json"],
     ["verify", "--surface", "sigma.json", "--samples", "4096", "--out", "v_4096.json"],
+    ["verify", "--surface", "tab.json", "--samples", "4096", "--csv", "--out", "v_tab_4096.json"],
+    ["generate", "--surface", "sigma.json", "--samples", "4096", "--out", "g_sigma_4096.json"],
     # exit 1: usage
     [],
     ["analyze", "--surface", "sigma.json", "--bogus"],
@@ -117,6 +122,7 @@ INVOCATIONS = [
     *(["analyze", "--surface", spec, *N, "--out", f"x_{spec}"]
       for spec in ("no_d.json", "tab_range.json", "pk_range3.json", "pk_alpha_nan.json",
                    "pk_profile_list.json")),
+    ["classify", "--surface", "pk_huge.json", *N, "--out", "x_pk_huge.json"],
     *(["export", "--surface", "missing.json", "--v-range", value]
       for value in ("1:1", "3:-2", "nan:1", "-inf:1")),
     # exit 2: cylindrical surface

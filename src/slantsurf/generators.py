@@ -53,6 +53,9 @@ DOMAIN_SLACK = 1e-9
 # keep |d * s1| away from the profile's pole
 SIGMA_CLAMP = 0.95
 MIN_STEPS_PER_DOMAIN = 64
+# an extreme profile overflows the march and the jets; that must reach the
+# user as the one non-finite-sample error, not as numpy warnings first
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 class OutOfDomain(ValueError):
@@ -160,7 +163,15 @@ class ConstantSigma:
 
 @dataclass(frozen=True)
 class TabulatedKappa:
-    """Natural cubic spline through (s1, kappa) knots."""
+    """Natural cubic spline through (s1, kappa) knots.
+
+    The knot slopes solve the natural-end tridiagonal system once (C. de
+    Boor, *A Practical Guide to Splines*, 1978).  It is strictly diagonally
+    dominant, so elimination needs no pivoting.  Each interval keeps the
+    power coefficients of its cubic in the offset from its left knot, and a
+    last row holds the end knot's value and slope, so every knot returns its
+    own kappa value.
+    """
 
     s1_knots: tuple[float, ...]
     kappa_values: tuple[float, ...]
@@ -173,20 +184,50 @@ class TabulatedKappa:
                 raise BadParams("s1 knots must be strictly increasing")
         if not all(math.isfinite(v) for v in self.kappa_values):
             raise BadParams("kappa knot values must be finite")
-        from scipy.interpolate import CubicSpline  # ~0.7 s import: load only here
-
-        spline = CubicSpline(self.s1_knots, self.kappa_values, bc_type="natural")
-        object.__setattr__(self, "_spline", spline)
+        x, y = np.array(self.s1_knots), np.array(self.kappa_values)
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        # row i: dx[i] m[i-1] + 2 (dx[i-1] + dx[i]) m[i] + dx[i-1] m[i+1]
+        #        = 3 (dx[i] slope[i-1] + dx[i-1] slope[i]); the end rows set kappa'' = 0
+        lower = np.append(dx[1:], dx[-1])
+        diag = 2.0 * np.concatenate((dx[:1], dx[:-1] + dx[1:], dx[-1:]))
+        upper = np.concatenate((dx[:1], dx[:-1]))
+        m = 3.0 * np.concatenate((y[1:2] - y[:1], dx[1:] * slope[:-1] + dx[:-1] * slope[1:],
+                                  y[-1:] - y[-2:-1]))
+        for i in range(len(x) - 1):
+            fact = lower[i] / diag[i]
+            diag[i + 1] -= fact * upper[i]
+            m[i + 1] -= fact * m[i]
+        m[-1] /= diag[-1]
+        for i in range(len(x) - 2, -1, -1):
+            m[i] = (m[i] - upper[i] * m[i + 1]) / diag[i]
+        t = (m[:-1] + m[1:] - 2.0 * slope) / dx
+        # rows: the t^3, t^2, t and constant coefficients, one column per knot
+        coeffs = np.array((np.append(t / dx, 0.0), np.append((slope - m[:-1]) / dx - t, 0.0),
+                           m, y))
+        object.__setattr__(self, "_knots", x)
+        object.__setattr__(self, "_coeffs", coeffs)
 
     @property
     def domain(self) -> tuple[float, float]:
         return (self.s1_knots[0], self.s1_knots[-1])
 
+    def _cubic(self, s1):
+        """Coefficient rows of the cubic that holds each s1, and s1's offset from its knot."""
+        i = np.clip(np.searchsorted(self._knots, s1, side="right") - 1, 0, len(self._knots) - 1)
+        return self._coeffs[:, i], s1 - self._knots[i]
+
+    # both sum from the constant term with the powers of t built up step by
+    # step, the order scipy's PPoly uses: inside the knot span the values
+    # then equal scipy's natural CubicSpline unless its solver swaps rows
     def kappa(self, s1):
-        return self._spline(s1)
+        (c3, c2, c1, c0), t = self._cubic(s1)
+        t2 = t * t
+        return c0 + c1 * t + c2 * t2 + c3 * (t2 * t)
 
     def kappa_prime(self, s1):
-        return self._spline(s1, 1)
+        (c3, c2, c1, _), t = self._cubic(s1)
+        return c1 + c2 * t * 2.0 + c3 * (t * t) * 3.0
 
     def describe(self) -> dict:
         return {
@@ -332,6 +373,7 @@ class FramePath:
         return len(self.s1)
 
 
+@_quiet
 def integrate_frame(config: GeneratorConfig) -> FramePath:
     """March the frame ODE across the profile domain with classical RK4.
 
@@ -438,6 +480,7 @@ def _vector_poly(s_nodes: np.ndarray, jets: tuple) -> _PiecewisePoly:
     return _PiecewisePoly(s_nodes, np.stack(_two_point_taylor(width, left, right)))
 
 
+@_quiet
 def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpec:
     """Assemble a ruled surface from an integrated frame path.
 
@@ -482,6 +525,7 @@ def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpe
     node_jet = base_jet_of_frame(q, h, a, kap, kp, c_nodes)
     c_poly = _vector_poly(s, (node_jet.d0, node_jet.d1, node_jet.d2, node_jet.d3))
 
+    @_quiet
     def director(u: np.ndarray) -> Jet3:
         q, h, a = frame_at(u)
         kap, kp = _kappa_columns(profile, u)
@@ -492,6 +536,7 @@ def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpe
             d3=h * (-(1.0 + kap * kap)) + a * kp,
         )
 
+    @_quiet
     def base_curve(u: np.ndarray) -> Jet3:
         q, h, a = frame_at(u)
         kap, kp = _kappa_columns(profile, u)

@@ -68,10 +68,45 @@ SAMPLED_FD_FRACTION = 1e-3
 # deterministic JSON
 
 
+# FrameTable columns in report and CSV order, and the report row key of each
+_COLUMNS = ("u", "s1", "kappa", "kappa_prime", "sigma", "q", "h", "a", "darboux", "striction")
+_ROW_KEYS = ("u", "s1", "kappa", "kappa_prime", "sigma", "q", "h", "a", "W", "striction_point")
+
+
+def _non_finite(value: float) -> SpecError:
+    return SpecError(f"non-finite value {value!r} cannot be serialized")
+
+
 def _format_float(value: float) -> str:
     if not math.isfinite(value):
-        raise SpecError(f"non-finite value {value!r} cannot be serialized")
+        raise _non_finite(value)
     return format(value, ".17g")
+
+
+def _table_values(samples: FrameTable) -> tuple[int, tuple]:
+    """Row count and every value of the table, row by row in column order.
+
+    That is document order: a non-finite value raises the error that
+    ``_format_float`` gives, for the first such value a row-by-row walk meets.
+    """
+    matrix = np.column_stack([getattr(samples, name) for name in _COLUMNS])
+    bad = np.flatnonzero(~np.isfinite(matrix))
+    if bad.size:
+        raise _non_finite(float(matrix.flat[bad[0]]))
+    return len(matrix), tuple(matrix.ravel().tolist())
+
+
+def _table_rows(samples: FrameTable, indent: int) -> str:
+    """The report's ``samples`` list: one dict per row, all from one template."""
+    count, values = _table_values(samples)
+    if not count:
+        return "[]"
+    pad = "  " * indent
+    fields = [f'{pad}    "{key}": '
+              + ("%.17g" if getattr(samples, name).ndim == 1 else "[%.17g, %.17g, %.17g]")
+              for key, name in zip(_ROW_KEYS, _COLUMNS)]
+    row = f"{pad}  {{\n" + ",\n".join(fields) + f"\n{pad}  }}"
+    return "[\n" + ",\n".join([row] * count) % values + f"\n{pad}]"
 
 
 def _emit(value, indent: int, out: list[str]) -> None:
@@ -103,6 +138,9 @@ def _emit(value, indent: int, out: list[str]) -> None:
         if not items:
             out.append("[]")
             return
+        if all(isinstance(x, float) for x in items):  # one join, no _emit per value
+            out.append("[" + ", ".join(map(_format_float, items)) + "]")
+            return
         scalars = all(
             isinstance(x, (bool, int, float)) or x is None for x in items
         )
@@ -120,12 +158,18 @@ def _emit(value, indent: int, out: list[str]) -> None:
                 _emit(item, indent + 1, out)
                 out.append(",\n" if i + 1 < len(items) else "\n")
             out.append(pad + "]")
+    elif isinstance(value, FrameTable):
+        out.append(_table_rows(value, indent))
     else:
         raise SpecError(f"cannot serialize {type(value).__name__}")
 
 
 def dumps_deterministic(doc: dict) -> str:
-    """Render a document as JSON with fixed key order and .17g floats."""
+    """Render a document as JSON with fixed key order and .17g floats.
+
+    A ``FrameTable`` value renders as the list of per-row dicts of a report's
+    ``samples`` block.
+    """
     out: list[str] = []
     _emit(doc, 0, out)
     out.append("\n")
@@ -302,47 +346,27 @@ def _audit_block(record: AuditRecord) -> dict:
     }
 
 
-def _table_columns(samples: FrameTable) -> list[list]:
-    """The table's columns as plain Python lists, in report and CSV order."""
-    return [
-        getattr(samples, name).tolist()
-        for name in ("u", "s1", "kappa", "kappa_prime", "sigma",
-                     "q", "h", "a", "darboux", "striction")
-    ]
-
-
 def report_document(
     surface: RuledSurfaceSpec,
     samples: FrameTable,
     report: SlantReport,
     audits: Sequence[AuditRecord] = (),
 ) -> dict:
-    """Assemble the full analysis report for one surface sampling."""
-    sample_rows = [
-        {
-            "u": u,
-            "s1": s1,
-            "kappa": kappa,
-            "kappa_prime": kp,
-            "sigma": sig,
-            "q": q,
-            "h": h,
-            "a": a,
-            "W": w,
-            "striction_point": c,
-        }
-        for u, s1, kappa, kp, sig, q, h, a, w, c in zip(*_table_columns(samples))
-    ]
+    """Assemble the full analysis report for one surface sampling.
+
+    The table itself stands under ``"samples"``; ``dumps_deterministic``
+    renders it as one dict per row.
+    """
     return {
         "meta": {
             "tool": TOOL_NAME,
             "version": TOOL_VERSION,
             "surface": surface.provenance,
-            "samples": len(sample_rows),
+            "samples": len(samples),
             "tol": report.tol,
             "angle_tol": report.angle_tol,
         },
-        "samples": sample_rows,
+        "samples": samples,
         "slant": {
             "q": _verdict_block(report.q_slant, "constant", True),
             "h": _verdict_block(report.h_slant, "constant", True),
@@ -362,11 +386,9 @@ def report_document(
 
 def csv_table(samples: FrameTable) -> str:
     """Sample table as CSV text with a fixed header and .17g floats."""
-    lines = [CSV_HEADER]
-    for u, s1, kappa, kp, sig, *vectors in zip(*_table_columns(samples)):
-        fields = [u, s1, kappa, kp, sig, *(x for v in vectors for x in v)]
-        lines.append(",".join(_format_float(x) for x in fields))
-    return "\n".join(lines) + "\n"
+    count, values = _table_values(samples)
+    row = ",".join(["%.17g"] * len(CSV_HEADER.split(",")))
+    return "\n".join([CSV_HEADER, *[row] * count]) % values + "\n"
 
 
 def export_obj(

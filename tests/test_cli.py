@@ -211,6 +211,17 @@ class TestAnalyze:
         assert captured.err.startswith("error: ") and key in captured.err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning fails here instead of printing
+    def test_overflowing_profile_prints_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        path = write_spec(tmp_path / "spec.json", {
+            "kind": "prescribed_kappa", "profile": {"type": "constant", "kappa0": 1e300}})
+        assert main(["classify", "--surface", path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: surface jets are non-finite at u=0.0\n"
+        assert not out.exists()
+
 
 class TestClassify:
     def test_constant_sigma_verdicts(self, sigma_spec, tmp_path):
@@ -451,7 +462,7 @@ def _run_fresh(cwd, *argvs):
 
 
 class TestStartup:
-    """scipy costs most of a process's start-up; only splines may load it."""
+    """scipy costs most of a process's start-up; only sampled specs may load it."""
 
     def test_closed_forms_never_load_scipy(self, helicoid_spec, sigma_spec, tmp_path):
         lines, loaded = _run_fresh(
@@ -480,13 +491,13 @@ class TestStartup:
         assert lines[0] == ("q_slant=False h_slant=True a_slant=False "
                             "darboux_strict=False darboux_angular=True")
 
-    def test_tabulated_profile_loads_scipy(self, tmp_path):
+    def test_tabulated_profile_never_loads_scipy(self, tmp_path):
         spec = write_spec(tmp_path / "tab.json", {
             "kind": "catalog", "name": "tabulated_kappa",
             "params": {"s1_knots": [0.0, 1.5, 3.0], "kappa_values": [0.0, 1.5, 3.0]},
         })
         lines, loaded = _run_fresh(
             tmp_path, ["classify", "--surface", spec, "--out", "r.json"])
-        assert loaded
+        assert not loaded
         assert lines[0] == ("q_slant=False h_slant=False a_slant=False "
                             "darboux_strict=False darboux_angular=False")

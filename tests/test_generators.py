@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from conftest import Vec3, rodrigues
 from slantsurf import (
@@ -78,6 +81,16 @@ def same_bits(got, want) -> bool:
     return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
+@st.composite
+def uneven_knots(draw):
+    """2 to 12 strictly increasing knots, gaps 0.1 to 2 apart, and values in [-2, 2]."""
+    n = draw(st.integers(2, 12))
+    gaps = draw(st.lists(st.floats(0.1, 2.0), min_size=n - 1, max_size=n - 1))
+    start = draw(st.floats(-2.0, 2.0))
+    values = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    return np.cumsum([start, *gaps]).tolist(), values
+
+
 class TestProfiles:
     def test_constant_kappa(self):
         prof = ConstantKappa(0.7, (0.0, 2.0))
@@ -111,6 +124,38 @@ class TestProfiles:
             assert prof.kappa(s) == pytest.approx(s, abs=1e-14)
             assert prof.kappa_prime(s) == pytest.approx(1.0, abs=1e-14)
         assert prof.domain == (0.0, 3.0)
+
+    @staticmethod
+    def spline_pair(knots, values):
+        """(kappa, kappa') of the profile and of scipy's natural CubicSpline,
+        at 501 points across the knots and at the knots themselves."""
+        prof = TabulatedKappa(tuple(knots), tuple(values))
+        spline = CubicSpline(knots, values, bc_type="natural")
+        s = np.concatenate((np.linspace(knots[0], knots[-1], 501), knots))
+        return (prof.kappa(s), prof.kappa_prime(s)), (spline(s), spline(s, 1))
+
+    def test_tabulated_linear_matches_scipy_exactly(self):
+        ours, reference = self.spline_pair([0.0, 1.5, 3.0], [0.0, 1.5, 3.0])
+        assert all(np.array_equal(a, b) for a, b in zip(ours, reference))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(uneven_knots())
+    @example(([0.0, 1.0, 2.0, 3.0], [0.0, 0.8, -0.4, 0.6]))
+    def test_tabulated_matches_scipy_natural_spline(self, knots_values):
+        knots, values = knots_values
+        ours, reference = self.spline_pair(knots, values)
+        for mine, theirs in zip(ours, reference):
+            # relative to the largest value: a few ulps from the solver's rounding
+            assert np.max(np.abs(mine - theirs)) <= 1e-14 * np.max(np.abs(theirs))
+        assert np.array_equal(ours[0][-len(knots):], values)  # every knot, both ends too
+
+    def test_two_knot_profile_is_the_line(self):
+        prof = TabulatedKappa((-1.0, 2.5), (0.3, -1.2))
+        s = np.linspace(-1.0, 2.5, 101)
+        slope = -1.5 / 3.5
+        assert prof.kappa(s) == pytest.approx(0.3 + slope * (s + 1.0), abs=1e-15)
+        assert prof.kappa_prime(s) == pytest.approx(np.full_like(s, slope), abs=1e-15)
+        assert prof.kappa(2.5) == -1.2
 
     def test_tabulated_validation(self):
         with pytest.raises(BadParams):
