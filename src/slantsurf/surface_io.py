@@ -77,17 +77,11 @@ def _non_finite(value: float) -> SpecError:
     return SpecError(f"non-finite value {value!r} cannot be serialized")
 
 
-def _format_float(value: float) -> str:
-    if not math.isfinite(value):
-        raise _non_finite(value)
-    return format(value, ".17g")
-
-
 def _table_values(samples: FrameTable) -> tuple[int, tuple]:
     """Row count and every value of the table, row by row in column order.
 
     That is document order: a non-finite value raises the error that
-    ``_format_float`` gives, for the first such value a row-by-row walk meets.
+    ``_scalar_text`` gives, for the first such value a row-by-row walk meets.
     """
     matrix = np.column_stack([getattr(samples, name) for name in _COLUMNS])
     bad = np.flatnonzero(~np.isfinite(matrix))
@@ -109,16 +103,26 @@ def _table_rows(samples: FrameTable, indent: int) -> str:
     return "[\n" + ",\n".join([row] * count) % values + f"\n{pad}]"
 
 
+_SCALARS = (bool, int, float, type(None))
+
+
+def _scalar_text(value) -> str:
+    """JSON text of a float, bool, int or None (float, the common case, first)."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise _non_finite(value)
+        return format(value, ".17g")
+    if isinstance(value, bool):  # bool is an int subclass, test it before str()
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    return str(value)
+
+
 def _emit(value, indent: int, out: list[str]) -> None:
     pad = "  " * indent
-    if isinstance(value, bool):  # bool is an int subclass, test it first
-        out.append("true" if value else "false")
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(_format_float(value))
+    if isinstance(value, _SCALARS):
+        out.append(_scalar_text(value))
     elif isinstance(value, str):
         out.append(json.dumps(value))
     elif isinstance(value, dict):
@@ -138,19 +142,8 @@ def _emit(value, indent: int, out: list[str]) -> None:
         if not items:
             out.append("[]")
             return
-        if all(isinstance(x, float) for x in items):  # one join, no _emit per value
-            out.append("[" + ", ".join(map(_format_float, items)) + "]")
-            return
-        scalars = all(
-            isinstance(x, (bool, int, float)) or x is None for x in items
-        )
-        if scalars:
-            out.append("[")
-            for i, item in enumerate(items):
-                _emit(item, indent, out)
-                if i + 1 < len(items):
-                    out.append(", ")
-            out.append("]")
+        if all(isinstance(x, _SCALARS) for x in items):
+            out.append("[" + ", ".join(map(_scalar_text, items)) + "]")
         else:
             out.append("[\n")
             for i, item in enumerate(items):
@@ -416,7 +409,7 @@ def export_obj(
     q0 = surface.director(u_values).d0
     points = f0[:, None, :] + q0[:, None, :] * v_values[None, :, None]
     lines = [
-        f"v {_format_float(x)} {_format_float(y)} {_format_float(z)}"
+        f"v {_scalar_text(x)} {_scalar_text(y)} {_scalar_text(z)}"
         for x, y, z in points.reshape(-1, 3).tolist()
     ]
 

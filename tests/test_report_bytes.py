@@ -166,7 +166,7 @@ def tables(draw):
 def table_document(table: FrameTable) -> dict:
     return {"meta": {"samples": len(table), "tol": 1e-6}, "samples": table,
             "u": table.u.tolist(), "q": table.q.tolist(),
-            "mixed": [*table.u.tolist(), 1, True, None]}
+            "mixed": [True, 0, *table.u.tolist(), -3, False, None]}
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -208,3 +208,9 @@ def test_non_finite_sample_in_a_report_names_the_value(row, column, value):
     expected = f"non-finite value {value!r} cannot be serialized"
     assert error_text(dumps_deterministic, doc) == expected == error_text(reference_dumps, doc)
     assert error_text(csv_table, table) == expected == error_text(reference_csv, table)
+
+
+@pytest.mark.parametrize("items", [[1.0, math.nan], [True, 2, -math.inf, None]])
+def test_non_finite_list_item_raises_the_reference_error(items):
+    doc = {"values": items}
+    assert error_text(dumps_deterministic, doc) == error_text(reference_dumps, doc)
