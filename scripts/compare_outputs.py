@@ -54,6 +54,10 @@ SPECS = {
                       "params": {"s1_knots": [0.0, math.nan, 3.0],
                                  "kappa_values": [0.0, 1.0, 0.5]}},
     "no_d.json": {"kind": "catalog", "name": "constant_sigma", "params": {"alpha": 0.2}},
+    # kappa's relative spread 3.3e-7 lies between --tol 1e-7 and the 3.3-3.4 gate 1e-6
+    "tab_flat.json": {"kind": "catalog", "name": "tabulated_kappa",
+                      "params": {"s1_knots": [0.0, 1.5, 3.0],
+                                 "kappa_values": [0.5, 0.5000005, 0.5]}},
     "tab_span.json": {"kind": "catalog", "name": "tabulated_kappa",
                       "params": {"s1_knots": [0.0, 1.0, 2.0, 3.0],
                                  "kappa_values": [0.0, 0.8, -0.4, 0.6],
@@ -89,6 +93,9 @@ INVOCATIONS = [
     ["verify", "--surface", "pk_tab.json", *N, "--out", "v_pk_tab.json", "--csv"],
     ["verify", "--surface", "pk_const.json", *N, "--out", "v_pk_const.json"],
     ["verify", "--surface", "sigma.json", *N, "--tol", "1e-4", "--out", "v_tol.json"],
+    # the 3.3-3.4 gate max(tol, 1e-6) differs from the report's tol
+    *(["verify", "--surface", spec, *N, "--tol", "1e-7", "--out", f"v_tol_{spec}"]
+      for spec in ("cone.json", "tab_flat.json")),
     ["verify", "--surface", "cone.json", *N, "--angle-tol", "0.01",
      "--out", "v_angle.json"],
     ["export", "--surface", "helicoid.json"],
@@ -97,6 +104,9 @@ INVOCATIONS = [
     ["generate", "--surface", "sigma.json", *N, "--out", "g_sigma.json"],
     ["generate", "--surface", "pk_tab.json", *N, "--out", "g_pk_tab.json"],
     ["verify", "--surface", "g_sigma.json", *N, "--out", "v_g_sigma.json"],
+    # strict Darboux at the sampled tol 1e-3 but not at cor3.1's 1e-6
+    ["generate", "--surface", "cone.json", *N, "--out", "g_cone.json"],
+    ["verify", "--surface", "g_cone.json", *N, "--out", "v_g_cone.json"],
     ["verify", "--surface", "g_pk_tab.json", *N, "--tol", "1e-2", "--out", "v_g_tab.json"],
     ["verify", "--surface", "sigma.json", "--samples", "4096", "--out", "v_4096.json"],
     ["verify", "--surface", "tab.json", "--samples", "4096", "--csv", "--out", "v_tab_4096.json"],

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .frame import RuledSurfaceSpec
-from .geometry import Jet3, cross, det3, dot, norm, normalize, power
+from .geometry import Jet3, cross, dot, normalize, power
 
 __all__ = [
     "OutOfDomain",
@@ -270,8 +270,6 @@ class GeneratorConfig:
     profile: KappaProfile
     step: float = 0.01
     alpha: float = 0.0  # angle of the base-curve tangent in the (q, a) plane
-    # rows q, h, a of a right-handed orthonormal triple, any 3x3 array-like
-    initial_frame: tuple = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
     def __post_init__(self) -> None:
         lo, hi = self.profile.domain
@@ -282,15 +280,6 @@ class GeneratorConfig:
                 f"step {self.step!r} too coarse: need at least "
                 f"{MIN_STEPS_PER_DOMAIN} steps across [{lo!r}, {hi!r}]"
             )
-        frame = np.array(self.initial_frame, dtype=object)
-        if frame.shape != (3, 3) or not all(map(_is_number, frame.flat)):
-            raise BadParams("initial frame must be 3 rows of 3 finite numbers")
-        q0, h0, a0 = rows = frame.astype(float)
-        worst = max(*np.abs(norm(rows) - 1.0), abs(dot(q0, h0)), abs(dot(q0, a0)), abs(dot(h0, a0)))
-        if worst > 1e-12:
-            raise BadParams("initial frame must be orthonormal to 1e-12")
-        if det3(q0, h0, a0) < 0.0:
-            raise BadParams("initial frame must be right-handed: det(q, h, a) < 0")
 
 
 # each profile type's class, number keys and list-of-numbers keys
@@ -375,7 +364,8 @@ class FramePath:
 
 @_quiet
 def integrate_frame(config: GeneratorConfig) -> FramePath:
-    """March the frame ODE across the profile domain with classical RK4.
+    """March the frame ODE across the profile domain with classical RK4,
+    starting from the identity triple (q, h, a) = (e1, e2, e3).
 
     The triple is re-orthonormalized after every step; the final (possibly
     shorter) step lands exactly on the domain's upper end.  The stage
@@ -398,7 +388,7 @@ def integrate_frame(config: GeneratorConfig) -> FramePath:
     kappas = kappa_of_s1(profile, np.clip(np.array(stage_s), lo, hi)).tolist()
 
     frames = np.empty((len(s_nodes), 3, 3))
-    frames[0] = frame = np.array(config.initial_frame, dtype=float)
+    frames[0] = frame = np.eye(3)
     for i, (dt, (k_start, k_half, k_end)) in enumerate(zip(steps, kappas), 1):
         half = dt / 2.0
         k1 = _frame_derivative(frame, k_start)

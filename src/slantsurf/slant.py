@@ -19,15 +19,16 @@ difference of v is orthogonal to u, so u spans the near-null space of the
 Gram matrix M = sum v'v'^T.  The smallest eigenvalue of M, normalized by its
 trace, is the detection residual.
 
-Everything reads the columns of a ``FrameTable``.  Each audit takes an
-optional ``report``, the classification of the same samples, so that one
-classification can feed every audit.
+Everything reads the columns of a ``FrameTable``.  Audits take optional
+``samples`` and ``report``, their classification, so one of each feeds all
+five; given both, an audit neither samples nor classifies, and re-reads the
+report's kappa and sigma constancy at its own tol.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -171,13 +172,19 @@ def _h_slant_axes(samples: FrameTable, d: float) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class SlantVerdict:
-    """Outcome of a single fixed-angle question."""
+    """Outcome of a single fixed-angle question; ``tied`` is the fit's flag."""
 
     verdict: bool
     axis: np.ndarray
     constant: float
     residual: float
     spread: float
+    tied: bool
+
+    def holds_at(self, tol: float) -> bool:
+        """The fixed-angle rule at ``tol``, from the tol-free fit and spread."""
+        relative = self.spread / (1.0 + abs(self.constant))
+        return self.residual < tol and relative < tol and not self.tied
 
 
 @dataclass(frozen=True)
@@ -204,11 +211,12 @@ def _direction_verdict(
 ) -> SlantVerdict:
     fit = detect_axis(vectors, s1_values)
     const = constancy(dot(vectors, fit.axis), tol)
-    ok = fit.residual < tol and const.relative_spread < tol and not fit.tied
+    verdict = SlantVerdict(False, fit.axis, const.mean, fit.residual, const.spread, fit.tied)
+    ok = verdict.holds_at(tol)
     if exclude_right_angle:
         # a constant right angle does not count as slant
         ok = ok and abs(const.mean) > angle_tol
-    return SlantVerdict(ok, fit.axis, const.mean, fit.residual, const.spread)
+    return replace(verdict, verdict=ok)
 
 
 def classify_samples(
@@ -282,9 +290,15 @@ def _finish(audit: str, applicable: bool, checks: list[AuditCheck], notes: list[
     return AuditRecord(audit, applicable, passed, checks, notes)
 
 
-# Every audit reads frame data from ``samples`` (computed on ``grid`` when
-# omitted) and slant verdicts from ``report`` (classified from ``samples``
-# at the audit's tol and angle_tol when omitted).
+def _inputs(surface: RuledSurfaceSpec, grid: SampleGrid, tol: float, angle_tol: float,
+            samples: FrameTable | None, report: SlantReport | None):
+    """The frame table and classification an audit reads: those given, else
+    sampled on ``grid`` and classified at the audit's own tol and angle_tol."""
+    if samples is None:
+        samples = frame_samples(surface, grid)
+    if report is None:
+        report = classify_samples(samples, tol, angle_tol)
+    return samples, report
 
 
 def verify_theorem_2_1(
@@ -303,13 +317,13 @@ def verify_theorem_2_1(
     against it, and the a-coefficient scaled by sqrt(1+kappa^2) must be
     constant.  Reverse direction: an h-slant verdict forces constant sigma.
     """
-    if samples is None:
-        samples = frame_samples(surface, grid)
+    samples, report = _inputs(surface, grid, tol, angle_tol, samples, report)
     checks: list[AuditCheck] = []
     notes: list[str] = []
-    sigma_const = constancy(samples.sigma, tol)
+    sigma_const = report.sigma_constancy
+    sigma_constant = sigma_const.relative_spread < tol
 
-    if sigma_const.is_constant and abs(sigma_const.mean) > angle_tol:
+    if sigma_constant and abs(sigma_const.mean) > angle_tol:
         d = sigma_const.mean
         axes = _h_slant_axes(samples, d)
         # the diameter of the cloud of axes, bounded from its componentwise spreads
@@ -329,7 +343,7 @@ def verify_theorem_2_1(
             constancy(scaled, tol).relative_spread,
             tol,
         )
-    elif sigma_const.is_constant:
+    elif sigma_constant:
         notes.append(
             "forward direction skipped: sigma is constant but within angle_tol of zero,"
             " the excluded right-angle case"
@@ -337,13 +351,11 @@ def verify_theorem_2_1(
     else:
         notes.append("forward direction vacuous: sigma is not constant on this sampling")
 
-    if report is None:
-        report = classify_samples(samples, tol, angle_tol)
     if report.h_slant.verdict:
         _check(checks, "h_slant_forces_constant_sigma", sigma_const.relative_spread, tol)
     else:
         notes.append("reverse direction vacuous: surface is not h-slant")
-        if not sigma_const.is_constant:
+        if not sigma_constant:
             notes.append("consistent: sigma non-constant and h-slant verdict false")
 
     return _finish("2.1", True, checks, notes)
@@ -359,20 +371,17 @@ def verify_theorem_3_1(
 ) -> AuditRecord:
     """Audit: strict Darboux slant forces constant kappa, and constant kappa
     freezes the Darboux vector in space."""
-    if samples is None:
-        samples = frame_samples(surface, grid)
+    samples, report = _inputs(surface, grid, tol, angle_tol, samples, report)
     checks: list[AuditCheck] = []
     notes: list[str] = []
-    kappa_const = constancy(samples.kappa, tol)
-    if report is None:
-        report = classify_samples(samples, tol, angle_tol)
+    kappa_const = report.kappa_constancy
 
     if report.darboux_strict.verdict:
         _check(checks, "strict_darboux_forces_constant_kappa", kappa_const.relative_spread, tol)
     else:
         notes.append("implication vacuous: no strict Darboux verdict on this sampling")
 
-    if kappa_const.is_constant:
+    if kappa_const.relative_spread < tol:
         mean = _mean_vec(samples.darboux)
         _check(
             checks,
@@ -409,10 +418,9 @@ def verify_corollary_3_1(
     motion; kappa'' comes from finite differences of kappa' over s1 and
     cannot disturb the determinant because its column is parallel to q.
     When the surface is strict Darboux slant the determinant must vanish;
-    that verdict is read at min(tol, 1e-6).
+    that verdict is re-read at min(tol, 1e-6) from the report's fit.
     """
-    if samples is None:
-        samples = frame_samples(surface, grid)
+    samples, report = _inputs(surface, grid, tol, angle_tol, samples, report)
     checks: list[AuditCheck] = []
     notes: list[str] = []
     kp = samples.kappa_prime[:, None]
@@ -421,17 +429,7 @@ def verify_corollary_3_1(
     worst = np.abs(dets - power(samples.kappa_prime, 2)).max()
     _check(checks, "determinant_equals_kappa_prime_squared", worst, tol)
 
-    inner = min(tol, 1e-6)
-    if report is None or report.tol < inner:
-        report = classify_samples(samples, inner, angle_tol)
-    strict = report.darboux_strict
-    # a verdict from a looser tol, re-read at the tighter one: the fit, the
-    # residual and the spread do not depend on tol
-    if (
-        strict.verdict
-        and strict.residual < inner
-        and strict.spread / (1.0 + abs(strict.constant)) < inner
-    ):
+    if report.darboux_strict.holds_at(min(tol, 1e-6)):
         _check(checks, "determinant_vanishes_on_strict_darboux", np.abs(dets).max(), tol)
     else:
         notes.append("vanishing clause vacuous: no strict Darboux verdict")
@@ -452,15 +450,12 @@ def verify_theorem_3_2(
     axis u, |u| = sqrt(1+d^2)), the normalized Darboux vector keeps the
     constant cosine 1/sqrt(1+d^2) against u's direction.
     """
-    if samples is None:
-        samples = frame_samples(surface, grid)
+    samples, report = _inputs(surface, grid, tol, angle_tol, samples, report)
     checks: list[AuditCheck] = []
     notes: list[str] = []
-    sigma_const = constancy(samples.sigma, tol)
-    if report is None:
-        report = classify_samples(samples, tol, angle_tol)
-
-    if not (report.h_slant.verdict and sigma_const.is_constant and abs(sigma_const.mean) > angle_tol):
+    sigma_const = report.sigma_constancy
+    sigma_constant = sigma_const.relative_spread < tol
+    if not (report.h_slant.verdict and sigma_constant and abs(sigma_const.mean) > angle_tol):
         notes.append("not applicable: surface is not h-slant on this sampling")
         return _finish("3.2", False, checks, notes)
 
@@ -502,15 +497,14 @@ def verify_theorems_3_3_3_4(
     supply extra axes to exercise the vacuous branches.
 
     Not applicable when kappa is not constant, because then no fixed axis
-    keeps <W, u> constant and the hypotheses are empty.  No slant verdict is
-    read, so ``report`` is accepted for a uniform auditor signature only.
+    keeps <W, u> constant and the hypotheses are empty.  Kappa constancy is
+    read from ``report`` at the gate max(tol, 1e-6); no slant verdict is read.
     """
-    if samples is None:
-        samples = frame_samples(surface, grid)
+    samples, report = _inputs(surface, grid, tol, angle_tol, samples, report)
     kappas = samples.kappa
     gate = max(tol, 1e-6)
-    kappa_const = constancy(kappas, gate)
-    if not kappa_const.is_constant:
+    kappa_const = report.kappa_constancy
+    if not kappa_const.relative_spread < gate:
         return _finish("3.3-3.4", False, [], [
             "the decomposition audit needs constant conical curvature "
             f"(relative spread {kappa_const.relative_spread:.3e})"

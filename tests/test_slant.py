@@ -1,10 +1,13 @@
 """Axis detection, slant classification, and the identity audits."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+import slantsurf.cli
+import slantsurf.slant
 from slantsurf import (
     EmptyInput,
     SampleGrid,
@@ -15,12 +18,15 @@ from slantsurf import (
     detect_axis,
     frame_samples,
     h_slant_axis,
+    load_surface,
+    sampled_spec_document,
     verify_corollary_3_1,
     verify_theorem_2_1,
     verify_theorem_3_1,
     verify_theorem_3_2,
     verify_theorems_3_3_3_4,
 )
+from slantsurf.cli import main
 from slantsurf.geometry import dot, norm
 
 EX, EY, EZ = np.eye(3)
@@ -273,3 +279,73 @@ class TestAuditors:
         assert any("vacuous" in note for note in record.notes)
         names = [c.name for c in record.checks]
         assert not any("constancy_agree" in n for n in names)
+
+
+def counted(monkeypatch, name: str, modules=(slantsurf.slant,)) -> list:
+    """Wrap ``name`` in each module with a counter; returns the list of calls."""
+    calls = []
+    fn = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestOneClassification:
+    """Audits read the report they are given: no second frame pass or classification."""
+
+    @pytest.mark.parametrize("report_tol", [1e-9, 1e-6, 1e-3])
+    def test_corollary_rereads_the_strict_verdict(self, report_tol, catalog_instances,
+                                                  monkeypatch):
+        # strict Darboux at 1e-3 but not at the corollary's 1e-6
+        cone = catalog("latitude_cone", {"beta": 0.5236})
+        sampled_cone = load_surface(sampled_spec_document(cone, 128))
+        for label, surface in [*catalog_instances, ("sampled_cone", sampled_cone)]:
+            grid = SampleGrid.uniform(surface.param_range, 128)
+            samples = frame_samples(surface, grid)
+            report = classify_samples(samples, report_tol)
+            want = verify_corollary_3_1(surface, grid)
+            with monkeypatch.context() as patch:
+                classifications = counted(patch, "classify_samples")
+                frames = counted(patch, "frame_samples")
+                got = verify_corollary_3_1(surface, grid, samples=samples, report=report)
+            assert (classifications, frames) == ([], []), label
+            assert got == want, label
+
+    def test_decomposition_rereads_kappa_constancy(self, catalog_instances):
+        # kappa's relative spread 3.3e-7 lies between the 1e-9 report and the 1e-6 gate
+        flat = catalog("tabulated_kappa", {"s1_knots": [0.0, 1.5, 3.0],
+                                           "kappa_values": [0.5, 0.5000005, 0.5]})
+        for label, surface in [*catalog_instances, ("nearly_constant_kappa", flat)]:
+            grid = SampleGrid.uniform(surface.param_range, 128)
+            samples = frame_samples(surface, grid)
+            want = verify_theorems_3_3_3_4(surface, grid, axes=[("polar", EZ)])
+            for report_tol in (1e-9, 1e-6, 1e-3):
+                report = classify_samples(samples, report_tol)
+                got = verify_theorems_3_3_3_4(surface, grid, samples=samples,
+                                              axes=[("polar", EZ)], report=report)
+                assert got == want, (label, report_tol)
+
+    @pytest.mark.parametrize("flags", [[], ["--tol", "1e-9"], ["sampled"]],
+                             ids=["default-tol", "tol-1e-9", "sampled"])
+    def test_verify_all_samples_and_classifies_once(self, flags, tmp_path, monkeypatch):
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"kind": "catalog", "name": "latitude_cone",
+                                    "params": {"beta": 0.5236}}))
+        if flags == ["sampled"]:
+            flags, generated = [], tmp_path / "sampled.json"
+            assert main(["generate", "--surface", str(path), "--samples", "256",
+                         "--out", str(generated)]) == 0
+            path = generated
+        modules = (slantsurf.cli, slantsurf.slant)
+        frames = counted(monkeypatch, "frame_samples", modules)
+        classifications = counted(monkeypatch, "classify_samples", modules)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--surface", str(path), "--samples", "256", "--theorem", "all",
+                     *flags, "--out", str(out)]) == 0
+        assert (len(frames), len(classifications)) == (1, 1)
+        assert len(json.loads(out.read_text())["audits"]) == 5
