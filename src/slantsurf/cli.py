@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .frame import SampleGrid, frame_samples
-from .generators import UnknownCatalogName
+from .generators import WORK_LIMIT, UnknownCatalogName
 from .geometry import CylindricalDirector
 from .slant import (
     MIN_AXIS_SAMPLES,
@@ -74,6 +74,9 @@ def _grid(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected COLSxROWS, got {text!r}") from None
     if cols < 2 or rows < 2:
         raise argparse.ArgumentTypeError(f"must be at least 2x2, got {text!r}")
+    if cols * rows > WORK_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"must have at most {WORK_LIMIT} vertices (COLS x ROWS), got {text!r}")
     return cols, rows
 
 
@@ -101,8 +104,9 @@ def _value_where(convert, check, rule: str):
     return parse
 
 
-def _count_at_least(minimum: int):
-    return _value_where(int, lambda n: n >= minimum, f"an integer >= {minimum}")
+def _count_from(minimum: int):
+    return _value_where(int, lambda n: minimum <= n <= WORK_LIMIT,
+                        f"an integer in [{minimum}, {WORK_LIMIT}]")
 
 
 _tol = _value_where(float, lambda x: math.isfinite(x) and x > 0.0, "finite and > 0")
@@ -111,10 +115,11 @@ _angle_tol = _value_where(float, lambda x: 0.0 <= x < 1.0, "in [0, 1)")
 
 def _add_analysis_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--surface", required=True, help="surface spec JSON path")
-    sub.add_argument("--samples", type=_count_at_least(MIN_AXIS_SAMPLES),
+    sub.add_argument("--samples", type=_count_from(MIN_AXIS_SAMPLES),
                      default=DEFAULT_SAMPLES, help="number of u samples (default %(default)s)")
     sub.add_argument("--tol", type=_tol, default=None,
-                     help="constancy tolerance (default 1e-6; 1e-3 for sampled specs)")
+                     help="constancy tolerance (default 1e-6; 1e-3 for sampled specs, "
+                          "whose derivatives come from a local degree-7 interpolant)")
     # string defaults go through the type converter, so the help shows them as typed
     sub.add_argument("--angle-tol", type=_angle_tol, default="1e-3",
                      help="right-angle exclusion margin (default %(default)s)")
@@ -134,7 +139,7 @@ def parse_cli(argv: Sequence[str]) -> argparse.Namespace:
 
     gen = subs.add_parser("generate", help="tabulate a spec into a sampled spec")
     gen.add_argument("--surface", required=True, help="catalog or prescribed_kappa spec")
-    gen.add_argument("--samples", type=_count_at_least(MIN_SAMPLED_ROWS),
+    gen.add_argument("--samples", type=_count_from(MIN_SAMPLED_ROWS),
                      default=DEFAULT_SAMPLES, help="rows to tabulate (default %(default)s)")
     gen.add_argument("--out", default="surface.json", help="output spec path")
 

@@ -53,6 +53,9 @@ DOMAIN_SLACK = 1e-9
 # keep |d * s1| away from the profile's pole
 SIGMA_CLAMP = 0.95
 MIN_STEPS_PER_DOMAIN = 64
+# the work budget of one input: the most RK4 steps, u samples or mesh
+# vertices it may ask for
+WORK_LIMIT = 2**20
 # an extreme profile overflows the march and the jets; that must reach the
 # user as the one non-finite-sample error, not as numpy warnings first
 _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -218,8 +221,8 @@ class TabulatedKappa:
         return self._coeffs[:, i], s1 - self._knots[i]
 
     # both sum from the constant term with the powers of t built up step by
-    # step, the order scipy's PPoly uses: inside the knot span the values
-    # then equal scipy's natural CubicSpline unless its solver swaps rows
+    # step, the order of the reference CubicSpline in tests/test_generators.py:
+    # inside the knot span the values then equal it unless its solver swaps rows
     def kappa(self, s1):
         (c3, c2, c1, c0), t = self._cubic(s1)
         t2 = t * t
@@ -279,6 +282,11 @@ class GeneratorConfig:
             raise BadParams(
                 f"step {self.step!r} too coarse: need at least "
                 f"{MIN_STEPS_PER_DOMAIN} steps across [{lo!r}, {hi!r}]"
+            )
+        if self.step < (hi - lo) / WORK_LIMIT:
+            raise BadParams(
+                f"step {self.step!r} too fine: at most "
+                f"{WORK_LIMIT} steps across [{lo!r}, {hi!r}]"
             )
 
 

@@ -5,6 +5,8 @@ parameter values is an ``(N, 3)`` array.  A ``Jet3`` bundles four such
 arrays, the curve value and its first three derivatives.  Curve samplers
 return jets against the raw curve parameter u; ``reparam_to_s1`` rewrites
 a director's u-jet against the spherical arc length s1.
+``derivative_weights`` gives the weights that take a jet from tabulated
+values on arbitrary nodes.
 
 The row operations ``dot``, ``cross`` and ``norm`` work column by column
 (x*x' + y*y' + z*z', left to right), and ``power`` calls the C library's
@@ -32,6 +34,7 @@ __all__ = [
     "power",
     "det3",
     "fd_jet",
+    "derivative_weights",
     "s1_derivatives",
     "reparam_to_s1",
 ]
@@ -144,6 +147,35 @@ def fd_jet(curve: Callable[[np.ndarray], np.ndarray], u0, step: float) -> Jet3:
     d2 = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (12.0 * step * step)
     d3 = (f[4] - 2.0 * f[3] + 2.0 * f[1] - f[0]) / (2.0 * step**3)
     return Jet3(f[2], d1, d2, d3)
+
+
+def derivative_weights(z: np.ndarray, x: np.ndarray, m: int = 3) -> np.ndarray:
+    """Weights of the derivatives 0..m at the points ``z`` from values on the nodes ``x``.
+
+    ``z`` has shape (M,) and ``x`` (K, M), column i holding K distinct nodes
+    for ``z[i]``.  Returns w of shape (m + 1, K, M): for values y of shape
+    (K, M) on the nodes, ``(w[k] * y).sum(axis=0)`` is the k-th derivative at
+    each z of the degree K-1 polynomial through them.  Fornberg's recursion
+    (B. Fornberg, Math. Comp. 51, 1988), vectorized over the M points;
+    c1..c5 are the paper's names.
+    """
+    nodes, count = x.shape
+    w = np.zeros((m + 1, nodes, count))
+    w[0, 0] = 1.0
+    c1 = np.ones(count)
+    c4 = x[0] - z
+    for i in range(1, nodes):
+        c3 = x[i] - x[:i]
+        c2 = np.prod(c3, axis=0)
+        c5, c4 = c4, x[i] - z
+        for k in range(min(i, m), 0, -1):
+            w[k, i] = c1 * (k * w[k - 1, i - 1] - c5 * w[k, i - 1]) / c2
+        w[0, i] = -c1 * c5 * w[0, i - 1] / c2
+        for k in range(m, 0, -1):
+            w[k, :i] = (c4 * w[k, :i] - k * w[k - 1, :i]) / c3
+        w[0, :i] = c4 * w[0, :i] / c3
+        c1 = c2
+    return w
 
 
 def s1_derivatives(q_jet: Jet3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

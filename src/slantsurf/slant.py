@@ -107,8 +107,10 @@ class AxisFit:
     over its trace, in [0, 1/3]; zero means a perfectly fixed angle.  A
     degenerate fit means the vector itself was constant (the Gram matrix
     vanished) and the axis is the vector's own mean direction.  ``tied``
-    flags an ambiguous near-null space (two smallest eigenvalues coincide):
-    no unique axis exists and the vector must not be called slant.
+    flags an ambiguous near-null space (two smallest eigenvalues coincide
+    relative to the trace): no unique axis exists and the vector must not be
+    called slant.  The test is scale-free, so a vector that is constant up
+    to rounding-level motion is not tied.
     """
 
     axis: np.ndarray
@@ -143,7 +145,7 @@ def detect_axis(vectors: np.ndarray, s1_values: np.ndarray) -> AxisFit:
     eigenvalues, eigenvectors = np.linalg.eigh(gram)
     axis = eigenvectors[:, 0]
     residual = max(float(eigenvalues[0]), 0.0) / trace
-    tied = float(eigenvalues[1] - eigenvalues[0]) <= EIGENVALUE_TIE * max(trace, 1.0)
+    tied = float(eigenvalues[1] - eigenvalues[0]) <= EIGENVALUE_TIE * trace
     if _mean(dot(vectors, axis)) < 0.0:
         axis = -axis
     return AxisFit(axis, residual, tuple(float(w) for w in eigenvalues), False, tied)

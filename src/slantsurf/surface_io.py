@@ -2,11 +2,11 @@
 
 Three spec kinds are accepted: ``catalog`` (a named reference surface),
 ``prescribed_kappa`` (a curvature profile integrated into a surface), and
-``sampled`` (raw arrays of base points and directors, differentiated with
-the finite-difference oracle).  Reports are JSON with fixed key order and
-floats printed at 17 significant digits, so identical inputs always produce
-byte-identical files.  All writes go through a temp file and an atomic
-rename.
+``sampled`` (raw arrays of base points and directors, differentiated
+through a local degree-7 interpolant of the table).  Reports are JSON with
+fixed key order and floats printed at 17 significant digits, so identical
+inputs always produce byte-identical files.  All writes go through a temp
+file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .generators import (
     generator_config,
     integrate_frame,
 )
-from .geometry import Jet3, fd_jet, norm, normalize
+from .geometry import Jet3, derivative_weights, dot, fd_jet, norm, normalize
 from .slant import AuditRecord, SlantReport, SlantVerdict
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "export_obj",
     "write_text_atomic",
     "write_json_atomic",
+    "fd_jet",  # perfbench/trace_child.py counts calls through this name
 ]
 
 TOOL_NAME = "slantsurf"
@@ -60,8 +61,8 @@ CSV_HEADER = (
 
 MIN_SAMPLED_ROWS = 16
 SAMPLED_UNIT_TOL = 1e-6
-# fd step for sampled specs, as a fraction of the u span
-SAMPLED_FD_FRACTION = 1e-3
+# table rows behind each sampled jet: a degree-7 interpolant
+SAMPLED_WINDOW = 8
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +226,45 @@ def _load_prescribed(doc: dict) -> RuledSurfaceSpec:
     return build_surface(integrate_frame(config), config)
 
 
+def _table_jets(u: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Jets at ``t`` of the degree-7 polynomial through the 8 table rows around each point.
+
+    The window is centred on the point and one-sided at the table ends, so no
+    derivative reaches past the data.  Returns the (4, M, 3) stack of values
+    and first three derivatives.
+    """
+    t = np.asarray(t, dtype=float)
+    start = np.clip(np.searchsorted(u, t) - SAMPLED_WINDOW // 2, 0, len(u) - SAMPLED_WINDOW)
+    window = start + np.arange(SAMPLED_WINDOW)[:, None]  # (8, M): one row per node
+    return (derivative_weights(t, u[window])[..., None] * rows[window]).sum(axis=1)
+
+
+def _unit_jet(p0, p1, p2, p3) -> Jet3:
+    """Jet of q = p/|p| from the jet of p, by the chain rule to third order.
+
+    With s = <p, p> and g = s^(-1/2), q = g p and
+
+        g'   = -s' g^3 / 2
+        g''  = 3 s'^2 g^5 / 4 - s'' g^3 / 2
+        g''' = -15 s'^3 g^7 / 8 + 9 s' s'' g^5 / 4 - s''' g^3 / 2
+    """
+    g = 1.0 / norm(p0)
+    s1 = 2.0 * dot(p0, p1)
+    s2 = 2.0 * (dot(p1, p1) + dot(p0, p2))
+    s3 = 2.0 * (3.0 * dot(p1, p2) + dot(p0, p3))
+    cube, fifth, seventh = g**3, g**5, g**7
+    dg1 = -0.5 * s1 * cube
+    dg2 = 0.75 * s1 * s1 * fifth - 0.5 * s2 * cube
+    dg3 = -1.875 * s1**3 * seventh + 2.25 * s1 * s2 * fifth - 0.5 * s3 * cube
+    g, dg1, dg2, dg3 = g[:, None], dg1[:, None], dg2[:, None], dg3[:, None]
+    return Jet3(
+        normalize(p0),
+        dg1 * p0 + g * p1,
+        dg2 * p0 + 2.0 * dg1 * p1 + g * p2,
+        dg3 * p0 + 3.0 * dg2 * p1 + 3.0 * dg1 * p2 + g * p3,
+    )
+
+
 def _load_sampled(doc: dict) -> RuledSurfaceSpec:
     check_keys(doc, ("kind", "u", "f", "q"), (), "spec")
     u = finite_floats(doc["u"], "spec.u")
@@ -245,17 +285,13 @@ def _load_sampled(doc: dict) -> RuledSurfaceSpec:
             f"{SAMPLED_UNIT_TOL:g} (norm {float(q_norms[off[0]])!r})"
         )
 
-    from scipy.interpolate import CubicSpline  # ~0.7 s import: load only here
-
-    f_spline = CubicSpline(u, f_rows)
-    q_spline = CubicSpline(u, q_rows)
-    fd_step = SAMPLED_FD_FRACTION * (u[-1] - u[0])
+    nodes = np.array(u)
 
     def base_curve(t: np.ndarray) -> Jet3:
-        return fd_jet(f_spline, t, fd_step)
+        return Jet3(*_table_jets(nodes, f_rows, t))
 
     def director(t: np.ndarray) -> Jet3:
-        return fd_jet(lambda x: normalize(q_spline(x)), t, fd_step)
+        return _unit_jet(*_table_jets(nodes, q_rows, t))
 
     return RuledSurfaceSpec(
         base_curve=base_curve,

@@ -138,6 +138,43 @@ class TestParse:
         cmd = parse_cli(["export", "--surface", "s.json", "--grid", "2x2"])
         assert cmd.grid == (2, 2)
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("analyze", "--samples", "1048577"), ("classify", "--samples", "1048577"),
+        ("verify", "--samples", "1048577"), ("generate", "--samples", "1048577"),
+        ("export", "--grid", "1025x1024"), ("export", "--grid", "2x524289"),
+    ])
+    def test_work_limit_rejected_before_the_spec_is_read(self, command, flag, value,
+                                                         tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        with pytest.raises(SystemExit) as err:
+            main([command, "--surface", missing, flag, value, "--out", str(tmp_path / "o")])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err and "1048576" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_work_limit_edges_accepted(self):
+        # parsed only: nothing is sampled or meshed at the limit
+        for command in ("analyze", "classify", "verify", "generate"):
+            cmd = parse_cli([command, "--surface", "s.json", "--samples", "1048576"])
+            assert cmd.samples == 1048576
+        cmd = parse_cli(["export", "--surface", "s.json", "--grid", "1024x1024"])
+        assert cmd.grid == (1024, 1024)
+
+    def test_step_below_the_work_limit_rejected_at_load(self, tmp_path, capsys):
+        # one ulp under span / 2**20; the config check fails before any march
+        spec = write_spec(tmp_path / "fine.json", {
+            "kind": "prescribed_kappa", "profile": {"type": "constant_sigma", "d": 0.5},
+            "s1_range": [-1.8, 1.8], "step": math.nextafter(3.6 / 2**20, 0.0),
+        })
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--surface", spec, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "step" in captured.err and "1048576" in captured.err
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_helicoid_kappa_is_identically_zero(self, helicoid_spec, tmp_path):
@@ -462,7 +499,7 @@ def _run_fresh(cwd, *argvs):
 
 
 class TestStartup:
-    """scipy costs most of a process's start-up; only sampled specs may load it."""
+    """scipy costs most of a process's start-up; no spec kind loads it."""
 
     def test_closed_forms_never_load_scipy(self, helicoid_spec, sigma_spec, tmp_path):
         lines, loaded = _run_fresh(
@@ -482,12 +519,12 @@ class TestStartup:
             "darboux_strict=False darboux_angular=True",
         ]
 
-    def test_sampled_spec_loads_scipy(self, sigma_spec, tmp_path):
+    def test_sampled_spec_never_loads_scipy(self, sigma_spec, tmp_path):
         assert run(parse_cli(["generate", "--surface", sigma_spec,
                               "--out", str(tmp_path / "sampled.json")])) == 0
         lines, loaded = _run_fresh(
             tmp_path, ["classify", "--surface", "sampled.json", "--out", "r.json"])
-        assert loaded
+        assert not loaded
         assert lines[0] == ("q_slant=False h_slant=True a_slant=False "
                             "darboux_strict=False darboux_angular=True")
 

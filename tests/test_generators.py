@@ -28,6 +28,7 @@ from slantsurf import (
     kappa_of_s1,
     reparam_to_s1,
 )
+from slantsurf.generators import WORK_LIMIT
 from slantsurf.geometry import dot, norm
 
 
@@ -182,6 +183,14 @@ class TestGeneratorConfig:
         for step in (0.0, -0.01, math.inf):
             with pytest.raises(BadParams):
                 GeneratorConfig(profile=prof, step=step)
+
+    def test_step_bounded_by_the_work_limit(self):
+        # only configs are built here: nothing is integrated at the bound
+        prof = ConstantSigma(0.5, (-1.8, 1.8))
+        bound = 3.6 / WORK_LIMIT
+        GeneratorConfig(profile=prof, step=bound)
+        with pytest.raises(BadParams, match=r"step .* too fine: at most 1048576 steps"):
+            GeneratorConfig(profile=prof, step=math.nextafter(bound, 0.0))
 
 
 class TestIntegrateFrame:

@@ -17,7 +17,7 @@ from slantsurf import (
     reparam_to_s1,
     s1_derivatives,
 )
-from slantsurf.geometry import cross, dot, norm, normalize
+from slantsurf.geometry import cross, derivative_weights, dot, norm, normalize
 
 coords = st.floats(-1.0, 1.0, allow_nan=False)
 vectors = st.tuples(coords, coords, coords).map(np.array)
@@ -120,6 +120,26 @@ class TestFdJet:
     def test_bad_step_rejected(self, step):
         with pytest.raises(ValueError):
             fd_jet(line, np.array([0.0]), step)
+
+
+class TestDerivativeWeights:
+    def test_equal_spacing_gives_the_five_point_stencil(self):
+        weights = derivative_weights(np.array([0.0]), np.array([[-2.0, -1.0, 0.0, 1.0, 2.0]]).T)
+        scaled = weights[..., 0] * np.array([[1.0], [12.0], [12.0], [2.0]])
+        assert scaled == pytest.approx(np.array([[0, 0, 1, 0, 0], [1, -8, 0, 8, -1],
+                                                 [-1, 16, -30, 16, -1], [-1, 2, 0, -2, 1]]),
+                                       abs=1e-12)
+
+    def test_exact_on_degree_seven_polynomials_over_uneven_nodes(self):
+        rng = np.random.default_rng(7)
+        nodes = np.sort(rng.uniform(-1.0, 1.0, (8, 5)), axis=0)
+        z = rng.uniform(-1.0, 1.0, 5)
+        poly = np.polynomial.Polynomial([0.3, -1.0, 0.5, 2.0, -0.7, 0.1, 0.4, -0.2])
+        weights = derivative_weights(z, nodes)
+        assert weights.shape == (4, 8, 5)
+        for k in range(4):
+            got = (weights[k] * poly(nodes)).sum(axis=0)
+            assert got == pytest.approx(poly.deriv(k)(z), rel=1e-7, abs=1e-7), k
 
 
 def circle_jet(phi, speed=1.0, accel=0.0, jerk=0.0):

@@ -90,6 +90,16 @@ class TestDetectAxis:
         fit = detect_axis(vectors, k)
         assert fit.tied
 
+    def test_rounding_level_motion_does_not_tie(self):
+        # a fixed vector plus motion far above DEGENERATE_TRACE but far below 1:
+        # the tie test is relative to the trace, as for any other scale
+        t = np.arange(40)
+        vectors = np.tile(EX + EZ, (40, 1)) + 1e-9 * np.stack(
+            [np.sin(t), np.cos(t), 0.3 * np.sin(2.0 * t)], axis=-1)
+        fit = detect_axis(vectors, t)
+        assert 1e-18 < sum(fit.eigenvalues) < 1e-12
+        assert not fit.degenerate and not fit.tied
+
     def test_needs_sixteen_samples(self):
         with pytest.raises(ValueError):
             detect_axis(np.tile(EZ, (15, 1)), np.arange(15))
@@ -303,7 +313,7 @@ class TestOneClassification:
                                                   monkeypatch):
         # strict Darboux at 1e-3 but not at the corollary's 1e-6
         cone = catalog("latitude_cone", {"beta": 0.5236})
-        sampled_cone = load_surface(sampled_spec_document(cone, 128))
+        sampled_cone = load_surface(sampled_spec_document(cone, 64))
         for label, surface in [*catalog_instances, ("sampled_cone", sampled_cone)]:
             grid = SampleGrid.uniform(surface.param_range, 128)
             samples = frame_samples(surface, grid)

@@ -28,6 +28,7 @@ from slantsurf import (
     write_json_atomic,
     write_text_atomic,
 )
+from slantsurf.cli import parse_cli, run
 from slantsurf.geometry import cross, dot, norm
 
 TABULATED = {"s1_knots": [0.0, 1.0, 2.0, 3.0], "kappa_values": [0.0, 0.8, -0.4, 0.6]}
@@ -126,6 +127,15 @@ class TestLoadSurface:
         report = classify_samples(samples)
         assert tuple(int(getattr(report, name).verdict) for name in VERDICTS) == (1, 0, 1, 1, 1)
 
+    def test_constant_profile_at_step_0_013_classifies_like_a_latitude_cone(self):
+        # W is constant up to rounding (its derivative Gram trace is about 5e-18):
+        # that is no tie between axes
+        surface = load_surface({"kind": "prescribed_kappa",
+                                "profile": {"type": "constant", "kappa0": 0.7},
+                                "s1_range": [0.0, 2.0], "step": 0.013})
+        report = classify_samples(frame_samples(surface, SampleGrid.uniform((0.0, 2.0), 128)))
+        assert tuple(int(getattr(report, name).verdict) for name in VERDICTS) == (1, 0, 1, 1, 1)
+
     @pytest.mark.parametrize("name, params, profile", [
         ("constant_sigma", {"d": 0.4, "s1_range": [-1.5, 1.2], "alpha": 0.3, "step": 0.02},
          {"type": "constant_sigma", "d": 0.4}),
@@ -216,6 +226,57 @@ class TestLoadSurface:
         path.write_text("{]")
         with pytest.raises(SpecError):
             read_spec(path)
+
+
+class TestSampledJets:
+    """Jets of sampled tables: the README round trip and the observed order of accuracy."""
+
+    @pytest.mark.parametrize("rows", [512, 1024, 4096])
+    @pytest.mark.parametrize("d", [0.2, 0.3, 0.5])
+    def test_generate_verify_round_trip_passes(self, d, rows, tmp_path):
+        # measured: worst |sigma - d| 7.6e-4 at d = 0.5, 1024 rows, under the
+        # 1e-3 sampled tol by 1.3x; the generated table's own error sets it
+        spec, table, report = (str(tmp_path / name) for name in ("c.json", "s.json", "r.json"))
+        Path(spec).write_text(json.dumps(
+            {"kind": "catalog", "name": "constant_sigma", "params": {"d": d}}))
+        assert run(parse_cli(["generate", "--surface", spec, "--samples", str(rows),
+                              "--out", table])) == 0
+        assert run(parse_cli(["verify", "--surface", table, "--out", report])) == 0
+        doc = json.loads(Path(report).read_text())
+        verdicts = [doc["slant"][key]["verdict"]
+                    for key in ("q", "h", "a", "darboux_strict", "darboux_angular")]
+        assert verdicts == [False, True, False, False, True]
+        assert all(audit["passed"] for audit in doc["audits"].values() if audit["applicable"])
+        assert max(abs(row["sigma"] - d) for row in doc["samples"]) <= 1e-3
+
+    def test_sampled_latitude_cone_classifies_like_the_closed_form(self):
+        source = catalog("latitude_cone", {"beta": 0.5236})
+        surface = load_surface(sampled_spec_document(source, 128))
+        samples = frame_samples(surface, SampleGrid.uniform(surface.param_range, 128))
+        report = classify_samples(samples, 1e-3)
+        assert tuple(int(getattr(report, name).verdict) for name in VERDICTS) == (1, 0, 1, 1, 1)
+
+    @pytest.mark.parametrize("name, params", [
+        ("hyperboloid", {"r": 1.0, "pitch": 0.7}),
+        ("latitude_cone", {"beta": 0.5}),
+    ])
+    def test_kappa_and_sigma_converge_at_fifth_order(self, name, params):
+        # an 8-node interpolant differentiated three times is O(h^5); measured
+        # orders 4.7, 5.0, 5.0 from 32 to 256 rows, then the float64 floor:
+        # at most 6e-8 at 512 and 1024 rows
+        source = catalog(name, params)
+        grid = SampleGrid.uniform(source.param_range, 64)
+        exact = frame_samples(source, grid)
+
+        def error(rows: int) -> float:
+            got = frame_samples(load_surface(sampled_spec_document(source, rows)), grid)
+            return max(np.max(np.abs(got.kappa - exact.kappa)),
+                       np.max(np.abs(got.sigma - exact.sigma)))
+
+        ladder = [error(rows) for rows in (32, 64, 128, 256)]
+        orders = [math.log2(coarse / fine) for coarse, fine in zip(ladder, ladder[1:])]
+        assert min(orders) >= 4.5, orders
+        assert error(512) <= 1e-7 and error(1024) <= 1e-7
 
 
 class TestDocuments:
