@@ -118,8 +118,8 @@ def _add_analysis_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--samples", type=_count_from(MIN_AXIS_SAMPLES),
                      default=DEFAULT_SAMPLES, help="number of u samples (default %(default)s)")
     sub.add_argument("--tol", type=_tol, default=None,
-                     help="constancy tolerance (default 1e-6; 1e-3 for sampled specs, "
-                          "whose derivatives come from a local degree-7 interpolant)")
+                     help="tolerance of the classification and of every audit (default: "
+                          "1e-6, and each audit's own; 1e-3 for sampled specs)")
     # string defaults go through the type converter, so the help shows them as typed
     sub.add_argument("--angle-tol", type=_angle_tol, default="1e-3",
                      help="right-angle exclusion margin (default %(default)s)")
@@ -177,19 +177,22 @@ def parse_cli(argv: Sequence[str]) -> argparse.Namespace:
 
 
 def _analysis_report(args: argparse.Namespace):
+    """The surface, grid, samples and classification, plus the tol that replaces
+    every audit's own default: ``--tol``, else SAMPLED_TOL for sampled specs,
+    else None."""
     surface = load_surface(read_spec(args.surface))
-    tol = args.tol
-    if tol is None:
-        tol = SAMPLED_TOL if surface.provenance["kind"] == "sampled" else DEFAULT_TOL
+    override = args.tol
+    if override is None and surface.provenance["kind"] == "sampled":
+        override = SAMPLED_TOL
     grid = SampleGrid.uniform(surface.param_range, args.samples)
     samples = frame_samples(surface, grid)
-    report = classify_samples(samples, tol, args.angle_tol)
-    return surface, grid, samples, report
+    report = classify_samples(samples, override or DEFAULT_TOL, args.angle_tol)
+    return surface, grid, samples, report, override
 
 
 def _run_analysis(args: argparse.Namespace) -> None:
     """analyze, classify and verify: stdout lines appear only once the report is on disk."""
-    surface, grid, samples, report = _analysis_report(args)
+    surface, grid, samples, report, override = _analysis_report(args)
     lines, records = [], []
     if args.command == "classify":
         names = ("q_slant", "h_slant", "a_slant", "darboux_strict", "darboux_angular")
@@ -197,10 +200,9 @@ def _run_analysis(args: argparse.Namespace) -> None:
     elif args.command == "verify":
         ids = list(AUDITORS) if args.theorem == "all" else [args.theorem]
         # every audit reads this one classification of the samples
-        kwargs = {"angle_tol": args.angle_tol, "samples": samples, "report": report}
-        if args.tol is not None or report.tol != DEFAULT_TOL:
-            # an explicit or sampled-spec budget holds for the audits too
-            kwargs["tol"] = report.tol
+        kwargs = {"samples": samples, "report": report}
+        if override is not None:
+            kwargs["tol"] = override
         for tid in ids:
             record = AUDITORS[tid](surface, grid, **kwargs)
             records.append(record)

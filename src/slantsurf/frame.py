@@ -73,15 +73,13 @@ class RuledSurfaceSpec:
     ``Jet3`` of u-derivatives, one row per value; the director jet must have unit
     values.  ``provenance`` records where the surface came from (catalog
     entry, prescribed-curvature build, or user samples) and flows into report
-    metadata unchanged.  ``expected`` is optional metadata for tests:
-    invariants the constructor knows in closed form.
+    metadata unchanged.
     """
 
     base_curve: Callable[[np.ndarray], Jet3]
     director: Callable[[np.ndarray], Jet3]
     param_range: tuple[float, float]
     provenance: dict
-    expected: dict | None = None
 
 
 @dataclass(frozen=True, eq=False)

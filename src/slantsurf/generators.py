@@ -550,7 +550,6 @@ def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpe
             "alpha": config.alpha,
             "step": config.step,
         },
-        expected={"alpha": config.alpha},
     )
 
 
@@ -591,7 +590,6 @@ def _helicoid() -> RuledSurfaceSpec:
         director=_circle_director(0.0, 1.0),
         param_range=(0.0, 2.0 * math.pi),
         provenance={"kind": "catalog", "name": "helicoid", "params": {}},
-        expected={"kappa_const": 0.0},
     )
 
 
@@ -604,7 +602,6 @@ def _latitude_cone(params: dict) -> RuledSurfaceSpec:
         director=_circle_director(math.sin(beta), math.cos(beta)),
         param_range=(0.0, 2.0 * math.pi),
         provenance={"kind": "catalog", "name": "latitude_cone", "params": {"beta": beta}},
-        expected={"kappa_const": math.tan(beta)},
     )
 
 
@@ -635,7 +632,6 @@ def _hyperboloid(params: dict) -> RuledSurfaceSpec:
             "name": "hyperboloid",
             "params": {"r": radius, "pitch": pitch},
         },
-        expected={"kappa_const": pitch},
     )
 
 
@@ -646,7 +642,6 @@ def _radial_plane() -> RuledSurfaceSpec:
         director=circle,
         param_range=(0.0, 2.0 * math.pi),
         provenance={"kind": "catalog", "name": "radial_plane", "params": {}},
-        expected={"kappa_const": 0.0},
     )
 
 

@@ -21,8 +21,12 @@ trace, is the detection residual.
 
 Everything reads the columns of a ``FrameTable``.  Audits take optional
 ``samples`` and ``report``, their classification, so one of each feeds all
-five; given both, an audit neither samples nor classifies, and re-reads the
-report's kappa and sigma constancy at its own tol.
+five; given both, an audit neither samples nor classifies.  Each audit has
+one bound, ``tol`` (by default 1e-6 for 2.1, 3.1 and 3.2, 1e-5 for cor3.1
+and 1e-9 for 3.3-3.4): it decides whether the audit's hypothesis holds
+(kappa or sigma constancy and the strict Darboux verdict, re-read from the
+report's tol-free spreads and fit) and bounds every check of its
+consequences.  The right-angle margin is the report's ``angle_tol``.
 """
 
 from __future__ import annotations
@@ -292,14 +296,14 @@ def _finish(audit: str, applicable: bool, checks: list[AuditCheck], notes: list[
     return AuditRecord(audit, applicable, passed, checks, notes)
 
 
-def _inputs(surface: RuledSurfaceSpec, grid: SampleGrid, tol: float, angle_tol: float,
+def _inputs(surface: RuledSurfaceSpec, grid: SampleGrid, tol: float,
             samples: FrameTable | None, report: SlantReport | None):
     """The frame table and classification an audit reads: those given, else
-    sampled on ``grid`` and classified at the audit's own tol and angle_tol."""
+    sampled on ``grid`` and classified at the audit's own tol."""
     if samples is None:
         samples = frame_samples(surface, grid)
     if report is None:
-        report = classify_samples(samples, tol, angle_tol)
+        report = classify_samples(samples, tol)
     return samples, report
 
 
@@ -307,7 +311,6 @@ def verify_theorem_2_1(
     surface: RuledSurfaceSpec,
     grid: SampleGrid,
     tol: float = 1e-6,
-    angle_tol: float = 1e-3,
     samples: FrameTable | None = None,
     report: SlantReport | None = None,
 ) -> AuditRecord:
@@ -319,13 +322,13 @@ def verify_theorem_2_1(
     against it, and the a-coefficient scaled by sqrt(1+kappa^2) must be
     constant.  Reverse direction: an h-slant verdict forces constant sigma.
     """
-    samples, report = _inputs(surface, grid, tol, angle_tol, samples, report)
+    samples, report = _inputs(surface, grid, tol, samples, report)
     checks: list[AuditCheck] = []
     notes: list[str] = []
     sigma_const = report.sigma_constancy
     sigma_constant = sigma_const.relative_spread < tol
 
-    if sigma_constant and abs(sigma_const.mean) > angle_tol:
+    if sigma_constant and abs(sigma_const.mean) > report.angle_tol:
         d = sigma_const.mean
         axes = _h_slant_axes(samples, d)
         # the diameter of the cloud of axes, bounded from its componentwise spreads
@@ -367,13 +370,12 @@ def verify_theorem_3_1(
     surface: RuledSurfaceSpec,
     grid: SampleGrid,
     tol: float = 1e-6,
-    angle_tol: float = 1e-3,
     samples: FrameTable | None = None,
     report: SlantReport | None = None,
 ) -> AuditRecord:
     """Audit: strict Darboux slant forces constant kappa, and constant kappa
     freezes the Darboux vector in space."""
-    samples, report = _inputs(surface, grid, tol, angle_tol, samples, report)
+    samples, report = _inputs(surface, grid, tol, samples, report)
     checks: list[AuditCheck] = []
     notes: list[str] = []
     kappa_const = report.kappa_constancy
@@ -410,7 +412,6 @@ def verify_corollary_3_1(
     surface: RuledSurfaceSpec,
     grid: SampleGrid,
     tol: float = 1e-5,
-    angle_tol: float = 1e-3,
     samples: FrameTable | None = None,
     report: SlantReport | None = None,
 ) -> AuditRecord:
@@ -420,9 +421,9 @@ def verify_corollary_3_1(
     motion; kappa'' comes from finite differences of kappa' over s1 and
     cannot disturb the determinant because its column is parallel to q.
     When the surface is strict Darboux slant the determinant must vanish;
-    that verdict is re-read at min(tol, 1e-6) from the report's fit.
+    that verdict is re-read at ``tol`` from the report's fit.
     """
-    samples, report = _inputs(surface, grid, tol, angle_tol, samples, report)
+    samples, report = _inputs(surface, grid, tol, samples, report)
     checks: list[AuditCheck] = []
     notes: list[str] = []
     kp = samples.kappa_prime[:, None]
@@ -431,7 +432,7 @@ def verify_corollary_3_1(
     worst = np.abs(dets - power(samples.kappa_prime, 2)).max()
     _check(checks, "determinant_equals_kappa_prime_squared", worst, tol)
 
-    if report.darboux_strict.holds_at(min(tol, 1e-6)):
+    if report.darboux_strict.holds_at(tol):
         _check(checks, "determinant_vanishes_on_strict_darboux", np.abs(dets).max(), tol)
     else:
         notes.append("vanishing clause vacuous: no strict Darboux verdict")
@@ -442,7 +443,6 @@ def verify_theorem_3_2(
     surface: RuledSurfaceSpec,
     grid: SampleGrid,
     tol: float = 1e-6,
-    angle_tol: float = 1e-3,
     samples: FrameTable | None = None,
     report: SlantReport | None = None,
 ) -> AuditRecord:
@@ -452,12 +452,13 @@ def verify_theorem_3_2(
     axis u, |u| = sqrt(1+d^2)), the normalized Darboux vector keeps the
     constant cosine 1/sqrt(1+d^2) against u's direction.
     """
-    samples, report = _inputs(surface, grid, tol, angle_tol, samples, report)
+    samples, report = _inputs(surface, grid, tol, samples, report)
     checks: list[AuditCheck] = []
     notes: list[str] = []
     sigma_const = report.sigma_constancy
     sigma_constant = sigma_const.relative_spread < tol
-    if not (report.h_slant.verdict and sigma_constant and abs(sigma_const.mean) > angle_tol):
+    if not (report.h_slant.verdict and sigma_constant
+            and abs(sigma_const.mean) > report.angle_tol):
         notes.append("not applicable: surface is not h-slant on this sampling")
         return _finish("3.2", False, checks, notes)
 
@@ -485,7 +486,6 @@ def verify_theorems_3_3_3_4(
     surface: RuledSurfaceSpec,
     grid: SampleGrid,
     tol: float = 1e-9,
-    angle_tol: float = 1e-3,
     samples: FrameTable | None = None,
     axes: Sequence[tuple[str, np.ndarray]] | None = None,
     report: SlantReport | None = None,
@@ -500,13 +500,13 @@ def verify_theorems_3_3_3_4(
 
     Not applicable when kappa is not constant, because then no fixed axis
     keeps <W, u> constant and the hypotheses are empty.  Kappa constancy is
-    read from ``report`` at the gate max(tol, 1e-6); no slant verdict is read.
+    read from ``report`` at ``tol``, the bound of every check; no slant
+    verdict is read.
     """
-    samples, report = _inputs(surface, grid, tol, angle_tol, samples, report)
+    samples, report = _inputs(surface, grid, tol, samples, report)
     kappas = samples.kappa
-    gate = max(tol, 1e-6)
     kappa_const = report.kappa_constancy
-    if not kappa_const.relative_spread < gate:
+    if not kappa_const.relative_spread < tol:
         return _finish("3.3-3.4", False, [], [
             "the decomposition audit needs constant conical curvature "
             f"(relative spread {kappa_const.relative_spread:.3e})"
@@ -523,16 +523,15 @@ def verify_theorems_3_3_3_4(
 
     for name, axis in axis_list:
         a1, a2, a3 = dot(samples.q, axis), dot(samples.h, axis), dot(samples.a, axis)
-        projection_const = constancy(dot(samples.darboux, axis), gate)
-        c_value = projection_const.mean
+        c_value = _mean(dot(samples.darboux, axis))
         worst = np.abs(kappas * a1 + a3 - c_value).max()
         _check(checks, f"{name}: expansion_matches_darboux_projection", worst, tol)
 
-        a2_const = constancy(a2, gate)
-        a3_const = constancy(a3, gate)
+        a2_const = constancy(a2, tol)
+        a3_const = constancy(a3, tol)
         locked = c_value / (1.0 + kappa_mean * kappa_mean)
         lock_error = np.abs(a3 - locked).max()
-        if abs(kappa_mean) <= angle_tol:
+        if abs(kappa_mean) <= report.angle_tol:
             # with vanishing curvature a is fixed, so a3 is constant no
             # matter what a2 does; the equivalence has no content
             notes.append(
@@ -562,8 +561,8 @@ def verify_theorems_3_3_3_4(
             _check(
                 checks,
                 f"{name}: first_coefficient_constant_in_turn",
-                constancy(a1, gate).relative_spread,
-                gate,
+                constancy(a1, tol).relative_spread,
+                tol,
             )
         else:
             notes.append(f"{name}: coefficient constancy clauses vacuous (a2 varies)")

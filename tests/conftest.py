@@ -69,6 +69,21 @@ def build_catalog_instances() -> list[tuple[str, RuledSurfaceSpec]]:
     ]
 
 
+# invariants each catalog instance has in closed form, by label: the constant
+# kappa of the closed-form entries and the ruling angle alpha of the generated ones
+EXPECTED = {
+    "helicoid": {"kappa_const": 0.0},
+    "latitude_cone_pi6": {"kappa_const": math.tan(math.pi / 6)},
+    "latitude_cone_pi4": {"kappa_const": math.tan(math.pi / 4)},
+    "latitude_cone_pi3": {"kappa_const": math.tan(math.pi / 3)},
+    "hyperboloid": {"kappa_const": 1.0},
+    "radial_plane": {"kappa_const": 0.0},
+    "constant_sigma_025": {"alpha": 0.0},
+    "constant_sigma_050": {"alpha": 0.0},
+    "tabulated_linear": {"alpha": 0.0},
+}
+
+
 @pytest.fixture(scope="session")
 def catalog_instances() -> list[tuple[str, RuledSurfaceSpec]]:
     return build_catalog_instances()

@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import build_catalog_instances, rodrigues, rotate_surface
+from conftest import EXPECTED, build_catalog_instances, rodrigues, rotate_surface
 from slantsurf import (
     GeneratorConfig,
     ConstantKappa,
@@ -112,8 +112,7 @@ def test_c03_darboux_determinant_identity(catalog_instances):
         det_check = next(c for c in record.checks
                          if c.name == "determinant_equals_kappa_prime_squared")
         assert det_check.value < 1e-5, label
-        expected = surface.expected or {}
-        if "kappa_const" in expected:
+        if "kappa_const" in EXPECTED.get(label, {}):
             assert det_check.value < 1e-9, label
     report(3, "determinant identity on catalog and 20 random tabulated surfaces")
 
@@ -155,8 +154,7 @@ def test_c05_darboux_cone_angle():
 def test_c06_decomposition_algebra(catalog_instances):
     """kappa*a1 + a3 = <W, u> and a3 = <W, u>/(1+kappa^2) for u along W."""
     for label, surface in catalog_instances:
-        expected = surface.expected or {}
-        if "kappa_const" not in expected:
+        if "kappa_const" not in EXPECTED[label]:
             continue
         samples = frame_samples(surface, SampleGrid.uniform(surface.param_range, 256))
         w_hat = normalize(samples.darboux[0])

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
-from conftest import Vec3
+from conftest import EXPECTED, Vec3
 from slantsurf import (
     BadParams,
     ConstantKappa,
@@ -278,7 +278,7 @@ class TestBuildSurface:
         surface = build_surface(integrate_frame(config), config)
         assert surface.provenance["kind"] == "prescribed_kappa"
         assert surface.provenance["profile"] == {"type": "constant_sigma", "d": 0.25}
-        assert surface.expected["alpha"] == 0.0
+        assert surface.provenance["alpha"] == EXPECTED["constant_sigma_025"]["alpha"]
 
 
 class TestCatalog:
@@ -313,7 +313,7 @@ class TestCatalog:
 
     def test_expected_kappa_matches_samples(self, catalog_instances):
         for label, surface in catalog_instances:
-            expected = surface.expected or {}
+            expected = EXPECTED[label]
             if "kappa_const" not in expected:
                 continue
             samples = frame_samples(surface, SampleGrid.uniform(surface.param_range, 64))

@@ -1,5 +1,6 @@
 """Axis detection, slant classification, and the identity audits."""
 
+import dataclasses
 import json
 import math
 
@@ -311,7 +312,8 @@ class TestOneClassification:
     @pytest.mark.parametrize("report_tol", [1e-9, 1e-6, 1e-3])
     def test_corollary_rereads_the_strict_verdict(self, report_tol, catalog_instances,
                                                   monkeypatch):
-        # strict Darboux at 1e-3 but not at the corollary's 1e-6
+        # the sampled cone's strict Darboux fit residual 9.5e-6 holds at the
+        # corollary's own 1e-5 and at 1e-3, but not at 1e-9 or 1e-6
         cone = catalog("latitude_cone", {"beta": 0.5236})
         sampled_cone = load_surface(sampled_spec_document(cone, 64))
         for label, surface in [*catalog_instances, ("sampled_cone", sampled_cone)]:
@@ -327,7 +329,8 @@ class TestOneClassification:
             assert got == want, label
 
     def test_decomposition_rereads_kappa_constancy(self, catalog_instances):
-        # kappa's relative spread 3.3e-7 lies between the 1e-9 report and the 1e-6 gate
+        # kappa's relative spread 3.3e-7 lies between the 1e-9 and 1e-6 reports;
+        # only the audit's own tol decides
         flat = catalog("tabulated_kappa", {"s1_knots": [0.0, 1.5, 3.0],
                                            "kappa_values": [0.5, 0.5000005, 0.5]})
         for label, surface in [*catalog_instances, ("nearly_constant_kappa", flat)]:
@@ -359,3 +362,68 @@ class TestOneClassification:
                      *flags, "--out", str(out)]) == 0
         assert (len(frames), len(classifications)) == (1, 1)
         assert len(json.loads(out.read_text())["audits"]) == 5
+
+
+def write_spec(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+NEARLY_CONSTANT_KAPPA = {"kind": "catalog", "name": "tabulated_kappa",
+                         "params": {"s1_knots": [0.0, 1.5, 3.0],
+                                    "kappa_values": [0.5, 0.5000005, 0.5]}}
+
+
+class TestOneBound:
+    """Each audit's one tol decides its hypothesis and bounds its checks."""
+
+    SPREAD_NOTE = ("the decomposition audit needs constant conical curvature "
+                   "(relative spread 3.333e-07)")
+
+    def test_nearly_constant_kappa_is_not_applicable(self):
+        flat = load_surface(NEARLY_CONSTANT_KAPPA)
+        record = verify_theorems_3_3_3_4(flat, SampleGrid.uniform(flat.param_range, 128))
+        assert (record.applicable, record.passed, record.checks) == (False, None, [])
+        assert record.notes == [self.SPREAD_NOTE]
+
+    def test_nearly_constant_kappa_through_verify(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "flat.json", NEARLY_CONSTANT_KAPPA)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--surface", spec, "--samples", "128",
+                     "--out", str(out)]) == 0
+        assert "audit 3.3-3.4: not applicable\n" in capsys.readouterr().out
+        audit = json.loads(out.read_text())["audits"]["3.3-3.4"]
+        assert (audit["applicable"], audit["passed"]) == (False, None)
+        assert audit["notes"] == [self.SPREAD_NOTE]
+
+    def test_sampled_cone_checks_the_vanishing_determinant(self, tmp_path):
+        cone = write_spec(tmp_path / "cone.json", {"kind": "catalog", "name": "latitude_cone",
+                                                   "params": {"beta": 0.5236}})
+        sampled, out = tmp_path / "sampled.json", tmp_path / "report.json"
+        assert main(["generate", "--surface", cone, "--samples", "64",
+                     "--out", str(sampled)]) == 0
+        assert main(["verify", "--surface", str(sampled), "--samples", "128",
+                     "--theorem", "cor3.1", "--out", str(out)]) == 0
+        audit = json.loads(out.read_text())["audits"]["cor3.1"]
+        checks = {check["name"]: check for check in audit["checks"]}
+        vanishes = checks["determinant_vanishes_on_strict_darboux"]
+        assert vanishes["ok"] and vanishes["bound"] == 1e-3
+        assert audit["passed"] is True and audit["notes"] == []
+
+    def test_audits_read_the_reports_angle_tol(self, tmp_path):
+        doc = {"kind": "catalog", "name": "constant_sigma", "params": {"d": 0.25}}
+        surface = load_surface(doc)
+        grid = SampleGrid.uniform(surface.param_range, 128)
+        samples = frame_samples(surface, grid)
+        record = verify_theorem_2_1(surface, grid, samples=samples,
+                                    report=classify_samples(samples, angle_tol=0.3))
+        assert record.notes[0].startswith("forward direction skipped")
+
+        out = tmp_path / "report.json"
+        assert main(["verify", "--surface", write_spec(tmp_path / "sigma.json", doc),
+                     "--samples", "128", "--angle-tol", "0.3", "--theorem", "2.1",
+                     "--out", str(out)]) == 0
+        written = json.loads(out.read_text())["audits"]["2.1"]
+        assert written == {"applicable": record.applicable, "passed": record.passed,
+                           "checks": [dataclasses.asdict(c) for c in record.checks],
+                           "notes": record.notes}
