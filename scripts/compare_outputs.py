@@ -8,6 +8,13 @@ through ``slantsurf.cli.main``, in its own temporary directory with relative
 paths, so the ``wrote ...`` lines of the two trees compare equal.  Prints
 every invocation whose exit code, stdout, stderr or written files differ,
 and exits 1 if any do, 0 if none do.
+
+A written file that differs is described as the last invocation left it.
+In a JSON document every top-level list is a table (a report's ``samples``
+rows, a sampled spec's ``u``, ``f`` and ``q``), and each of its columns is
+summarized by the number of rows that differ and the largest |delta|; every
+other differing leaf is printed by its path.  A CSV file is summarized by
+column the same way, and any other file by its differing lines.
 """
 
 from __future__ import annotations
@@ -177,6 +184,115 @@ json.dump(results, sys.stdout)
 """
 
 
+def _flatten(value, path: str = ""):
+    """(path, leaf) pairs of a JSON value, the path in ``a.b[2]`` form."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _flatten(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _flatten(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _largest_delta(pairs) -> str:
+    """The largest |old - new| over differing leaf pairs, or why there is none."""
+    if not all(_is_number(old) and _is_number(new) for old, new in pairs):
+        return "non-numeric change"
+    return f"max |delta| {max(abs(old - new) for old, new in pairs):.3g}"
+
+
+def _table(rows: list) -> dict:
+    """Column name -> one tuple of leaves per row; a row that is no object is one column."""
+    columns: dict[str, list] = {}
+    for row in rows:
+        for name, value in (row.items() if isinstance(row, dict) else [("", row)]):
+            columns.setdefault(name, []).append(tuple(leaf for _, leaf in _flatten(value)))
+    return columns
+
+
+def column_differences(label: str, old: dict, new: dict) -> list[str]:
+    """One line per column of two tables that differs: rows that differ and the largest |delta|."""
+    lines = []
+    for name in dict.fromkeys([*old, *new]):
+        column = f"{label}.{name}" if label and name else label or name
+        old_rows, new_rows = old.get(name), new.get(name)
+        if (old_rows is None or new_rows is None or len(old_rows) != len(new_rows)
+                or any(len(a) != len(b) for a, b in zip(old_rows, new_rows))):
+            lines.append(f"{column}: shape differs")
+            continue
+        rows = [(a, b) for a, b in zip(old_rows, new_rows) if a != b]
+        if rows:
+            pairs = [pair for a, b in rows for pair in zip(a, b) if pair[0] != pair[1]]
+            lines.append(f"{column}: {len(rows)} of {len(old_rows)} rows differ, "
+                         f"{_largest_delta(pairs)}")
+    return lines
+
+
+def json_differences(old, new) -> list[str]:
+    """Column summaries of the two documents' top-level lists, then every other differing leaf."""
+    lines = []
+    if isinstance(old, dict) and isinstance(new, dict):
+        tables = [key for key, value in old.items()
+                  if isinstance(value, list) and isinstance(new.get(key), list)]
+        for key in tables:
+            lines += column_differences(key, _table(old[key]), _table(new[key]))
+        old, new = ({k: v for k, v in doc.items() if k not in tables} for doc in (old, new))
+    old_leaves, new_leaves = dict(_flatten(old)), dict(_flatten(new))
+    missing = object()
+    for path in dict.fromkeys([*old_leaves, *new_leaves]):
+        a, b = old_leaves.get(path, missing), new_leaves.get(path, missing)
+        if a is missing or b is missing:
+            lines.append(f"{path}: only in {'change' if a is missing else 'parent'}")
+        elif a != b:
+            lines.append(f"{path}: {a!r} -> {b!r}, {_largest_delta([(a, b)])}")
+    return lines
+
+
+def csv_differences(old: str, new: str) -> list[str]:
+    """Column summaries of two CSV tables whose first line is the header."""
+    def columns(text: str) -> dict:
+        header, *rows = (line.split(",") for line in text.splitlines())
+        cells = zip(*rows) if rows else [()] * len(header)
+        return {name: [(float(x),) for x in column] for name, column in zip(header, cells)}
+
+    return column_differences("", columns(old), columns(new))
+
+
+def file_differences(old: Path, new: Path) -> list[str]:
+    """What differs between two versions of one written file."""
+    a, b = old.read_text(encoding="utf-8"), new.read_text(encoding="utf-8")
+    if old.suffix == ".json":
+        lines = json_differences(json.loads(a), json.loads(b))
+    elif old.suffix == ".csv":
+        lines = csv_differences(a, b)
+    else:
+        old_lines, new_lines = a.splitlines(), b.splitlines()
+        changed = sum(x != y for x, y in zip(old_lines, new_lines))
+        lines = [f"{changed} of {len(old_lines)} lines differ"]
+        if len(old_lines) != len(new_lines):
+            lines.append(f"line count {len(old_lines)} -> {len(new_lines)}")
+    return lines
+
+
+def print_file_differences(old: dict, new: dict, old_dir: str, new_dir: str) -> None:
+    """Describe each file one invocation wrote differently in the two trees."""
+    for path in dict.fromkeys([*old, *new]):
+        if old.get(path) == new.get(path):
+            continue
+        if path not in old or path not in new:
+            print(f"  {path}: written only by the {'change' if path in new else 'parent'}")
+            continue
+        print(f"  {path}:")
+        for line in file_differences(Path(old_dir, path), Path(new_dir, path)):
+            print(f"    {line}")
+
+
 def start_tree(src: str, tmp: str) -> subprocess.Popen:
     for name, doc in SPECS.items():
         text = doc if isinstance(doc, str) else json.dumps(doc)
@@ -197,19 +313,22 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp_a, tempfile.TemporaryDirectory() as tmp_b:
         procs = [start_tree(src, tmp) for src, tmp in zip(argv, (tmp_a, tmp_b))]
         outputs = [proc.communicate(timeout=600) for proc in procs]
-    for src, proc, (_, stderr) in zip(argv, procs, outputs):
-        if proc.returncode != 0:
-            raise SystemExit(f"child under {src} failed:\n{stderr}")
-    parent, change = (json.loads(stdout) for stdout, _ in outputs)
-    differ = 0
-    for args, old, new in zip(INVOCATIONS, parent, change):
-        fields = [key for key in ("code", "stdout", "stderr", "files") if old[key] != new[key]]
-        if fields:
-            differ += 1
-            print(f"DIFFER slant {' '.join(args)}: {', '.join(fields)}")
+        for src, proc, (_, stderr) in zip(argv, procs, outputs):
+            if proc.returncode != 0:
+                raise SystemExit(f"child under {src} failed:\n{stderr}")
+        parent, change = (json.loads(stdout) for stdout, _ in outputs)
+        differ = 0
+        for args, old, new in zip(INVOCATIONS, parent, change):
+            fields = [key for key in ("code", "stdout", "stderr", "files") if old[key] != new[key]]
+            if fields:
+                differ += 1
+                print(f"DIFFER slant {' '.join(args)}: {', '.join(fields)}")
             for key in fields:
-                print(f"  parent {key}: {old[key]!r}\n  change {key}: {new[key]!r}")
-    print(f"{differ} of {len(INVOCATIONS)} invocations differ")
+                if key == "files":
+                    print_file_differences(old["files"], new["files"], tmp_a, tmp_b)
+                else:
+                    print(f"  parent {key}: {old[key]!r}\n  change {key}: {new[key]!r}")
+        print(f"{differ} of {len(INVOCATIONS)} invocations differ")
     return 1 if differ else 0
 
 

@@ -194,16 +194,14 @@ def sigma(kappa, kappa_prime_value):
 
 
 def _raise_first_fault(points: np.ndarray, finite: np.ndarray, speed: np.ndarray) -> None:
-    """Name the first bad point in the order a sample-by-sample sweep meets it.
+    """Name the bad point with the smallest u.
 
-    ``points`` holds the N grid values, then the N - 1 interval midpoints;
-    the sweep visits u[0], u[1], mid[0], u[2], mid[1], ...
+    ``points`` holds the N grid values, then the N - 1 interval midpoints.
     """
     n = (len(points) + 1) // 2
     bad = np.flatnonzero(~finite | (speed <= EPS_CYL))
     if bad.size:
-        sweep_order = np.concatenate((2 * np.arange(n), 2 * np.arange(n - 1) + 3))
-        i = bad[np.argmin(sweep_order[bad])]
+        i = bad[np.argmin(points[bad])]
         if not finite[i]:
             what = "surface jets are" if i < n else "director jet is"
             raise NonFiniteSample(f"{what} non-finite at u={float(points[i])!r}")

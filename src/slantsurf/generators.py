@@ -408,53 +408,38 @@ def integrate_frame(config: GeneratorConfig) -> FramePath:
     return FramePath(s_nodes, frames[:, 0], frames[:, 1], frames[:, 2], profile)
 
 
-def _two_point_taylor(width, left: tuple, right: tuple) -> list:
-    """Monomial coefficients (ascending, in t = (u - u0)/width) of the degree-7
-    polynomial matching value and three derivatives at both interval ends.
-
-    ``left`` and ``right`` are (value, d1, d2, d3) with derivatives taken
-    against u; they are rescaled to the unit interval internally.  Every
-    entry may be an array: the construction runs elementwise.
-    """
-    scale = (1.0, width, width * width / 2.0, power(width, 3) / 6.0)
-    f0 = [left[k] * scale[k] for k in range(4)]
-    f1 = [right[k] * scale[k] for k in range(4)]
-    nodes = (0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0)
-    # Hermite divided-difference table with repeated nodes
-    table = [[0.0] * 8 for _ in range(8)]
-    for i in range(8):
-        table[i][0] = f0[0] if nodes[i] == 0.0 else f1[0]
-    for j in range(1, 8):
-        for i in range(j, 8):
-            if nodes[i] == nodes[i - j]:
-                table[i][j] = f0[j] if nodes[i] == 0.0 else f1[j]
-            else:
-                table[i][j] = (table[i][j - 1] - table[i - 1][j - 1]) / (
-                    nodes[i] - nodes[i - j]
-                )
-    newton = [table[k][k] for k in range(8)]
-    # expand the Newton form into monomial coefficients
-    mono = [newton[7]]
-    for k in range(6, -1, -1):
-        raised = [0.0] * (len(mono) + 1)
-        for deg, coef in enumerate(mono):
-            raised[deg + 1] += coef
-            raised[deg] -= coef * nodes[k]
-        raised[0] += newton[k]
-        mono = raised
-    return mono
+# Hermite interpolation with value and three derivatives at both ends of
+# [0, 1] (Stoer and Bulirsch, Introduction to Numerical Analysis, 2.1.5): the
+# degree 4-7 coefficients are this matrix times what the left end's Taylor
+# cubic misses at t = 1, its value and first three Taylor coefficients there
+# subtracted from the right end's.  The products are written out in a fixed
+# order, not as a matrix product, so the bytes do not depend on the BLAS build.
+_HERMITE = np.array(((35.0, -15.0, 5.0, -1.0), (-84.0, 39.0, -14.0, 3.0),
+                     (70.0, -34.0, 13.0, -3.0), (-20.0, 10.0, -4.0, 1.0)))[:, :, None, None]
 
 
 class _PiecewisePoly:
     """Per-interval degree-7 vector polynomials over the node grid.
 
+    ``jets`` holds (value, d1, d2, d3) node rows, derivatives against u.  On
+    each interval, in t = (u - u0)/width, the polynomial matches value and
+    three derivatives at both ends, so the glued function is C^3.
     ``coeffs[k]`` holds the degree-k coefficients of every interval, shape
     (intervals, 3); evaluation is one Horner pass over all query points.
     """
 
-    def __init__(self, s_nodes: np.ndarray, coeffs: np.ndarray):
+    def __init__(self, s_nodes: np.ndarray, jets: tuple):
+        width = (s_nodes[1:] - s_nodes[:-1])[:, None]
+        scale = np.array((np.ones_like(width), width, width * width / 2.0,
+                          width * width * width / 6.0))
+        jets = np.array(jets)
+        a, b = jets[:, :-1] * scale, jets[:, 1:] * scale  # Taylor coefficients at each end
+        r = (b[0] - a[0] - a[1] - a[2] - a[3], b[1] - a[1] - a[2] * 2.0 - a[3] * 3.0,
+             b[2] - a[2] - a[3] * 3.0, b[3] - a[3])
+        h = _HERMITE
         self.s_nodes = s_nodes
-        self.coeffs = coeffs
+        self.coeffs = np.concatenate((a, h[:, 0] * r[0] + h[:, 1] * r[1] + h[:, 2] * r[2]
+                                      + h[:, 3] * r[3]))
 
     def value_and_derivative(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         i = np.searchsorted(self.s_nodes, u, side="right") - 1
@@ -468,14 +453,6 @@ class _PiecewisePoly:
             dacc = dacc * t + acc
             acc = acc * t + c
         return acc, dacc / width[:, None]
-
-
-def _vector_poly(s_nodes: np.ndarray, jets: tuple) -> _PiecewisePoly:
-    """Glue the two-point Taylor interpolants of (value, d1, d2, d3) node rows."""
-    width = (s_nodes[1:] - s_nodes[:-1])[:, None]
-    left = tuple(d[:-1] for d in jets)
-    right = tuple(d[1:] for d in jets)
-    return _PiecewisePoly(s_nodes, np.stack(_two_point_taylor(width, left, right)))
 
 
 @_quiet
@@ -493,7 +470,7 @@ def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpe
     s = np.array(frames.s1)
     q, h, a = frames.q, frames.h, frames.a
     kap, kp = _kappa_columns(profile, s)
-    q_poly = _vector_poly(s, (q, h, -q + a * kap, h * (-(1.0 + kap * kap)) + a * kp))
+    q_poly = _PiecewisePoly(s, (q, h, -q + a * kap, h * (-(1.0 + kap * kap)) + a * kp))
     cos_a, sin_a = math.cos(config.alpha), math.sin(config.alpha)
 
     def frame_at(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -521,7 +498,7 @@ def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpe
         )
 
     node_jet = base_jet_of_frame(q, h, a, kap, kp, c_nodes)
-    c_poly = _vector_poly(s, (node_jet.d0, node_jet.d1, node_jet.d2, node_jet.d3))
+    c_poly = _PiecewisePoly(s, (node_jet.d0, node_jet.d1, node_jet.d2, node_jet.d3))
 
     @_quiet
     def director(u: np.ndarray) -> Jet3:

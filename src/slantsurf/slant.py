@@ -24,9 +24,9 @@ Everything reads the columns of a ``FrameTable``.  Audits take optional
 five; given both, an audit neither samples nor classifies.  Each audit has
 one bound, ``tol`` (by default 1e-6 for 2.1, 3.1 and 3.2, 1e-5 for cor3.1
 and 1e-9 for 3.3-3.4): it decides whether the audit's hypothesis holds
-(kappa or sigma constancy and the strict Darboux verdict, re-read from the
-report's tol-free spreads and fit) and bounds every check of its
-consequences.  The right-angle margin is the report's ``angle_tol``.
+(kappa or sigma constancy and the h-slant and strict Darboux verdicts,
+re-read from the report's tol-free spreads and fits) and bounds every check
+of its consequences.  The right-angle margin is the report's ``angle_tol``.
 """
 
 from __future__ import annotations
@@ -187,10 +187,15 @@ class SlantVerdict:
     spread: float
     tied: bool
 
-    def holds_at(self, tol: float) -> bool:
-        """The fixed-angle rule at ``tol``, from the tol-free fit and spread."""
+    def holds_at(self, tol: float, angle_tol: float | None = None) -> bool:
+        """The fixed-angle rule at ``tol``, from the tol-free fit and spread.
+
+        Given ``angle_tol``, the constant must also differ from a right
+        angle by more than it: a constant right angle does not count as slant.
+        """
         relative = self.spread / (1.0 + abs(self.constant))
-        return self.residual < tol and relative < tol and not self.tied
+        return (self.residual < tol and relative < tol and not self.tied
+                and (angle_tol is None or abs(self.constant) > angle_tol))
 
 
 @dataclass(frozen=True)
@@ -218,11 +223,8 @@ def _direction_verdict(
     fit = detect_axis(vectors, s1_values)
     const = constancy(dot(vectors, fit.axis), tol)
     verdict = SlantVerdict(False, fit.axis, const.mean, fit.residual, const.spread, fit.tied)
-    ok = verdict.holds_at(tol)
-    if exclude_right_angle:
-        # a constant right angle does not count as slant
-        ok = ok and abs(const.mean) > angle_tol
-    return replace(verdict, verdict=ok)
+    right_angle_margin = angle_tol if exclude_right_angle else None
+    return replace(verdict, verdict=verdict.holds_at(tol, right_angle_margin))
 
 
 def classify_samples(
@@ -356,7 +358,7 @@ def verify_theorem_2_1(
     else:
         notes.append("forward direction vacuous: sigma is not constant on this sampling")
 
-    if report.h_slant.verdict:
+    if report.h_slant.holds_at(tol, report.angle_tol):
         _check(checks, "h_slant_forces_constant_sigma", sigma_const.relative_spread, tol)
     else:
         notes.append("reverse direction vacuous: surface is not h-slant")
@@ -380,7 +382,7 @@ def verify_theorem_3_1(
     notes: list[str] = []
     kappa_const = report.kappa_constancy
 
-    if report.darboux_strict.verdict:
+    if report.darboux_strict.holds_at(tol):
         _check(checks, "strict_darboux_forces_constant_kappa", kappa_const.relative_spread, tol)
     else:
         notes.append("implication vacuous: no strict Darboux verdict on this sampling")
@@ -457,7 +459,7 @@ def verify_theorem_3_2(
     notes: list[str] = []
     sigma_const = report.sigma_constancy
     sigma_constant = sigma_const.relative_spread < tol
-    if not (report.h_slant.verdict and sigma_constant
+    if not (report.h_slant.holds_at(tol, report.angle_tol) and sigma_constant
             and abs(sigma_const.mean) > report.angle_tol):
         notes.append("not applicable: surface is not h-slant on this sampling")
         return _finish("3.2", False, checks, notes)

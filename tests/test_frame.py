@@ -274,7 +274,7 @@ def spoiled_helicoid(director_filter):
 
 
 class TestFirstFault:
-    """Errors name the first bad u in the order u0, u1, mid01, u2, mid12, ..."""
+    """Errors name the smallest bad u, grid value or interval midpoint."""
 
     grid = SampleGrid.uniform((0.0, 1.0), 32)
 
@@ -298,7 +298,8 @@ class TestFirstFault:
         assert str(err.value) == f"director jet is non-finite at u={mid!r}"
 
     def test_stalled_director_names_first_grid_value(self):
-        # the director stops turning for u >= 0.4: a cylindrical stretch
+        # the director stops turning for u >= 0.4: a cylindrical stretch whose
+        # smallest bad u is the midpoint 0.4032..., before the grid value 0.4194...
         helicoid = catalog("helicoid")
 
         def director(u):
@@ -309,6 +310,9 @@ class TestFirstFault:
         spec = dataclasses.replace(helicoid, director=director)
         with pytest.raises(CylindricalDirector) as err:
             frame_samples(spec, self.grid)
-        first = float(self.grid.u_values[self.grid.u_values >= 0.4][0])
+        u = self.grid.u_values
+        points = np.concatenate((u, 0.5 * (u[:-1] + u[1:])))
+        first = float(points[points >= 0.4].min())
+        assert first < float(u[u >= 0.4][0])  # a midpoint
         assert err.value.u == first
         assert f"u={first!r}" in str(err.value)

@@ -1,5 +1,7 @@
 """Smoke runs of the maintenance scripts in scripts/."""
 
+import copy
+import importlib.util
 import json
 import os
 import subprocess
@@ -52,3 +54,48 @@ def test_compare_outputs_finds_no_difference_between_equal_trees(tmp_path):
     src = str(ROOT / "src")
     lines = run_script("compare_outputs.py", src, src, cwd=tmp_path)
     assert len(lines) == 1 and lines[0].startswith("0 of "), lines
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_outputs_reports_differences_by_column(tmp_path):
+    compare = load_script("compare_outputs")
+    old = {"meta": {"tol": 1e-6},
+           "samples": [{"u": 0.0, "h": [1.0, 0.0, 0.0]}, {"u": 1.0, "h": [0.0, 1.0, 0.0]},
+                       {"u": 2.0, "h": [0.0, 0.0, 1.0]}],
+           "slant": {"h": {"verdict": True, "constant": 0.5}},
+           "audits": {"2.1": {"passed": True, "checks": [{"name": "x", "value": 1e-9}]}}}
+    new = copy.deepcopy(old)
+    new["samples"][1]["h"][0] = 3.5e-18
+    new["samples"][2]["h"][1] = -2e-18
+    new["slant"]["h"]["constant"] = 0.5000000000000001
+    new["audits"]["2.1"]["passed"] = False
+    new["audits"]["2.1"]["checks"][0]["value"] = 2e-9
+    for name, doc in (("old.json", old), ("new.json", new)):
+        (tmp_path / name).write_text(json.dumps(doc))
+    assert compare.file_differences(tmp_path / "old.json", tmp_path / "new.json") == [
+        "samples.h: 2 of 3 rows differ, max |delta| 3.5e-18",
+        "slant.h.constant: 0.5 -> 0.5000000000000001, max |delta| 1.11e-16",
+        "audits.2.1.passed: True -> False, non-numeric change",
+        "audits.2.1.checks[0].value: 1e-09 -> 2e-09, max |delta| 1e-09",
+    ]
+
+    spec = {"kind": "sampled", "u": [0.0, 1.0], "q": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
+    moved = copy.deepcopy(spec)
+    moved["q"][0][2] = 5e-23
+    for name, doc in (("old.json", spec), ("new.json", moved)):
+        (tmp_path / name).write_text(json.dumps(doc))
+    assert compare.file_differences(tmp_path / "old.json", tmp_path / "new.json") == [
+        "q: 1 of 2 rows differ, max |delta| 5e-23",
+    ]
+
+    (tmp_path / "old.csv").write_text("u,kappa,sigma\n0,0.5,1\n1,0.25,1\n")
+    (tmp_path / "new.csv").write_text("u,kappa,sigma\n0,0.5,1\n1,0.25000000000000006,1\n")
+    assert compare.file_differences(tmp_path / "old.csv", tmp_path / "new.csv") == [
+        "kappa: 1 of 2 rows differ, max |delta| 5.55e-17",
+    ]

@@ -328,6 +328,21 @@ class TestOneClassification:
             assert (classifications, frames) == ([], []), label
             assert got == want, label
 
+    @pytest.mark.parametrize("audit", [verify_theorem_2_1, verify_theorem_3_1,
+                                       verify_theorem_3_2])
+    def test_hypotheses_reread_at_the_audits_tol(self, audit, catalog_instances):
+        # a report classified at any tol gives the record the audit makes
+        # when it classifies at its own
+        cone = catalog("latitude_cone", {"beta": 0.5236})
+        sampled_cone = load_surface(sampled_spec_document(cone, 64))
+        for label, surface in [*catalog_instances, ("sampled_cone", sampled_cone)]:
+            grid = SampleGrid.uniform(surface.param_range, 128)
+            samples = frame_samples(surface, grid)
+            want = audit(surface, grid, samples=samples)
+            for report_tol in (1e-9, 1e-3):
+                report = classify_samples(samples, report_tol)
+                assert audit(surface, grid, samples=samples, report=report) == want, label
+
     def test_decomposition_rereads_kappa_constancy(self, catalog_instances):
         # kappa's relative spread 3.3e-7 lies between the 1e-9 and 1e-6 reports;
         # only the audit's own tol decides
@@ -409,6 +424,19 @@ class TestOneBound:
         vanishes = checks["determinant_vanishes_on_strict_darboux"]
         assert vanishes["ok"] and vanishes["bound"] == 1e-3
         assert audit["passed"] is True and audit["notes"] == []
+
+    def test_strict_darboux_is_read_at_the_audits_tol(self):
+        # the sampled cone's strict Darboux fit residual 9.5e-6 passes the
+        # classification's 1e-3 but not audit 3.1's own default 1e-6
+        cone = load_surface(sampled_spec_document(
+            catalog("latitude_cone", {"beta": 0.5236}), 64))
+        grid = SampleGrid.uniform(cone.param_range, 128)
+        samples = frame_samples(cone, grid)
+        report = classify_samples(samples, 1e-3)
+        assert report.darboux_strict.verdict
+        record = verify_theorem_3_1(cone, grid, samples=samples, report=report)
+        assert [c.name for c in record.checks] == ["constant_kappa_fixes_darboux_vector"]
+        assert record.notes == ["implication vacuous: no strict Darboux verdict on this sampling"]
 
     def test_audits_read_the_reports_angle_tol(self, tmp_path):
         doc = {"kind": "catalog", "name": "constant_sigma", "params": {"d": 0.25}}
