@@ -16,7 +16,7 @@ import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -63,6 +63,9 @@ MIN_SAMPLED_ROWS = 16
 SAMPLED_UNIT_TOL = 1e-6
 # table rows behind each sampled jet: a degree-7 interpolant
 SAMPLED_WINDOW = 8
+# sample rows per `%` and characters per write: each bounds a temporary
+ROW_BLOCK = 256
+WRITE_SLICE = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -78,30 +81,42 @@ def _non_finite(value: float) -> SpecError:
     return SpecError(f"non-finite value {value!r} cannot be serialized")
 
 
-def _table_values(samples: FrameTable) -> tuple[int, tuple]:
-    """Row count and every value of the table, row by row in column order.
+def _table_matrix(samples: FrameTable) -> np.ndarray:
+    """The table as one (N, 20) matrix; read row by row, that is document order.
 
-    That is document order: a non-finite value raises the error that
-    ``_scalar_text`` gives, for the first such value a row-by-row walk meets.
+    A non-finite value raises the error that ``_scalar_text`` gives, for the
+    first such value a row-by-row walk meets.
     """
     matrix = np.column_stack([getattr(samples, name) for name in _COLUMNS])
     bad = np.flatnonzero(~np.isfinite(matrix))
     if bad.size:
         raise _non_finite(float(matrix.flat[bad[0]]))
-    return len(matrix), tuple(matrix.ravel().tolist())
+    return matrix
 
 
-def _table_rows(samples: FrameTable, indent: int) -> str:
+def _render_rows(matrix: np.ndarray, row: str, sep: str) -> Iterator[str]:
+    """The rows of ``matrix`` through the ``%`` template ``row``, joined by ``sep``,
+    as texts of ``ROW_BLOCK`` rows: one block's values are alive at a time."""
+    for start in range(0, len(matrix), ROW_BLOCK):
+        block = matrix[start:start + ROW_BLOCK]
+        template = (sep if start else "") + sep.join([row] * len(block))
+        yield template % tuple(block.ravel().tolist())
+
+
+def _table_rows(samples: FrameTable, indent: int, out: list[str]) -> None:
     """The report's ``samples`` list: one dict per row, all from one template."""
-    count, values = _table_values(samples)
-    if not count:
-        return "[]"
+    matrix = _table_matrix(samples)
+    if not len(matrix):
+        out.append("[]")
+        return
     pad = "  " * indent
     fields = [f'{pad}    "{key}": '
               + ("%.17g" if getattr(samples, name).ndim == 1 else "[%.17g, %.17g, %.17g]")
               for key, name in zip(_ROW_KEYS, _COLUMNS)]
     row = f"{pad}  {{\n" + ",\n".join(fields) + f"\n{pad}  }}"
-    return "[\n" + ",\n".join([row] * count) % values + f"\n{pad}]"
+    out.append("[\n")
+    out.extend(_render_rows(matrix, row, ",\n"))
+    out.append(f"\n{pad}]")
 
 
 _SCALARS = (bool, int, float, type(None))
@@ -153,7 +168,7 @@ def _emit(value, indent: int, out: list[str]) -> None:
                 out.append(",\n" if i + 1 < len(items) else "\n")
             out.append(pad + "]")
     elif isinstance(value, FrameTable):
-        out.append(_table_rows(value, indent))
+        _table_rows(value, indent, out)
     else:
         raise SpecError(f"cannot serialize {type(value).__name__}")
 
@@ -173,14 +188,16 @@ def dumps_deterministic(doc: dict) -> str:
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Write through a private temp file in the target directory, then rename.
 
-    Concurrent writers to one path never share a temp file, and a failed
-    write removes its own.  An ``OSError`` names ``path``, never the temp file.
+    The text is encoded ``WRITE_SLICE`` characters at a time.  Concurrent
+    writers to one path never share a temp file, and a failed write removes
+    its own.  An ``OSError`` names ``path``, never the temp file.
     """
     target, tmp = Path(path), None
     try:
         fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
         with open(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            for start in range(0, len(text), WRITE_SLICE):
+                handle.write(text[start:start + WRITE_SLICE])
         # mkstemp creates the file 0600; give it the mode a plain open would
         umask = os.umask(0)
         os.umask(umask)
@@ -415,9 +432,8 @@ def report_document(
 
 def csv_table(samples: FrameTable) -> str:
     """Sample table as CSV text with a fixed header and .17g floats."""
-    count, values = _table_values(samples)
-    row = ",".join(["%.17g"] * len(CSV_HEADER.split(",")))
-    return "\n".join([CSV_HEADER, *[row] * count]) % values + "\n"
+    row = "\n" + ",".join(["%.17g"] * len(CSV_HEADER.split(",")))
+    return "".join([CSV_HEADER, *_render_rows(_table_matrix(samples), row, ""), "\n"])
 
 
 def export_obj(

@@ -1,10 +1,11 @@
 """Report, CSV and spec bytes against a value-by-value reference emitter.
 
-``dumps_deterministic`` renders a report's sample rows from one row template
-after one finiteness check of the stacked columns, and ``csv_table`` does the
-same for CSV rows.  The reference below walks the document one value at a
-time, with the table spelled out as one dict per row; every output must match
-it byte for byte, and every non-finite value must raise the same error text.
+``dumps_deterministic`` renders a report's sample rows from one row template,
+``ROW_BLOCK`` rows at a time, after one finiteness check of the stacked
+columns, and ``csv_table`` does the same for CSV rows.  The reference below
+walks the document one value at a time, with the table spelled out as one
+dict per row; every output must match it byte for byte, and every
+non-finite value must raise the same error text.
 """
 
 import json
@@ -30,7 +31,7 @@ from slantsurf import (
     sampled_spec_document,
 )
 from slantsurf.cli import AUDITORS
-from slantsurf.surface_io import CSV_HEADER
+from slantsurf.surface_io import CSV_HEADER, ROW_BLOCK
 
 COLUMNS = ("u", "s1", "kappa", "kappa_prime", "sigma", "q", "h", "a", "darboux", "striction")
 ROW_KEYS = ("u", "s1", "kappa", "kappa_prime", "sigma", "q", "h", "a", "W", "striction_point")
@@ -157,7 +158,11 @@ edge_floats = st.one_of(
 def tables(draw):
     rows = draw(st.integers(0, 3))
     values = draw(st.lists(edge_floats, min_size=20 * rows, max_size=20 * rows))
-    m = np.array(values, dtype=float).reshape(rows, 20)
+    return table_from_matrix(np.array(values, dtype=float).reshape(rows, 20))
+
+
+def table_from_matrix(m: np.ndarray) -> FrameTable:
+    """The table whose CSV columns are the 20 columns of ``m``."""
     return FrameTable(u=m[:, 0], s1=m[:, 1], kappa=m[:, 2], kappa_prime=m[:, 3], sigma=m[:, 4],
                       q=m[:, 5:8], h=m[:, 8:11], a=m[:, 11:14], darboux=m[:, 14:17],
                       striction=m[:, 17:20])
@@ -214,3 +219,39 @@ def test_non_finite_sample_in_a_report_names_the_value(row, column, value):
 def test_non_finite_list_item_raises_the_reference_error(items):
     doc = {"values": items}
     assert error_text(dumps_deterministic, doc) == error_text(reference_dumps, doc)
+
+
+def random_table(rows: int, seed: int) -> FrameTable:
+    """A table of floats spread over many magnitudes and both signs."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((rows, 20)) * 10.0 ** rng.integers(-300, 300, (rows, 20))
+    m[rng.random((rows, 20)) < 0.05] = -0.0
+    return table_from_matrix(m)
+
+
+BLOCK_EDGES = [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1]
+
+
+@pytest.mark.parametrize("rows", BLOCK_EDGES)
+def test_block_edges_match_the_reference(rows):
+    table = random_table(rows, rows)
+    doc = table_document(table)
+    assert dumps_deterministic(doc) == reference_dumps(doc)
+    assert csv_table(table) == reference_csv(table)
+
+
+@pytest.mark.parametrize("rows", BLOCK_EDGES[-2:])
+@pytest.mark.parametrize("planted", [
+    [(ROW_BLOCK, 0, math.nan)],
+    [(-1, 19, math.inf)],
+    [(-1, 4, -math.inf), (ROW_BLOCK, 12, math.nan)],
+    [(ROW_BLOCK, 19, math.inf), (-1, 0, math.nan), (ROW_BLOCK, 18, -math.inf)],
+])
+def test_non_finite_in_a_later_block_raises_the_reference_error(rows, planted):
+    table = random_table(rows, rows)
+    for row, column, value in planted:
+        plant(table, row % rows, column, value)
+    doc = table_document(table)
+    expected = error_text(reference_dumps, doc)
+    assert error_text(dumps_deterministic, doc) == expected
+    assert error_text(csv_table, table) == expected == error_text(reference_csv, table)

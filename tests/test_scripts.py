@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -99,3 +101,72 @@ def test_compare_outputs_reports_differences_by_column(tmp_path):
     assert compare.file_differences(tmp_path / "old.csv", tmp_path / "new.csv") == [
         "kappa: 1 of 2 rows differ, max |delta| 5.55e-17",
     ]
+
+
+# ``run.py`` output as printed, cut to a few rows: a ``--trace 0`` run, and a
+# ``--trace 1`` run with an absent metric
+RUN_E2E = """\
+env {"nproc": 2, "cpu": "Intel(R) Xeon(R) Processor", "python": "3.11.7", "numpy": "2.4.6", \
+"scipy": "1.17.1", "commit": null, "src_sha256": "c0a9"}
+verify_large       wall_p50_s                             0.306552 s        lower   of 12 invocations
+verify_large       peak_rss_mb                             38.3164 MB       lower
+verify_large       op_ok_frac                                    1 fraction higher
+{"correct": true, "attempted": 12, "failed": 0, "metrics": {"wall_p50_s": {"value": \
+0.30655184100032784, "unit": "s"}, "peak_rss_mb": {"value": 38.31640625, "unit": "MB"}, \
+"op_ok_frac": {"value": 1.0, "unit": "fraction"}}}
+"""
+RUN_TRACED = """\
+env {"nproc": 2, "cpu": "Intel(R) Xeon(R) Processor", "python": "3.11.7", "numpy": "2.4.6", \
+"scipy": "1.17.1", "commit": null, "src_sha256": "c0a9"}
+verify_large       surface_io.bytes_written                2.40907e+06 B        lower
+verify_large       geometry.fd_jet_calls                    absent
+{"correct": true, "attempted": 12, "failed": 0, "metrics": {"surface_io.bytes_written": \
+{"value": 2409067, "unit": "B"}}}
+"""
+
+
+def test_bench_record_parses_run_output():
+    record = load_script("bench_record")
+    run = record.parse_run(RUN_E2E)
+    assert run["env"]["src_sha256"] == "c0a9" and run["env"]["nproc"] == 2
+    assert run["rows"]["wall_p50_s"] == {"value": 0.306552, "unit": "s", "better": "lower",
+                                         "note": "of 12 invocations"}
+    assert run["rows"]["peak_rss_mb"]["note"] == ""
+    assert run["rows"]["op_ok_frac"]["better"] == "higher"
+    assert run["absent"] == []
+    assert run["result"]["metrics"]["peak_rss_mb"]["value"] == 38.31640625
+    traced = record.parse_run(RUN_TRACED)
+    assert traced["absent"] == ["geometry.fd_jet_calls"]
+    assert traced["rows"]["surface_io.bytes_written"]["value"] == 2.40907e6
+    for broken in (RUN_E2E.split("\n", 1)[1], RUN_E2E.rsplit("{", 1)[0],
+                   RUN_E2E.replace("verify_large       op_ok_frac", "op_ok_frac")):
+        with pytest.raises(ValueError):
+            record.parse_run(broken)
+
+
+def test_bench_record_writes_one_file_per_label(tmp_path, monkeypatch):
+    record = load_script("bench_record")
+    calls = []
+
+    def fake_run(workload, seed, seconds, trace):
+        calls.append((workload, seed, seconds, trace))
+        return RUN_TRACED if trace else RUN_E2E
+
+    monkeypatch.setattr(record, "run_workload", fake_run)
+    monkeypatch.chdir(tmp_path)
+    assert record.main(["base", "--seed", "7"]) == 0
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in benchmark["workloads"]]
+    assert calls == [(w, 7, benchmark["run_seconds"], t) for w in names for t in (0, 1)]
+    doc = json.loads((tmp_path / "BENCH_base.json").read_text())
+    assert (doc["label"], doc["seed"], doc["seconds"]) == ("base", 7, benchmark["run_seconds"])
+    assert [(r["workload"], r["trace"]) for r in doc["runs"]] == [(w, t) for w in names
+                                                                   for t in (0, 1)]
+    assert doc["runs"][0]["result"]["metrics"]["peak_rss_mb"]["value"] == 38.31640625
+    written = (tmp_path / "BENCH_base.json").read_bytes()
+    for argv in (["base"], ["../base"]):
+        with pytest.raises(SystemExit) as info:
+            record.main(argv)
+        assert info.value.code == 2
+    assert (tmp_path / "BENCH_base.json").read_bytes() == written
+    assert len(calls) == 2 * len(names)

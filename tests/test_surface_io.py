@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from slantsurf import (
 )
 from slantsurf.cli import parse_cli, run
 from slantsurf.geometry import cross, dot, norm
+from slantsurf.surface_io import WRITE_SLICE
 
 TABULATED = {"s1_knots": [0.0, 1.0, 2.0, 3.0], "kappa_values": [0.0, 0.8, -0.4, 0.6]}
 VERDICTS = ("q_slant", "h_slant", "a_slant", "darboux_strict", "darboux_angular")
@@ -355,6 +357,66 @@ class TestDocuments:
         target = tmp_path / "doc.txt"
         write_text_atomic(target, "x")
         assert target.stat().st_mode == plain.stat().st_mode
+
+    def test_text_over_slice_boundaries_reads_back_identical(self, tmp_path):
+        # a two-byte and a four-byte character on each side of both slice boundaries
+        text = ("x" * (WRITE_SLICE - 1) + "\u00e9\U0001d705" + "y" * (WRITE_SLICE - 2)
+                + "\u00e9\U0001d705" + "z\n" * (WRITE_SLICE // 4))
+        assert text[WRITE_SLICE - 1:WRITE_SLICE + 1] == "\u00e9\U0001d705"
+        assert text[2 * WRITE_SLICE - 1:2 * WRITE_SLICE + 1] == "\u00e9\U0001d705"
+        target = tmp_path / "doc.txt"
+        write_text_atomic(target, text)
+        assert target.read_bytes() == text.encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.txt"]
+
+    def test_failed_later_slice_leaves_target_and_no_stray_file(self, tmp_path):
+        target = tmp_path / "doc.txt"
+        target.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):  # the first slice is written, the second fails
+            write_text_atomic(target, "a" * WRITE_SLICE + "b\ud800c")
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.txt"]
+        assert target.read_text() == "old\n"
+
+
+def traced_peak(render, *args):
+    """``render(*args)`` and the peak of memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        result = render(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSerializationPeak:
+    """Peak memory of rendering an 8192-sample report (4.8 MB) and writing 9.6 MB.
+
+    The floor is the parts the text is joined from plus the joined ``str``:
+    2.00x the text, measured, for the report and for the CSV table, at 8192
+    and at 16384 samples.  Rendering the whole table in one ``%`` peaked at
+    3.09x (report) and 3.59x (CSV), and encoding the whole text in one write
+    took 1.00x the text more.  Tracing every allocation makes each render
+    about 6x slower, so the table is 8192 samples, not 16384.
+    """
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        surface = catalog("constant_sigma", {"d": 0.5})
+        samples = frame_samples(surface, SampleGrid.uniform(surface.param_range, 8192))
+        return samples, report_document(surface, samples, classify_samples(samples))
+
+    def test_report_peaks_near_twice_its_text(self, table):
+        text, peak = traced_peak(dumps_deterministic, table[1])
+        assert peak <= 2.25 * len(text)  # measured 2.00x; margin 12%
+
+    def test_csv_peaks_near_twice_its_text(self, table):
+        text, peak = traced_peak(csv_table, table[0])
+        assert peak <= 2.25 * len(text)  # measured 2.00x; margin 12%
+
+    def test_write_encodes_a_slice_at_a_time(self, tmp_path):
+        text = "0.30000000000000004,\n" * 458_000  # 9.6 MB: a 16384-sample report
+        _, peak = traced_peak(write_text_atomic, tmp_path / "r.json", text)
+        assert peak <= 3 * 2**20  # measured 2.01 MiB; margin 1.5x (9.18 MiB in one write)
 
 
 class TestExportObj:
