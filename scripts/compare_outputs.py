@@ -14,7 +14,8 @@ In a JSON document every top-level list is a table (a report's ``samples``
 rows, a sampled spec's ``u``, ``f`` and ``q``), and each of its columns is
 summarized by the number of rows that differ and the largest |delta|; every
 other differing leaf is printed by its path.  A CSV file is summarized by
-column the same way, and any other file by its differing lines.
+column the same way, and any other file by its differing lines.  The last line
+gives each tree's ``slantsurf`` line count and the net change.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from pathlib import Path
 SPECS = {
     "helicoid.json": {"kind": "catalog", "name": "helicoid"},
     "cone.json": {"kind": "catalog", "name": "latitude_cone", "params": {"beta": 0.5236}},
+    "steep_cone.json": {"kind": "catalog", "name": "latitude_cone", "params": {"beta": 1.5}},
     "hyperboloid.json": {"kind": "catalog", "name": "hyperboloid",
                          "params": {"r": 1.0, "pitch": 0.5}},
     "plane.json": {"kind": "catalog", "name": "radial_plane"},
@@ -93,6 +95,9 @@ INVOCATIONS = [
       for spec in ("helicoid.json", "cone.json", "hyperboloid.json", "plane.json",
                    "sigma.json", "tab.json", "tab_span.json", "pk_sigma.json",
                    "pk_const.json", "pk_tab.json")),
+    # W is fixed up to rounding, which fine s1 steps must not turn into motion
+    ["classify", "--surface", "steep_cone.json", "--samples", "4096",
+     "--out", "c_steep_cone.json"],
     *(["verify", "--surface", "sigma.json", *N, "--theorem", tid,
        "--out", f"v_sigma_{tid}.json"]
       for tid in ("2.1", "3.1", "cor3.1", "3.2", "3.3-3.4", "all")),
@@ -293,6 +298,11 @@ def print_file_differences(old: dict, new: dict, old_dir: str, new_dir: str) -> 
             print(f"    {line}")
 
 
+def source_lines(src: str) -> int:
+    """Lines of the ``slantsurf`` package under ``src``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in Path(src, "slantsurf").rglob("*.py"))
+
+
 def start_tree(src: str, tmp: str) -> subprocess.Popen:
     for name, doc in SPECS.items():
         text = doc if isinstance(doc, str) else json.dumps(doc)
@@ -329,6 +339,9 @@ def main(argv: list[str]) -> int:
                 else:
                     print(f"  parent {key}: {old[key]!r}\n  change {key}: {new[key]!r}")
         print(f"{differ} of {len(INVOCATIONS)} invocations differ")
+        old_lines, new_lines = map(source_lines, argv)
+        print(f"src/slantsurf lines: parent {old_lines}, change {new_lines}, "
+              f"net {new_lines - old_lines:+d}")
     return 1 if differ else 0
 
 

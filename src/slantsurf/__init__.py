@@ -69,6 +69,7 @@ from .slant import (
     verify_theorems_3_3_3_4,
 )
 from .surface_io import (
+    TOOL_VERSION as __version__,
     SpecError,
     csv_table,
     dumps_deterministic,
@@ -80,5 +81,3 @@ from .surface_io import (
     write_json_atomic,
     write_text_atomic,
 )
-
-__version__ = "0.1.0"

@@ -41,6 +41,7 @@ __all__ = [
     "KappaProfile",
     "GeneratorConfig",
     "generator_config",
+    "describe",
     "FramePath",
     "kappa_of_s1",
     "integrate_frame",
@@ -126,9 +127,6 @@ class ConstantKappa:
     def kappa_prime(self, s1):
         return np.zeros(np.shape(s1))
 
-    def describe(self) -> dict:
-        return {"type": "constant", "kappa0": self.kappa0}
-
 
 @dataclass(frozen=True)
 class ConstantSigma:
@@ -159,9 +157,6 @@ class ConstantSigma:
     def kappa_prime(self, s1):
         t = self.d * s1
         return self.d / power(1.0 - t * t, 1.5)
-
-    def describe(self) -> dict:
-        return {"type": "constant_sigma", "d": self.d}
 
 
 @dataclass(frozen=True)
@@ -232,13 +227,6 @@ class TabulatedKappa:
         (c3, c2, c1, _), t = self._cubic(s1)
         return c1 + c2 * t * 2.0 + c3 * (t * t) * 3.0
 
-    def describe(self) -> dict:
-        return {
-            "type": "tabulated",
-            "s1_knots": list(self.s1_knots),
-            "kappa_values": list(self.kappa_values),
-        }
-
 
 KappaProfile = ConstantKappa | ConstantSigma | TabulatedKappa
 
@@ -298,6 +286,14 @@ _PROFILES = {
 }
 # the keys beside the profile that shape the integration
 GENERATOR_KEYS = ("s1_range", "alpha", "step")
+
+
+def describe(profile: KappaProfile) -> dict:
+    """The profile document of ``profile``, which ``generator_config`` reads back."""
+    kind = next(kind for kind, (cls, _, _) in _PROFILES.items() if type(profile) is cls)
+    _, number_keys, list_keys = _PROFILES[kind]
+    return {"type": kind, **{key: getattr(profile, key) for key in number_keys},
+            **{key: list(getattr(profile, key)) for key in list_keys}}
 
 
 def generator_config(profile, params: dict, where: str = "spec",
@@ -523,7 +519,8 @@ def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpe
         param_range=profile.domain,
         provenance={
             "kind": "prescribed_kappa",
-            "profile": profile.describe(),
+            "profile": describe(profile),
+            "s1_range": list(profile.domain),
             "alpha": config.alpha,
             "step": config.step,
         },

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -333,12 +334,16 @@ def load_surface(doc: dict) -> RuledSurfaceSpec:
 
 
 def read_spec(path: str | Path) -> dict:
-    """Parse a spec file; malformed JSON raises ``SpecError``."""
+    """Parse a spec file; malformed JSON or text raises ``SpecError`` naming ``path``."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
         except json.JSONDecodeError as exc:
             raise SpecError(f"{path}: not valid JSON ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise SpecError(f"{path}: not UTF-8 text ({exc})") from None
+        except RecursionError:
+            raise SpecError(f"{path}: JSON nested too deeply to read") from None
 
 
 # ---------------------------------------------------------------------------
@@ -369,27 +374,6 @@ def _verdict_block(v: SlantVerdict, scalar_key: str, with_angle: bool) -> dict:
     if with_angle:
         block["angle"] = math.acos(min(1.0, max(-1.0, v.constant)))
     return block
-
-
-def _constancy_block(c) -> dict:
-    return {
-        "mean": c.mean,
-        "spread": c.spread,
-        "relative_spread": c.relative_spread,
-        "is_constant": c.is_constant,
-    }
-
-
-def _audit_block(record: AuditRecord) -> dict:
-    return {
-        "applicable": record.applicable,
-        "passed": record.passed,
-        "checks": [
-            {"name": c.name, "value": c.value, "bound": c.bound, "ok": c.ok}
-            for c in record.checks
-        ],
-        "notes": list(record.notes),
-    }
 
 
 def report_document(
@@ -423,10 +407,12 @@ def report_document(
             "darboux_angular": _verdict_block(
                 report.darboux_angular, "constant", True
             ),
-            "kappa": _constancy_block(report.kappa_constancy),
-            "sigma": _constancy_block(report.sigma_constancy),
+            "kappa": asdict(report.kappa_constancy),
+            "sigma": asdict(report.sigma_constancy),
         },
-        "audits": {record.audit: _audit_block(record) for record in audits},
+        # a record's fields are its block's keys; its audit id keys the block
+        "audits": {record.audit: {key: value for key, value in asdict(record).items()
+                                  if key != "audit"} for record in audits},
     }
 
 

@@ -208,6 +208,21 @@ class TestAnalyze:
         assert run(parse_cli(["analyze", "--surface", str(bad)])) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, reason", [
+        (b"[" * 100_000, "nested too deeply"),
+        (b'{"kind": "catalog", "name": "helicoid\xff"}', "not UTF-8"),
+    ], ids=["deep-nesting", "not-utf8"])
+    def test_unreadable_spec_text_names_the_file(self, content, reason, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(content)
+        assert main(["classify", "--surface", str(spec), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {spec}: ")
+        assert reason in captured.err
+        assert sorted(tmp_path.iterdir()) == [spec]
+
     def test_missing_file_exits_three(self, tmp_path):
         assert run(parse_cli(["analyze", "--surface", str(tmp_path / "no.json")])) == 3
 

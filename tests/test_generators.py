@@ -29,7 +29,7 @@ from slantsurf import (
     kappa_of_s1,
     reparam_to_s1,
 )
-from slantsurf.generators import WORK_LIMIT, _PiecewisePoly
+from slantsurf.generators import WORK_LIMIT, _PiecewisePoly, describe
 from slantsurf.geometry import dot, norm
 
 
@@ -94,7 +94,7 @@ class TestProfiles:
         prof = ConstantKappa(0.7, (0.0, 2.0))
         assert prof.kappa(1.3) == 0.7
         assert prof.kappa_prime(1.3) == 0.0
-        assert prof.describe() == {"type": "constant", "kappa0": 0.7}
+        assert describe(prof) == {"type": "constant", "kappa0": 0.7}
 
     def test_constant_sigma_values(self):
         prof = ConstantSigma(0.5)

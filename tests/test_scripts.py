@@ -55,7 +55,18 @@ def test_make_demo_surfaces_writes_every_artifact(tmp_path):
 def test_compare_outputs_finds_no_difference_between_equal_trees(tmp_path):
     src = str(ROOT / "src")
     lines = run_script("compare_outputs.py", src, src, cwd=tmp_path)
-    assert len(lines) == 1 and lines[0].startswith("0 of "), lines
+    assert len(lines) == 2 and lines[0].startswith("0 of "), lines
+    count = load_script("compare_outputs").source_lines(src)
+    assert lines[1] == f"src/slantsurf lines: parent {count}, change {count}, net +0"
+
+
+def test_compare_outputs_counts_package_lines(tmp_path):
+    package = tmp_path / "slantsurf"
+    package.mkdir()
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3\n")
+    (package / "notes.txt").write_text("not code\n")
+    assert load_script("compare_outputs").source_lines(str(tmp_path)) == 3
 
 
 def load_script(name: str):

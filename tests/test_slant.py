@@ -92,7 +92,7 @@ class TestDetectAxis:
         assert fit.tied
 
     def test_rounding_level_motion_does_not_tie(self):
-        # a fixed vector plus motion far above DEGENERATE_TRACE but far below 1:
+        # a fixed vector plus motion far above rounding but far below 1:
         # the tie test is relative to the trace, as for any other scale
         t = np.arange(40)
         vectors = np.tile(EX + EZ, (40, 1)) + 1e-9 * np.stack(
@@ -100,6 +100,28 @@ class TestDetectAxis:
         fit = detect_axis(vectors, t)
         assert 1e-18 < sum(fit.eigenvalues) < 1e-12
         assert not fit.degenerate and not fit.tied
+
+    def test_odd_even_oscillation_is_degenerate(self):
+        # central differences cannot see this motion: the Gram trace is exactly 0
+        vectors = np.tile(EZ, (20, 1))
+        vectors[::2] = EX
+        fit = detect_axis(vectors, np.arange(20))
+        assert fit.degenerate and fit.residual == 0.0
+
+    @pytest.mark.parametrize("beta,count", [(1.35, 16384), (1.5, 4096)])
+    def test_steep_cone_darboux_vector_is_constant(self, beta, count):
+        # W is fixed up to rounding, yet fine s1 steps lift its Gram trace past 1e-18
+        samples = samples_of(catalog("latitude_cone", {"beta": beta}), count)
+        assert detect_axis(samples.darboux, samples.s1).degenerate
+        assert classify_samples(samples).darboux_strict.verdict
+
+    def test_generated_constant_kappa_darboux_vector_moves(self):
+        # RK4 spreads W by 1e-11 of its size: real motion, not rounding
+        surface = load_surface({"kind": "prescribed_kappa",
+                                "profile": {"type": "constant", "kappa0": 0.7},
+                                "s1_range": [0.0, 2.0], "step": 0.013})
+        samples = samples_of(surface, 128)
+        assert not detect_axis(samples.darboux, samples.s1).degenerate
 
     def test_needs_sixteen_samples(self):
         with pytest.raises(ValueError):

@@ -30,6 +30,7 @@ from slantsurf import (
     write_text_atomic,
 )
 from slantsurf.cli import parse_cli, run
+from slantsurf.generators import GENERATOR_KEYS
 from slantsurf.geometry import cross, dot, norm
 from slantsurf.surface_io import WRITE_SLICE
 
@@ -130,13 +131,35 @@ class TestLoadSurface:
         assert tuple(int(getattr(report, name).verdict) for name in VERDICTS) == (1, 0, 1, 1, 1)
 
     def test_constant_profile_at_step_0_013_classifies_like_a_latitude_cone(self):
-        # W is constant up to rounding (its derivative Gram trace is about 5e-18):
-        # that is no tie between axes
+        # RK4 moves W by 1e-11 of its size (its derivative Gram trace is about
+        # 5e-18): that is no tie between axes
         surface = load_surface({"kind": "prescribed_kappa",
                                 "profile": {"type": "constant", "kappa0": 0.7},
                                 "s1_range": [0.0, 2.0], "step": 0.013})
         report = classify_samples(frame_samples(surface, SampleGrid.uniform((0.0, 2.0), 128)))
         assert tuple(int(getattr(report, name).verdict) for name in VERDICTS) == (1, 0, 1, 1, 1)
+
+    @pytest.mark.parametrize("doc, s1_range", [
+        ({"kind": "prescribed_kappa", "profile": {"type": "constant_sigma", "d": 0.8},
+          "s1_range": [-2.0, 1.0], "alpha": 0.3}, [-0.95 / 0.8, 1.0]),
+        ({"kind": "prescribed_kappa", "profile": {"type": "constant", "kappa0": 0.7},
+          "s1_range": [0.5, 2.0], "step": 0.013}, [0.5, 2.0]),
+        ({"kind": "prescribed_kappa", "profile": {"type": "tabulated", **TABULATED}},
+         [0.0, 3.0]),
+    ], ids=["constant_sigma-clamped", "constant", "tabulated"])
+    def test_report_surface_block_is_a_spec_of_the_same_report(self, doc, s1_range, tmp_path):
+        spec, first, second = (tmp_path / name for name in ("spec.json", "1.json", "2.json"))
+        spec.write_text(json.dumps(doc))
+        assert run(parse_cli(["classify", "--surface", str(spec), "--samples", "64",
+                              "--out", str(first)])) == 0
+        surface = json.loads(first.read_text())["meta"]["surface"]
+        # the domain actually integrated, after the |d s1| <= 0.95 clamp
+        assert list(surface) == ["kind", "profile", *GENERATOR_KEYS]
+        assert surface["s1_range"] == s1_range
+        spec.write_text(json.dumps(surface))
+        assert run(parse_cli(["classify", "--surface", str(spec), "--samples", "64",
+                              "--out", str(second)])) == 0
+        assert second.read_bytes() == first.read_bytes()
 
     @pytest.mark.parametrize("name, params, profile", [
         ("constant_sigma", {"d": 0.4, "s1_range": [-1.5, 1.2], "alpha": 0.3, "step": 0.02},
