@@ -28,6 +28,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+# a latitude cone (beta 0.5) tabulated at u = t + 0.3 sin t: |dq/du| varies along u
+_T = [2.0 * math.pi * k / 63 for k in range(64)]
+
 SPECS = {
     "helicoid.json": {"kind": "catalog", "name": "helicoid"},
     "cone.json": {"kind": "catalog", "name": "latitude_cone", "params": {"beta": 0.5236}},
@@ -48,6 +51,10 @@ SPECS = {
     "pk_tab.json": {"kind": "prescribed_kappa",
                     "profile": {"type": "tabulated", "s1_knots": [0.0, 1.0, 2.0, 3.0],
                                 "kappa_values": [0.0, 0.8, -0.4, 0.6]}},
+    "cone_uneven.json": {"kind": "sampled", "u": [t + 0.3 * math.sin(t) for t in _T],
+                         "f": [[0.0, 0.0, 0.0]] * 64,
+                         "q": [[math.cos(0.5) * math.cos(t), math.cos(0.5) * math.sin(t),
+                                math.sin(0.5)] for t in _T]},
     # the director never moves: exit 2
     "cyl.json": {"kind": "sampled", "u": [0.1 * k for k in range(24)],
                  "f": [[0.1 * k, 0.0, 0.0] for k in range(24)],
@@ -104,6 +111,7 @@ INVOCATIONS = [
     ["verify", "--surface", "cone.json", *N, "--out", "v_cone.json"],
     ["verify", "--surface", "pk_tab.json", *N, "--out", "v_pk_tab.json", "--csv"],
     ["verify", "--surface", "pk_const.json", *N, "--out", "v_pk_const.json"],
+    ["verify", "--surface", "cone_uneven.json", *N, "--out", "v_cone_uneven.json"],
     ["verify", "--surface", "sigma.json", *N, "--tol", "1e-4", "--out", "v_tol.json"],
     # --tol replaces each audit's own bound, which decides its hypothesis too
     *(["verify", "--surface", spec, *N, "--tol", "1e-7", "--out", f"v_tol_{spec}"]

@@ -46,8 +46,6 @@ from .geometry import (
     NonFiniteSample,
     det3,
     fd_jet,
-    reparam_to_s1,
-    s1_derivatives,
 )
 from .slant import (
     AuditCheck,

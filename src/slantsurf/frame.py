@@ -12,6 +12,10 @@ so a single scalar kappa (the conical curvature) controls the whole motion.
 The instantaneous rotation axis is the Darboux vector W = kappa*q + a with
 |W| = sqrt(1 + kappa^2); every frame derivative equals W x (that vector).
 
+In any regular parameter u, with n = |q_u| = ds1/du, the conical curvature
+kappa = det(q, q_u, q_uu) / n^3 (the trace's geodesic curvature) and
+kappa' = d(kappa)/ds1 = (det(q, q_u, q_uuu) / n - 3 <q_u, q_uu> kappa) / n^3.
+
 The surface-independent part of the base curve is the striction point
 
     c = f - (<q', f'> / <q', q'>) * q,
@@ -40,7 +44,6 @@ from .geometry import (
     dot,
     norm,
     power,
-    reparam_to_s1,
 )
 
 __all__ = [
@@ -137,20 +140,23 @@ class SampleGrid:
         return cls(np.append(lo + np.arange(count - 1) * step, hi))
 
 
+def _speed(q_jet: Jet3) -> np.ndarray:
+    """|q_u| per row; ``CylindricalDirector`` where the director stalls."""
+    n1 = norm(q_jet.d1)
+    if np.any(n1 <= EPS_CYL):
+        raise CylindricalDirector()
+    return n1
+
+
 def striction_point(f_jet: Jet3, q_jet: Jet3) -> np.ndarray:
     """Striction points c = f - (<q', f'>/<q', q'>) q at common parameters."""
-    qq = dot(q_jet.d1, q_jet.d1)
-    if np.any(qq <= EPS_CYL * EPS_CYL):
-        raise CylindricalDirector()
-    return f_jet.d0 - q_jet.d0 * (dot(q_jet.d1, f_jet.d1) / qq)[:, None]
+    n1 = _speed(q_jet)
+    return f_jet.d0 - q_jet.d0 * (dot(q_jet.d1, f_jet.d1) / (n1 * n1))[:, None]
 
 
 def asymptotic_normal(q_jet: Jet3) -> np.ndarray:
     """Unit normals a = (q x q') / |q'|, the limit of the surface normal."""
-    n1 = norm(q_jet.d1)
-    if np.any(n1 <= EPS_CYL):
-        raise CylindricalDirector()
-    return cross(q_jet.d0, q_jet.d1) / n1[:, None]
+    return cross(q_jet.d0, q_jet.d1) / _speed(q_jet)[:, None]
 
 
 def central_normal(q: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -164,19 +170,17 @@ def central_normal(q: np.ndarray, a: np.ndarray) -> np.ndarray:
     return cross(a, q)
 
 
-def conical_curvature(q_s1: Jet3) -> np.ndarray:
-    """Conical curvature kappa = det(q, dq/ds1, d2q/ds1^2)."""
-    return det3(q_s1.d0, q_s1.d1, q_s1.d2)
+def conical_curvature(q_jet: Jet3) -> np.ndarray:
+    """Conical curvature kappa = det(q, q_u, q_uu) / |q_u|^3, or det(q, dq/ds1, d2q/ds1^2)."""
+    n1 = _speed(q_jet)
+    return det3(q_jet.d0, q_jet.d1, q_jet.d2) / (n1 * n1 * n1)
 
 
-def kappa_prime(q_s1: Jet3) -> np.ndarray:
-    """d(kappa)/ds1 = det(q, dq/ds1, d3q/ds1^3).
-
-    The third-derivative column works because d3q/ds1^3 equals
-    -(1 + kappa^2) h + kappa' a, and the h part is killed by the first two
-    columns.
-    """
-    return det3(q_s1.d0, q_s1.d1, q_s1.d3)
+def kappa_prime(q_jet: Jet3) -> np.ndarray:
+    """d(kappa)/ds1 = (det(q, q_u, q_uuu) / |q_u| - 3 <q_u, q_uu> kappa) / |q_u|^3."""
+    n1 = _speed(q_jet)
+    third = det3(q_jet.d0, q_jet.d1, q_jet.d3) / n1
+    return (third - 3.0 * dot(q_jet.d1, q_jet.d2) * conical_curvature(q_jet)) / (n1 * n1 * n1)
 
 
 def darboux_vector(kappa, q: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -231,16 +235,14 @@ def frame_samples(surface: RuledSurfaceSpec, grid: SampleGrid) -> FrameTable:
         np.concatenate((speed, mid_speed)),
     )
     a = asymptotic_normal(q_jet)
-    h = central_normal(q_jet.d0, a)
-    q_s1 = reparam_to_s1(q_jet)
-    kap = conical_curvature(q_s1)
-    kp = kappa_prime(q_s1)
+    kap = conical_curvature(q_jet)
+    kp = kappa_prime(q_jet)
     steps = (u[1:] - u[:-1]) / 6.0 * (speed[:-1] + 4.0 * mid_speed + speed[1:])
     return FrameTable(
         u=u,
         s1=np.cumsum(np.concatenate(([0.0], steps))),
         q=q_jet.d0,
-        h=h,
+        h=central_normal(q_jet.d0, a),
         a=a,
         kappa=kap,
         kappa_prime=kp,

@@ -3,8 +3,8 @@
 Vectors are rows: one vector is a length-3 array, and a curve sampled at N
 parameter values is an ``(N, 3)`` array.  A ``Jet3`` bundles four such
 arrays, the curve value and its first three derivatives.  Curve samplers
-return jets against the raw curve parameter u; ``reparam_to_s1`` rewrites
-a director's u-jet against the spherical arc length s1.
+return jets against the raw curve parameter u, and ``frame`` reads the frame
+and the curvatures straight from them, in any regular parameter.
 ``derivative_weights`` gives the weights that take a jet from tabulated
 values on arbitrary nodes.
 
@@ -35,8 +35,6 @@ __all__ = [
     "det3",
     "fd_jet",
     "derivative_weights",
-    "s1_derivatives",
-    "reparam_to_s1",
 ]
 
 # absolute threshold on |dq/du| below which the director counts as constant
@@ -177,36 +175,3 @@ def derivative_weights(z: np.ndarray, x: np.ndarray, m: int = 3) -> np.ndarray:
         c1 = c2
     return w
 
-
-def s1_derivatives(q_jet: Jet3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """u-derivatives (s1p, s1pp, s1ppp) of the director's spherical arc length.
-
-    With n(u) = |dq/du| these are n, n' and n'' expressed through the u-jet:
-
-        s1p   = |d1|
-        s1pp  = <d1, d2> / |d1|
-        s1ppp = (<d2, d2> + <d1, d3>) / |d1| - <d1, d2>^2 / |d1|^3
-
-    Where s1p <= EPS_CYL the director stalls: ``CylindricalDirector``.
-    """
-    n1 = norm(q_jet.d1)
-    if np.any(n1 <= EPS_CYL):
-        raise CylindricalDirector()
-    g12 = dot(q_jet.d1, q_jet.d2)
-    s1pp = g12 / n1
-    s1ppp = (dot(q_jet.d2, q_jet.d2) + dot(q_jet.d1, q_jet.d3)) / n1 - g12 * g12 / power(n1, 3)
-    return n1, s1pp, s1ppp
-
-
-def reparam_to_s1(jet_u: Jet3) -> Jet3:
-    """Rewrite a director's u-jet as an s1-jet via the chain rule up to third order."""
-    p, pp, ppp = s1_derivatives(jet_u)
-    p3, p4, p5 = power(p, 3), power(p, 4), power(p, 5)
-    d1 = jet_u.d1 / p[:, None]
-    d2 = (jet_u.d2 * p[:, None] - jet_u.d1 * pp[:, None]) / p3[:, None]
-    d3 = (
-        jet_u.d3 / p3[:, None]
-        - jet_u.d2 * (3.0 * pp / p4)[:, None]
-        + jet_u.d1 * (3.0 * pp * pp / p5 - ppp / p4)[:, None]
-    )
-    return Jet3(jet_u.d0, d1, d2, d3)

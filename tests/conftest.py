@@ -89,6 +89,19 @@ def catalog_instances() -> list[tuple[str, RuledSurfaceSpec]]:
     return build_catalog_instances()
 
 
+def latitude_jet(beta, phi, speed=1.0, accel=0.0, jerk=0.0) -> Jet3:
+    """One row of u -> (cos b cos phi(u), cos b sin phi(u), sin b), given phi and its derivatives."""
+    r = math.cos(beta)
+    p = np.array([[math.cos(phi), math.sin(phi), 0.0]])
+    t = np.array([[-math.sin(phi), math.cos(phi), 0.0]])
+    return Jet3(
+        d0=p * r + [0.0, 0.0, math.sin(beta)],
+        d1=t * (r * speed),
+        d2=p * (-r * speed * speed) + t * (r * accel),
+        d3=t * (r * (jerk - speed**3)) + p * (-3.0 * r * speed * accel),
+    )
+
+
 def rodrigues(axis: np.ndarray, angle: float):
     """Rotation about an axis by an angle, as a map of a length-3 vector or of (N, 3) rows."""
     k = normalize(axis)

@@ -1,4 +1,4 @@
-"""Every name a module exports in ``__all__`` resolves, and every name it imports is used."""
+"""Every ``__all__`` name resolves, every import is used, and the version is stated once."""
 
 import ast
 import importlib
@@ -47,3 +47,15 @@ def test_unused_imports_detects_a_stray_name():
     ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_distribution_version_is_tool_version():
+    """pyproject.toml states no version; setuptools reads ``surface_io.TOOL_VERSION``."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    doc = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in doc["project"]
+    assert doc["project"]["dynamic"] == ["version"]
+    module, _, name = doc["tool"]["setuptools"]["dynamic"]["version"]["attr"].rpartition(".")
+    assert (module, name) == ("slantsurf.surface_io", "TOOL_VERSION")
+    assert importlib.import_module(module).TOOL_VERSION == slantsurf.__version__

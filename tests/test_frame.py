@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from slantsurf import (
     CylindricalDirector,
@@ -23,12 +25,11 @@ from slantsurf import (
     frame_samples,
     kappa_prime,
     load_surface,
-    reparam_to_s1,
     sampled_spec_document,
     sigma,
     striction_point,
 )
-from conftest import Vec3
+from conftest import Vec3, latitude_jet
 from slantsurf.geometry import cross, dot, norm
 
 TAN = {
@@ -96,22 +97,28 @@ class TestCurvatures:
     @pytest.mark.parametrize("beta", [math.pi / 6, math.pi / 4, math.pi / 3])
     def test_latitude_cone_conical_curvature(self, beta):
         surface = catalog("latitude_cone", {"beta": beta})
-        kap = conical_curvature(reparam_to_s1(surface.director(at(0.0, 1.1, 3.7))))
+        kap = conical_curvature(surface.director(at(0.0, 1.1, 3.7)))
         assert kap == pytest.approx(TAN[beta], abs=1e-12)
 
     def test_two_curvature_forms_agree(self, catalog_instances):
-        """det(q, q', q'') equals <q'', a> once derivatives are in s1."""
+        """det(q, q_u, q_uu) / |q_u|^3 equals <q_uu, a> / |q_u|^2."""
         for label, surface in catalog_instances:
             grid = SampleGrid.uniform(surface.param_range, 64)
-            jet = reparam_to_s1(surface.director(grid.u_values))
-            a = asymptotic_normal(surface.director(grid.u_values))
+            jet = surface.director(grid.u_values)
             det_form = conical_curvature(jet)
-            proj_form = dot(jet.d2, a)
+            proj_form = dot(jet.d2, asymptotic_normal(jet)) / dot(jet.d1, jet.d1)
             assert np.all(np.abs(det_form - proj_form) < 1e-9), label
+
+    @given(st.floats(0.2, 5.0), st.floats(0.0, 6.0))
+    def test_linear_scaling(self, c, phi):
+        """Running the circle at a constant speed c changes neither kappa nor kappa'."""
+        jet = latitude_jet(math.pi / 4, phi, speed=c)
+        assert conical_curvature(jet)[0] == pytest.approx(1.0, abs=1e-13)
+        assert kappa_prime(jet)[0] == pytest.approx(0.0, abs=1e-13)
 
     def test_kappa_prime_on_constant_sigma(self):
         surface = catalog("constant_sigma", {"d": 0.5})
-        jet = reparam_to_s1(surface.director(at(-1.5, -0.3, 0.0, 0.8, 1.6)))
+        jet = surface.director(at(-1.5, -0.3, 0.0, 0.8, 1.6))
         kap = conical_curvature(jet)
         kp = kappa_prime(jet)
         assert kp == pytest.approx(0.5 * (1 + kap * kap) ** 1.5, rel=1e-9)
@@ -244,19 +251,14 @@ def reference_frame(surface, u_values) -> list[tuple]:
     rows, s1, prev = [], 0.0, 0.0
     for i, (q0, q1, q2, q3) in enumerate(jet_rows(surface.director(u_values))):
         p = q1.norm()
-        g12 = q1.dot(q2)
-        pp = g12 / p
-        ppp = (q2.dot(q2) + q1.dot(q3)) / p - g12 * g12 / p**3
-        d1 = q1 / p
-        d2 = (q2 * p - q1 * pp) / p**3
-        d3 = q3 / p**3 - q2 * (3.0 * pp / p**4) + q1 * (3.0 * pp * pp / p**5 - ppp / p**4)
-        kap, kp = q0.dot(d1.cross(d2)), q0.dot(d1.cross(d3))
+        kap = q0.dot(q1.cross(q2)) / (p * p * p)
+        kp = (q0.dot(q1.cross(q3)) / p - 3.0 * q1.dot(q2) * kap) / (p * p * p)
         a = q0.cross(q1) / p
         if i:
             s1 += (u[i] - u[i - 1]) / 6.0 * (prev + 4.0 * mid_speeds[i - 1] + p)
         prev = p
         f0, f1 = f_jets[i][:2]
-        striction = f0 - q0 * (q1.dot(f1) / q1.dot(q1))
+        striction = f0 - q0 * (q1.dot(f1) / (p * p))
         rows.append((u[i], s1, q0, a.cross(q0), a, kap, kp,
                      kp / (1.0 + kap * kap) ** 1.5, q0 * kap + a, striction))
     return rows

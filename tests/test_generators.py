@@ -27,7 +27,6 @@ from slantsurf import (
     frame_samples,
     integrate_frame,
     kappa_of_s1,
-    reparam_to_s1,
 )
 from slantsurf.generators import WORK_LIMIT, _PiecewisePoly, describe
 from slantsurf.geometry import dot, norm
@@ -243,7 +242,7 @@ class TestBuildSurface:
         surface = build_surface(integrate_frame(config), config)
         u = np.array([-1.7, -0.9, 0.0, 0.33, 1.64])
         jet = surface.director(u)
-        kap = conical_curvature(reparam_to_s1(jet))
+        kap = conical_curvature(jet)
         assert kap == pytest.approx(prof.kappa(u), abs=1e-12)
 
     def test_base_curve_is_its_own_striction(self):

@@ -1,4 +1,4 @@
-"""Exact vector algebra, the finite-difference oracle, and reparametrization."""
+"""Exact vector algebra, the finite-difference oracle, and independence of the u-speed."""
 
 import math
 
@@ -7,15 +7,17 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import Vec3
+from conftest import Vec3, latitude_jet
 from slantsurf import (
     CylindricalDirector,
     Jet3,
     NonFiniteSample,
+    asymptotic_normal,
+    conical_curvature,
     det3,
     fd_jet,
-    reparam_to_s1,
-    s1_derivatives,
+    kappa_prime,
+    striction_point,
 )
 from slantsurf.geometry import cross, derivative_weights, dot, norm, normalize
 
@@ -142,75 +144,56 @@ class TestDerivativeWeights:
             assert got == pytest.approx(poly.deriv(k)(z), rel=1e-7, abs=1e-7), k
 
 
-def circle_jet(phi, speed=1.0, accel=0.0, jerk=0.0):
-    """Jets of u -> (cos phi(u), sin phi(u), 0) given phi and its derivatives, one row."""
-    c, s = math.cos(phi), math.sin(phi)
-    p = np.array([[c, s, 0.0]])
-    t = np.array([[-s, c, 0.0]])
-    return Jet3(
-        d0=p,
-        d1=t * speed,
-        d2=p * (-speed * speed) + t * accel,
-        d3=t * (jerk - speed**3) + p * (-3.0 * speed * accel),
-    )
+FROZEN = Jet3(np.array([[0.0, 0.0, 1.0]]), *(np.zeros((1, 3)),) * 3)
 
 
 class TestS1Derivatives:
+    """The arc length s1 of the director's trace enters only through the u-jet.
+
+    A latitude circle has kappa = tan(beta) and kappa' = 0 at any speed; its
+    acceleration feeds the <q_u, q_uu> term of kappa', which a dropped or
+    mis-signed term would leave in.
+    """
+
     def test_uniform_latitude_circle(self):
-        beta = math.pi / 4
-        r = math.cos(beta)
-        jet = Jet3(
-            np.array([[r, 0.0, math.sin(beta)]]),
-            np.array([[0.0, r, 0.0]]),
-            np.array([[-r, 0.0, 0.0]]),
-            np.array([[0.0, -r, 0.0]]),
-        )
-        s1p, s1pp, s1ppp = s1_derivatives(jet)
-        assert s1p == pytest.approx(r, abs=1e-15)
-        assert s1pp == pytest.approx(0.0, abs=1e-15)
-        assert s1ppp == pytest.approx(0.0, abs=1e-15)
+        for beta in (-0.4, math.pi / 6, math.pi / 4, 1.2):
+            for phi in (0.0, 0.9):
+                jet = latitude_jet(beta, phi)
+                assert conical_curvature(jet)[0] == pytest.approx(math.tan(beta), abs=1e-13)
+                assert kappa_prime(jet)[0] == pytest.approx(0.0, abs=1e-13)
 
     def test_nonuniform_speed(self):
-        # phi(u) = u^2/2 + u, so the sphere-curve speed is phi' = u + 1
-        u0 = 0.5
-        jet = circle_jet(u0 * u0 / 2 + u0, speed=u0 + 1.0, accel=1.0, jerk=0.0)
-        s1p, s1pp, s1ppp = s1_derivatives(jet)
-        assert s1p == pytest.approx(1.5, abs=1e-14)
-        assert s1pp == pytest.approx(1.0, abs=1e-13)
-        assert s1ppp == pytest.approx(0.0, abs=1e-13)
+        # the first case is phi(u) = u^2/2 + u at u = 0.5: speed phi' = 1.5, phi'' = 1
+        for beta in (-0.4, math.pi / 6, math.pi / 4, 1.2):
+            for speed, accel, jerk in ((1.5, 1.0, 0.0), (0.6, 0.0, 0.0),
+                                       (0.8, -1.3, 2.0), (2.0, 0.7, -3.0)):
+                jet = latitude_jet(beta, 0.625, speed, accel, jerk)
+                case = (beta, speed, accel, jerk)
+                assert conical_curvature(jet)[0] == pytest.approx(math.tan(beta), abs=1e-13), case
+                assert kappa_prime(jet)[0] == pytest.approx(0.0, abs=1e-13), case
 
     def test_frozen_director_is_cylindrical(self):
-        zero = np.zeros((1, 3))
-        jet = Jet3(np.array([[0.0, 0.0, 1.0]]), zero, zero, zero)
-        with pytest.raises(CylindricalDirector):
-            s1_derivatives(jet)
+        for curvature in (conical_curvature, kappa_prime):
+            with pytest.raises(CylindricalDirector):
+                curvature(FROZEN)
 
 
 class TestReparamToS1:
+    """Curvatures and the asymptotic normal read from any u equal those of the unit-speed run."""
+
     def test_round_trip_against_unit_speed_circle(self):
-        """Reparametrizing the nonuniform circle gives the unit-speed jets."""
         u0 = 0.5
         phi = u0 * u0 / 2 + u0
-        jet_u = circle_jet(phi, speed=u0 + 1.0, accel=1.0)
-        jet_s1 = reparam_to_s1(jet_u)
-        want = circle_jet(phi)  # unit speed: d/ds1 jets directly
-        assert norm(jet_s1.d0 - want.d0)[0] < 1e-15
-        assert norm(jet_s1.d1 - want.d1)[0] < 1e-14
-        assert norm(jet_s1.d2 - want.d2)[0] < 1e-13
-        assert norm(jet_s1.d3 - want.d3)[0] < 1e-12
-
-    @given(st.floats(0.2, 5.0), st.floats(0.0, 6.0))
-    def test_linear_scaling(self, c, phi):
-        """With s1 = c*u the chain rule reduces to dividing by powers of c."""
-        jet_u = circle_jet(phi, speed=c)
-        jet_s1 = reparam_to_s1(jet_u)
-        want = circle_jet(phi)
-        assert norm(jet_s1.d1 - want.d1)[0] < 1e-12
-        assert norm(jet_s1.d2 - want.d2)[0] < 1e-11
-        assert norm(jet_s1.d3 - want.d3)[0] < 1e-10
+        for beta in (0.0, math.pi / 4, 1.2):
+            jet_u = latitude_jet(beta, phi, speed=u0 + 1.0, accel=1.0)
+            unit = latitude_jet(beta, phi, speed=1.0 / math.cos(beta))
+            assert conical_curvature(jet_u)[0] == pytest.approx(conical_curvature(unit)[0], abs=1e-13)
+            assert kappa_prime(jet_u)[0] == pytest.approx(kappa_prime(unit)[0], abs=1e-13)
+            assert norm(asymptotic_normal(jet_u) - asymptotic_normal(unit))[0] < 1e-15
 
     def test_frozen_director_is_cylindrical(self):
-        zero = np.zeros((1, 3))
-        jet = Jet3(np.array([[0.0, 0.0, 1.0]]), zero, zero, zero)
+        base = Jet3(np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0]]), *(np.zeros((1, 3)),) * 2)
         with pytest.raises(CylindricalDirector):
-            reparam_to_s1(jet)
+            asymptotic_normal(FROZEN)
+        with pytest.raises(CylindricalDirector):
+            striction_point(base, FROZEN)
