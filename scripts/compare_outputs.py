@@ -122,6 +122,9 @@ INVOCATIONS = [
     ["export", "--surface", "helicoid.json"],
     ["export", "--surface", "sigma.json", "--grid", "8x4", "--v-range", "-2:3",
      "--out", "e_sigma.obj"],
+    ["export", "--surface", "cone_uneven.json", "--out", "e_cone_uneven.obj"],
+    ["export", "--surface", "pk_tab.json", "--grid", "5x3", "--v-range", "-0.5:2",
+     "--out", "e_pk_tab.obj"],
     ["generate", "--surface", "sigma.json", *N, "--out", "g_sigma.json"],
     ["generate", "--surface", "pk_tab.json", *N, "--out", "g_pk_tab.json"],
     ["verify", "--surface", "g_sigma.json", *N, "--out", "v_g_sigma.json"],

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .frame import SampleGrid, frame_samples
-from .generators import WORK_LIMIT, UnknownCatalogName
+from .generators import WORK_LIMIT
 from .geometry import CylindricalDirector
 from .slant import (
     MIN_AXIS_SAMPLES,
@@ -249,9 +249,6 @@ def run(args: argparse.Namespace) -> int:
     except CylindricalDirector as exc:
         print(f"error: cylindrical surface: {exc}", file=sys.stderr)
         return 2
-    except UnknownCatalogName as exc:
-        print(f"error: unknown catalog surface {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

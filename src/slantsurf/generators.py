@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,15 +66,15 @@ class OutOfDomain(ValueError):
     """A curvature profile was queried outside its s1 domain."""
 
 
-class UnknownCatalogName(KeyError):
-    """No catalog entry under that name."""
-
-
 class BadParams(ValueError):
     """A spec document, catalog entry or generator parameter is invalid."""
 
 
 SpecError = BadParams
+
+
+class UnknownCatalogName(BadParams):
+    """No catalog entry under that name."""
 
 
 def _is_number(value) -> bool:
@@ -357,7 +357,6 @@ class FramePath:
     q: np.ndarray
     h: np.ndarray
     a: np.ndarray
-    profile: KappaProfile
 
     def __iter__(self):
         return iter(zip(self.s1, self.q, self.h, self.a))
@@ -401,7 +400,7 @@ def integrate_frame(config: GeneratorConfig) -> FramePath:
         k4 = _frame_derivative(frame + k3 * dt, k_end)
         frame = _gram_schmidt(frame + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6.0))
         frames[i] = frame
-    return FramePath(s_nodes, frames[:, 0], frames[:, 1], frames[:, 2], profile)
+    return FramePath(s_nodes, frames[:, 0], frames[:, 1], frames[:, 2])
 
 
 # Hermite interpolation with value and three derivatives at both ends of
@@ -412,6 +411,12 @@ def integrate_frame(config: GeneratorConfig) -> FramePath:
 # order, not as a matrix product, so the bytes do not depend on the BLAS build.
 _HERMITE = np.array(((35.0, -15.0, 5.0, -1.0), (-84.0, 39.0, -14.0, 3.0),
                      (70.0, -34.0, 13.0, -3.0), (-20.0, 10.0, -4.0, 1.0)))[:, :, None, None]
+
+
+def _director_jet(q, h, a, kap, kp) -> tuple:
+    """The director's value and first three s1-derivatives by the frame equations,
+    from the frame rows and the (N, 1) columns kappa and kappa'."""
+    return q, h, -q + a * kap, h * (-(1.0 + kap * kap)) + a * kp
 
 
 class _PiecewisePoly:
@@ -462,11 +467,11 @@ def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpe
     u = s1 and exposes jets built from the frame equations and the exact
     profile values.
     """
-    profile = frames.profile
+    profile = config.profile
     s = np.array(frames.s1)
     q, h, a = frames.q, frames.h, frames.a
     kap, kp = _kappa_columns(profile, s)
-    q_poly = _PiecewisePoly(s, (q, h, -q + a * kap, h * (-(1.0 + kap * kap)) + a * kp))
+    q_poly = _PiecewisePoly(s, _director_jet(q, h, a, kap, kp))
     cos_a, sin_a = math.cos(config.alpha), math.sin(config.alpha)
 
     def frame_at(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -498,14 +503,7 @@ def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpe
 
     @_quiet
     def director(u: np.ndarray) -> Jet3:
-        q, h, a = frame_at(u)
-        kap, kp = _kappa_columns(profile, u)
-        return Jet3(
-            d0=q,
-            d1=h,
-            d2=-q + a * kap,
-            d3=h * (-(1.0 + kap * kap)) + a * kp,
-        )
+        return Jet3(*_director_jet(*frame_at(u), *_kappa_columns(profile, u)))
 
     @_quiet
     def base_curve(u: np.ndarray) -> Jet3:
@@ -554,29 +552,27 @@ def _origin(u: np.ndarray) -> Jet3:
     return Jet3(zero, zero, zero, zero)
 
 
-def _helicoid() -> RuledSurfaceSpec:
+def _entry(name: str, params: dict, base_curve, director,
+           param_range: tuple[float, float] = (0.0, 2.0 * math.pi)) -> RuledSurfaceSpec:
+    """A catalog surface, by default one of the closed-form entries over u in [0, 2 pi]."""
+    return RuledSurfaceSpec(base_curve, director, param_range,
+                            {"kind": "catalog", "name": name, "params": params})
+
+
+def _helicoid(params: dict) -> RuledSurfaceSpec:
     def base(u: np.ndarray) -> Jet3:
         zero = np.zeros((len(u), 3))
         return Jet3(_columns(u, 0.0, 0.0, u), _columns(u, 0.0, 0.0, 1.0), zero, zero)
 
-    return RuledSurfaceSpec(
-        base_curve=base,
-        director=_circle_director(0.0, 1.0),
-        param_range=(0.0, 2.0 * math.pi),
-        provenance={"kind": "catalog", "name": "helicoid", "params": {}},
-    )
+    return _entry("helicoid", params, base, _circle_director(0.0, 1.0))
 
 
 def _latitude_cone(params: dict) -> RuledSurfaceSpec:
     beta = finite_float(params["beta"], "latitude_cone.beta")
     if not (0.0 < beta < math.pi / 2.0):
         raise BadParams(f"latitude_cone needs beta in (0, pi/2), got {beta!r}")
-    return RuledSurfaceSpec(
-        base_curve=_origin,
-        director=_circle_director(math.sin(beta), math.cos(beta)),
-        param_range=(0.0, 2.0 * math.pi),
-        provenance={"kind": "catalog", "name": "latitude_cone", "params": {"beta": beta}},
-    )
+    return _entry("latitude_cone", {"beta": beta}, _origin,
+                  _circle_director(math.sin(beta), math.cos(beta)))
 
 
 def _hyperboloid(params: dict) -> RuledSurfaceSpec:
@@ -597,26 +593,13 @@ def _hyperboloid(params: dict) -> RuledSurfaceSpec:
             d3=_columns(u, cu * scale, su * scale, 0.0),
         )
 
-    return RuledSurfaceSpec(
-        base_curve=_circle_director(0.0, radius),
-        director=director,
-        param_range=(0.0, 2.0 * math.pi),
-        provenance={
-            "kind": "catalog",
-            "name": "hyperboloid",
-            "params": {"r": radius, "pitch": pitch},
-        },
-    )
+    return _entry("hyperboloid", {"r": radius, "pitch": pitch},
+                  _circle_director(0.0, radius), director)
 
 
-def _radial_plane() -> RuledSurfaceSpec:
+def _radial_plane(params: dict) -> RuledSurfaceSpec:
     circle = _circle_director(0.0, 1.0)
-    return RuledSurfaceSpec(
-        base_curve=circle,
-        director=circle,
-        param_range=(0.0, 2.0 * math.pi),
-        provenance={"kind": "catalog", "name": "radial_plane", "params": {}},
-    )
+    return _entry("radial_plane", params, circle, circle)
 
 
 def _generated(name: str, kind: str) -> tuple:
@@ -631,17 +614,17 @@ def _generated(name: str, kind: str) -> tuple:
         profile = {"type": kind, **{k: v for k, v in params.items() if k not in GENERATOR_KEYS}}
         config = generator_config(profile, params, name, name)
         surface = build_surface(integrate_frame(config), config)
-        return replace(surface, provenance={"kind": "catalog", "name": name, "params": params})
+        return _entry(name, params, surface.base_curve, surface.director, surface.param_range)
 
     return build, (*number_keys, *list_keys), GENERATOR_KEYS
 
 
 # each entry's builder, required params and optional params
 _CATALOG = {
-    "helicoid": (lambda params: _helicoid(), (), ()),
+    "helicoid": (_helicoid, (), ()),
     "latitude_cone": (_latitude_cone, ("beta",), ()),
     "hyperboloid": (_hyperboloid, (), ("r", "pitch")),
-    "radial_plane": (lambda params: _radial_plane(), (), ()),
+    "radial_plane": (_radial_plane, (), ()),
     "constant_sigma": _generated("constant_sigma", "constant_sigma"),
     "tabulated_kappa": _generated("tabulated_kappa", "tabulated"),
 }
@@ -656,10 +639,11 @@ def catalog(name: str, params: dict | None = None) -> RuledSurfaceSpec:
     the ``constant_sigma`` profile and ``tabulated_kappa`` (s1_knots,
     kappa_values) the ``tabulated`` one, and both also take s1_range, alpha
     and step.  Unknown, missing, non-finite or wrongly typed params raise
-    ``BadParams``, the class spec files raise as ``SpecError``.
+    ``BadParams``, the class spec files raise as ``SpecError``; an unknown
+    name raises its subclass ``UnknownCatalogName``.
     """
     if name not in _CATALOG:
-        raise UnknownCatalogName(name)
+        raise UnknownCatalogName(f"unknown catalog surface {name!r}")
     build, required, optional = _CATALOG[name]
     params = dict(params or {})
     check_keys(params, required, optional, name)

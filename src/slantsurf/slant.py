@@ -512,6 +512,9 @@ def verify_theorems_3_3_3_4(
     checks: list[AuditCheck] = []
     notes: list[str] = []
     kappa_mean = kappa_const.mean
+    # with vanishing curvature a is fixed, so a3 is constant no matter what
+    # a2 does: the equivalence has no content, and a3 alone decides the lock
+    flat = abs(kappa_mean) <= report.angle_tol
 
     axis_list: list[tuple[str, np.ndarray]] = [
         ("darboux_direction", normalize(_mean_vec(samples.darboux)))
@@ -527,42 +530,19 @@ def verify_theorems_3_3_3_4(
 
         a2_const = constancy(a2, tol)
         a3_const = constancy(a3, tol)
-        locked = c_value / (1.0 + kappa_mean * kappa_mean)
-        lock_error = np.abs(a3 - locked).max()
-        if abs(kappa_mean) <= report.angle_tol:
-            # with vanishing curvature a is fixed, so a3 is constant no
-            # matter what a2 does; the equivalence has no content
-            notes.append(
-                f"{name}: coefficient equivalence vacuous (curvature vanishes)"
-            )
-            if a3_const.is_constant:
-                _check(
-                    checks,
-                    f"{name}: third_coefficient_locks_to_projection_over_norm_squared",
-                    lock_error,
-                    tol,
-                )
-            continue
-        _check(
-            checks,
-            f"{name}: central_and_third_coefficient_constancy_agree",
-            0.0 if a2_const.is_constant == a3_const.is_constant else 1.0,
-            0.5,
-        )
-        if a2_const.is_constant and a3_const.is_constant:
-            _check(
-                checks,
-                f"{name}: third_coefficient_locks_to_projection_over_norm_squared",
-                lock_error,
-                tol,
-            )
-            _check(
-                checks,
-                f"{name}: first_coefficient_constant_in_turn",
-                constancy(a1, tol).relative_spread,
-                tol,
-            )
+        if flat:
+            notes.append(f"{name}: coefficient equivalence vacuous (curvature vanishes)")
         else:
+            _check(checks, f"{name}: central_and_third_coefficient_constancy_agree",
+                   0.0 if a2_const.is_constant == a3_const.is_constant else 1.0, 0.5)
+        if a3_const.is_constant and (flat or a2_const.is_constant):
+            locked = c_value / (1.0 + kappa_mean * kappa_mean)
+            _check(checks, f"{name}: third_coefficient_locks_to_projection_over_norm_squared",
+                   np.abs(a3 - locked).max(), tol)
+            if not flat:
+                _check(checks, f"{name}: first_coefficient_constant_in_turn",
+                       constancy(a1, tol).relative_spread, tol)
+        elif not flat:
             notes.append(f"{name}: coefficient constancy clauses vacuous (a2 varies)")
 
     return _finish("3.3-3.4", True, checks, notes)

@@ -82,17 +82,18 @@ def _non_finite(value: float) -> SpecError:
     return SpecError(f"non-finite value {value!r} cannot be serialized")
 
 
-def _table_matrix(samples: FrameTable) -> np.ndarray:
-    """The table as one (N, 20) matrix; read row by row, that is document order.
-
-    A non-finite value raises the error that ``_scalar_text`` gives, for the
-    first such value a row-by-row walk meets.
-    """
-    matrix = np.column_stack([getattr(samples, name) for name in _COLUMNS])
+def _finite(matrix: np.ndarray) -> np.ndarray:
+    """``matrix``, once checked: a non-finite value raises the error that
+    ``_scalar_text`` gives, for the first such value a row-by-row walk meets."""
     bad = np.flatnonzero(~np.isfinite(matrix))
     if bad.size:
         raise _non_finite(float(matrix.flat[bad[0]]))
     return matrix
+
+
+def _table_matrix(samples: FrameTable) -> np.ndarray:
+    """The table as one checked (N, 20) matrix; read row by row, that is document order."""
+    return _finite(np.column_stack([getattr(samples, name) for name in _COLUMNS]))
 
 
 def _render_rows(matrix: np.ndarray, row: str, sep: str) -> Iterator[str]:
@@ -433,33 +434,21 @@ def export_obj(
 
     Vertices are emitted row-major with u as the outer index; each quad is
     split into two triangles wound counterclockwise when seen from the side
-    the central normal a points to (for v > 0).
+    the central normal a points to (for v > 0).  Vertices pass the report's
+    finiteness check, and vertices and faces render through its row templates.
     """
     if grid_cols < 2 or rows < 2:
         raise SpecError("mesh needs at least 2 columns and 2 rows")
     if not (math.isfinite(v_min) and math.isfinite(v_max) and v_max > v_min):
         raise SpecError("degenerate v range: need v_min < v_max")
     u_values = SampleGrid.uniform(surface.param_range, grid_cols).u_values
-    dv = (v_max - v_min) / (rows - 1)
-    v_values = np.array([v_min + k * dv for k in range(rows - 1)] + [v_max])
-
+    v_values = SampleGrid.uniform((v_min, v_max), rows).u_values
     f0 = surface.base_curve(u_values).d0
     q0 = surface.director(u_values).d0
     points = f0[:, None, :] + q0[:, None, :] * v_values[None, :, None]
-    lines = [
-        f"v {_scalar_text(x)} {_scalar_text(y)} {_scalar_text(z)}"
-        for x, y, z in points.reshape(-1, 3).tolist()
-    ]
-
-    def idx(i: int, j: int) -> int:
-        return i * rows + j + 1
-
-    for i in range(grid_cols - 1):
-        for j in range(rows - 1):
-            a = idx(i, j)
-            b = idx(i, j + 1)
-            c = idx(i + 1, j)
-            d = idx(i + 1, j + 1)
-            lines.append(f"f {a} {b} {d}")
-            lines.append(f"f {a} {d} {c}")
-    return "\n".join(lines) + "\n"
+    # the 1-based index of each cell's (u_i, v_j) corner, and of its (u_i+1, v_j) corner
+    corner = (np.arange(grid_cols - 1)[:, None] * rows + np.arange(1, rows)).ravel()
+    across = corner + rows
+    faces = np.column_stack((corner, corner + 1, across + 1, corner, across + 1, across))
+    return "".join([*_render_rows(_finite(points.reshape(-1, 3)), "v %.17g %.17g %.17g\n", ""),
+                    *_render_rows(faces, "f %d %d %d\nf %d %d %d\n", "")])

@@ -1,5 +1,6 @@
 """Spec parsing, deterministic serialization, tables, and OBJ meshing."""
 
+import dataclasses
 import json
 import math
 import os
@@ -189,6 +190,7 @@ class TestLoadSurface:
          "tabulated_kappa.s1_range: must match the tabulated knot span [0.0, 3.0]"),
         ({"kind": "catalog", "name": "hyperboloid", "params": {"R": 2.0}},
          "hyperboloid: unknown keys ['R']"),
+        ({"kind": "catalog", "name": "moebius"}, "unknown catalog surface 'moebius'"),
         ({"kind": "catalog", "name": "constant_sigma", "params": {"d": 0.5, "s1_range": [1, -1]}},
          "constant_sigma.s1_range: hi must exceed lo"),
         ({"kind": "prescribed_kappa", "profile": {"type": "constant_sigma", "d": 0.4},
@@ -201,8 +203,8 @@ class TestLoadSurface:
          "profile: expected an object with a 'type' key"),
         ({"kind": "sampled", "u": [0.0, 1.0, 2.0, math.inf], "f": [], "q": []},
          "spec.u[3]: expected a number, got inf"),
-    ], ids=["catalog-missing", "catalog-span", "catalog-unknown", "catalog-reversed", "range3",
-            "alpha-nan", "profile-list", "sampled-inf"])
+    ], ids=["catalog-missing", "catalog-span", "catalog-unknown", "catalog-name",
+            "catalog-reversed", "range3", "alpha-nan", "profile-list", "sampled-inf"])
     def test_both_spec_kinds_raise_one_error_class(self, doc, message):
         assert SpecError is BadParams
         with pytest.raises(SpecError) as info:
@@ -467,6 +469,48 @@ class TestExportObj:
         normal = cross(verts[j] - verts[i], verts[k] - verts[i])
         a = np.array([0.0, 0.0, 1.0])  # asymptotic normal of the helicoid director
         assert dot(normal, a) > 0.0
+
+    def test_small_export_text(self):
+        text = export_obj(catalog("helicoid"), 3, 0.0, 1.0, 3)
+        assert text == (
+            "v 0 0 0\n"
+            "v 0.5 0 0\n"
+            "v 1 0 0\n"
+            "v 0 0 3.1415926535897931\n"
+            "v -0.5 6.123233995736766e-17 3.1415926535897931\n"
+            "v -1 1.2246467991473532e-16 3.1415926535897931\n"
+            "v 0 0 6.2831853071795862\n"
+            "v 0.5 -1.2246467991473532e-16 6.2831853071795862\n"
+            "v 1 -2.4492935982947064e-16 6.2831853071795862\n"
+            "f 1 2 5\nf 1 5 4\n"
+            "f 2 3 6\nf 2 6 5\n"
+            "f 4 5 8\nf 4 8 7\n"
+            "f 5 6 9\nf 5 9 8\n"
+        )
+
+    @pytest.mark.parametrize("cols, rows", [(7, 5), (2, 9), (9, 2)])
+    def test_faces_match_the_per_cell_loop(self, cols, rows):
+        want = []
+        for i in range(cols - 1):
+            for j in range(rows - 1):
+                a, c = i * rows + j + 1, (i + 1) * rows + j + 1
+                want += [f"f {a} {a + 1} {c + 1}", f"f {a} {c + 1} {c}"]
+        text = export_obj(catalog("helicoid"), cols, -1.0, 1.0, rows)
+        assert [line for line in text.splitlines() if line.startswith("f ")] == want
+
+    def test_non_finite_vertex_names_the_first_in_vertex_order(self):
+        helicoid = catalog("helicoid")
+
+        def base(u):
+            jet = helicoid.base_curve(u)
+            jet.d0[1, 1] = math.nan  # y of every vertex on the second ruling
+            jet.d0[2, 0] = math.inf  # x of the third: later in vertex order, earlier by column
+            return jet
+
+        surface = dataclasses.replace(helicoid, base_curve=base)
+        with pytest.raises(SpecError) as info:
+            export_obj(surface, 4, -1.0, 1.0, 3)
+        assert str(info.value) == "non-finite value nan cannot be serialized"
 
     def test_validation(self):
         surface = catalog("helicoid")
