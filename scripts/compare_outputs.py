@@ -28,13 +28,17 @@ import sys
 import tempfile
 from pathlib import Path
 
-# a latitude cone (beta 0.5) tabulated at u = t + 0.3 sin t: |dq/du| varies along u
+# the director of a latitude cone (beta 0.5) at 64 values of t
 _T = [2.0 * math.pi * k / 63 for k in range(64)]
+_Q = [[math.cos(0.5) * math.cos(t), math.cos(0.5) * math.sin(t), math.sin(0.5)] for t in _T]
 
 SPECS = {
     "helicoid.json": {"kind": "catalog", "name": "helicoid"},
     "cone.json": {"kind": "catalog", "name": "latitude_cone", "params": {"beta": 0.5236}},
     "steep_cone.json": {"kind": "catalog", "name": "latitude_cone", "params": {"beta": 1.5}},
+    # kappa = tan(beta) ~ 1e7, |W| too
+    "polar_cone.json": {"kind": "catalog", "name": "latitude_cone",
+                        "params": {"beta": 1.5707962267948966}},
     "hyperboloid.json": {"kind": "catalog", "name": "hyperboloid",
                          "params": {"r": 1.0, "pitch": 0.5}},
     "plane.json": {"kind": "catalog", "name": "radial_plane"},
@@ -51,10 +55,9 @@ SPECS = {
     "pk_tab.json": {"kind": "prescribed_kappa",
                     "profile": {"type": "tabulated", "s1_knots": [0.0, 1.0, 2.0, 3.0],
                                 "kappa_values": [0.0, 0.8, -0.4, 0.6]}},
+    # tabulated at u = t + 0.3 sin t: |dq/du| varies along u
     "cone_uneven.json": {"kind": "sampled", "u": [t + 0.3 * math.sin(t) for t in _T],
-                         "f": [[0.0, 0.0, 0.0]] * 64,
-                         "q": [[math.cos(0.5) * math.cos(t), math.cos(0.5) * math.sin(t),
-                                math.sin(0.5)] for t in _T]},
+                         "f": [[0.0, 0.0, 0.0]] * 64, "q": _Q},
     # the director never moves: exit 2
     "cyl.json": {"kind": "sampled", "u": [0.1 * k for k in range(24)],
                  "f": [[0.1 * k, 0.0, 0.0] for k in range(24)],
@@ -91,6 +94,17 @@ SPECS = {
     # overflows the march: one error line, exit 1
     "pk_huge.json": {"kind": "prescribed_kappa",
                      "profile": {"type": "constant", "kappa0": 1e300}},
+    # inputs whose jets or spline overflow: one error line, exit 1, no numpy warnings
+    "f_huge.json": {"kind": "sampled", "u": _T,
+                    "f": [[(-1) ** k * 1e308, 0.0, 0.0] for k in range(64)], "q": _Q},
+    "u_tiny.json": {"kind": "sampled", "u": [1e-300 * k for k in range(64)],
+                    "f": [[0.0, 0.0, 0.0]] * 64, "q": _Q},
+    "knot_huge.json": {"kind": "catalog", "name": "tabulated_kappa",
+                       "params": {"s1_knots": [0.0, 1.0, 2.0, 3.0],
+                                  "kappa_values": [0.0, 1e308, -0.4, 0.6]}},
+    "knots_wide.json": {"kind": "catalog", "name": "tabulated_kappa",
+                        "params": {"s1_knots": [-1e308, 0.0, 1e308],
+                                   "kappa_values": [0.0, 0.8, -0.4]}},
     "broken.json": "{\"kind\": ",  # written as is: not valid JSON
 }
 
@@ -112,6 +126,8 @@ INVOCATIONS = [
     ["verify", "--surface", "pk_tab.json", *N, "--out", "v_pk_tab.json", "--csv"],
     ["verify", "--surface", "pk_const.json", *N, "--out", "v_pk_const.json"],
     ["verify", "--surface", "cone_uneven.json", *N, "--out", "v_cone_uneven.json"],
+    ["verify", "--surface", "polar_cone.json", *N, "--theorem", "3.3-3.4",
+     "--out", "v_polar_cone.json"],
     ["verify", "--surface", "sigma.json", *N, "--tol", "1e-4", "--out", "v_tol.json"],
     # --tol replaces each audit's own bound, which decides its hypothesis too
     *(["verify", "--surface", spec, *N, "--tol", "1e-7", "--out", f"v_tol_{spec}"]
@@ -143,6 +159,7 @@ INVOCATIONS = [
     ["classify", "--surface", "sigma.json", "--tol", "nan"],
     ["export", "--surface", "helicoid.json", "--grid", "1x1"],
     ["export", "--surface", "helicoid.json", "--v-range", "abc"],
+    ["export", "--surface", "helicoid.json", "--grid", "2x2", "--v-range", "-1e308:1e308"],
     ["analyze", "--surface", "helicoid.json", *N, "--out", "r.csv", "--csv"],
     # exit 1: spec and params
     ["analyze", "--surface", "bad_beta.json", *N],
@@ -157,6 +174,12 @@ INVOCATIONS = [
       for spec in ("no_d.json", "tab_range.json", "pk_range3.json", "pk_alpha_nan.json",
                    "pk_profile_list.json")),
     ["classify", "--surface", "pk_huge.json", *N, "--out", "x_pk_huge.json"],
+    *(["analyze", "--surface", spec, *N, "--out", f"x_{spec}"]
+      for spec in ("f_huge.json", "u_tiny.json", "knot_huge.json", "knots_wide.json")),
+    ["export", "--surface", "f_huge.json", "--out", "x_f_huge.obj"],
+    # the v step underflows, so neighbouring rows coincide
+    ["export", "--surface", "helicoid.json", "--grid", "4x6", "--v-range", "0:1e-323",
+     "--out", "x_collapsed.obj"],
     *(["export", "--surface", "missing.json", "--v-range", value]
       for value in ("1:1", "3:-2", "nan:1", "-inf:1")),
     # exit 2: cylindrical surface
@@ -169,9 +192,10 @@ INVOCATIONS = [
 ]
 
 # runs in the child: each invocation through slantsurf.cli.main, then the
-# sha256 of every file it created or changed
+# sha256 of every file it created or changed.  Each invocation gets fresh
+# warning filters, so a warning an earlier one printed is printed again.
 CHILD = r"""
-import contextlib, hashlib, io, json, os, sys
+import contextlib, hashlib, io, json, os, sys, warnings
 from slantsurf.cli import main
 
 def snapshot():
@@ -187,7 +211,8 @@ results = []
 for argv in json.loads(sys.argv[1]):
     before = snapshot()
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
         try:
             code = main(argv)
         except SystemExit as exc:

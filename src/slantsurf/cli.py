@@ -17,6 +17,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .frame import SampleGrid, frame_samples
 from .generators import WORK_LIMIT
 from .geometry import CylindricalDirector
@@ -88,6 +90,8 @@ def _v_range(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"expected MIN:MAX, got {text!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise argparse.ArgumentTypeError(f"expected finite MIN < MAX, got {text!r}")
+    if not math.isfinite(hi - lo):
+        raise argparse.ArgumentTypeError(f"expected a finite MAX - MIN, got {text!r}")
     return lo, hi
 
 
@@ -242,9 +246,15 @@ _HANDLERS = {
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute the subcommand ``parse_cli`` returned; returns the process exit code."""
+    """Execute the subcommand ``parse_cli`` returned; returns the process exit code.
+
+    numpy's floating-point warnings are off while the handler runs: an input
+    that overflows reaches the user as one ``error:`` line, raised where the
+    non-finite value is caught, not as warnings first.
+    """
     try:
-        _HANDLERS[args.command](args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            _HANDLERS[args.command](args)
         return 0
     except CylindricalDirector as exc:
         print(f"error: cylindrical surface: {exc}", file=sys.stderr)

@@ -57,9 +57,6 @@ MIN_STEPS_PER_DOMAIN = 64
 # the work budget of one input: the most RK4 steps, u samples or mesh
 # vertices it may ask for
 WORK_LIMIT = 2**20
-# an extreme profile overflows the march and the jets; that must reach the
-# user as the one non-finite-sample error, not as numpy warnings first
-_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 class OutOfDomain(ValueError):
@@ -365,7 +362,6 @@ class FramePath:
         return len(self.s1)
 
 
-@_quiet
 def integrate_frame(config: GeneratorConfig) -> FramePath:
     """March the frame ODE across the profile domain with classical RK4,
     starting from the identity triple (q, h, a) = (e1, e2, e3).
@@ -456,7 +452,6 @@ class _PiecewisePoly:
         return acc, dacc / width[:, None]
 
 
-@_quiet
 def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpec:
     """Assemble a ruled surface from an integrated frame path.
 
@@ -501,11 +496,9 @@ def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpe
     node_jet = base_jet_of_frame(q, h, a, kap, kp, c_nodes)
     c_poly = _PiecewisePoly(s, (node_jet.d0, node_jet.d1, node_jet.d2, node_jet.d3))
 
-    @_quiet
     def director(u: np.ndarray) -> Jet3:
         return Jet3(*_director_jet(*frame_at(u), *_kappa_columns(profile, u)))
 
-    @_quiet
     def base_curve(u: np.ndarray) -> Jet3:
         q, h, a = frame_at(u)
         kap, kp = _kappa_columns(profile, u)

@@ -219,17 +219,11 @@ class SlantReport:
     angle_tol: float
 
 
-def _direction_verdict(
-    vectors: np.ndarray,
-    s1_values: np.ndarray,
-    tol: float,
-    angle_tol: float,
-    exclude_right_angle: bool,
-) -> SlantVerdict:
+def _direction_verdict(vectors: np.ndarray, s1_values: np.ndarray, tol: float,
+                       right_angle_margin: float | None) -> SlantVerdict:
     fit = detect_axis(vectors, s1_values)
     const = constancy(dot(vectors, fit.axis), tol)
     verdict = SlantVerdict(False, fit.axis, const.mean, fit.residual, const.spread, fit.tied)
-    right_angle_margin = angle_tol if exclude_right_angle else None
     return replace(verdict, verdict=verdict.holds_at(tol, right_angle_margin))
 
 
@@ -241,11 +235,11 @@ def classify_samples(
         raise ValueError(f"classification needs at least {MIN_AXIS_SAMPLES} samples")
     s1 = samples.s1
     return SlantReport(
-        q_slant=_direction_verdict(samples.q, s1, tol, angle_tol, True),
-        h_slant=_direction_verdict(samples.h, s1, tol, angle_tol, True),
-        a_slant=_direction_verdict(samples.a, s1, tol, angle_tol, True),
-        darboux_strict=_direction_verdict(samples.darboux, s1, tol, angle_tol, False),
-        darboux_angular=_direction_verdict(normalize(samples.darboux), s1, tol, angle_tol, False),
+        q_slant=_direction_verdict(samples.q, s1, tol, angle_tol),
+        h_slant=_direction_verdict(samples.h, s1, tol, angle_tol),
+        a_slant=_direction_verdict(samples.a, s1, tol, angle_tol),
+        darboux_strict=_direction_verdict(samples.darboux, s1, tol, None),
+        darboux_angular=_direction_verdict(normalize(samples.darboux), s1, tol, None),
         kappa_constancy=constancy(samples.kappa, tol),
         sigma_constancy=constancy(samples.sigma, tol),
         tol=tol,
@@ -294,8 +288,10 @@ class AuditRecord:
     notes: list[str]
 
 
-def _check(checks: list[AuditCheck], name: str, value: float, bound: float) -> None:
-    value = float(value)
+def _check(checks: list[AuditCheck], name: str, residual: float | np.ndarray,
+           bound: float) -> None:
+    """Record the largest |residual|, of a per-sample array or a scalar, against ``bound``."""
+    value = float(np.max(np.abs(residual)))
     checks.append(AuditCheck(name, value, bound, value <= bound))
 
 
@@ -343,19 +339,10 @@ def verify_theorem_2_1(
         spread = norm(axes.max(axis=0) - axes.min(axis=0))
         _check(checks, "reconstructed_axis_is_one_world_vector", spread, tol)
         axis_mean = _mean_vec(axes)
-        _check(
-            checks,
-            "central_normal_angle_equals_sigma",
-            np.abs(dot(samples.h, axis_mean) - d).max(),
-            tol,
-        )
+        _check(checks, "central_normal_angle_equals_sigma", dot(samples.h, axis_mean) - d, tol)
         scaled = dot(samples.a, axis_mean) * np.sqrt(1.0 + samples.kappa * samples.kappa)
-        _check(
-            checks,
-            "a_coefficient_scale_is_constant",
-            constancy(scaled, tol).relative_spread,
-            tol,
-        )
+        _check(checks, "a_coefficient_scale_is_constant",
+               constancy(scaled, tol).relative_spread, tol)
     elif sigma_constant:
         notes.append(
             "forward direction skipped: sigma is constant but within angle_tol of zero,"
@@ -394,13 +381,8 @@ def verify_theorem_3_1(
         notes.append("implication vacuous: no strict Darboux verdict on this sampling")
 
     if kappa_const.relative_spread < tol:
-        mean = _mean_vec(samples.darboux)
-        _check(
-            checks,
-            "constant_kappa_fixes_darboux_vector",
-            norm(samples.darboux - mean).max(),
-            tol,
-        )
+        _check(checks, "constant_kappa_fixes_darboux_vector",
+               norm(samples.darboux - _mean_vec(samples.darboux)), tol)
     else:
         notes.append("converse vacuous: kappa is not constant on this sampling")
 
@@ -427,11 +409,11 @@ def verify_corollary_3_1(
     notes: list[str] = []
     kp = samples.kappa_prime[:, None]
     dets = det3(samples.darboux, samples.q * kp, samples.h * kp)
-    worst = np.abs(dets - power(samples.kappa_prime, 2)).max()
-    _check(checks, "determinant_equals_kappa_prime_squared", worst, tol)
+    _check(checks, "determinant_equals_kappa_prime_squared",
+           dets - power(samples.kappa_prime, 2), tol)
 
     if report.darboux_strict.holds_at(tol):
-        _check(checks, "determinant_vanishes_on_strict_darboux", np.abs(dets).max(), tol)
+        _check(checks, "determinant_vanishes_on_strict_darboux", dets, tol)
     else:
         notes.append("vanishing clause vacuous: no strict Darboux verdict")
     return _finish("cor3.1", True, checks, notes)
@@ -462,21 +444,12 @@ def verify_theorem_3_2(
 
     d = sigma_const.mean
     axis_mean = _mean_vec(_h_slant_axes(samples, d))
-    _check(
-        checks,
-        "axis_norm_is_sqrt_one_plus_d_squared",
-        abs(norm(axis_mean) - math.sqrt(1.0 + d * d)),
-        tol,
-    )
-    axis_hat = normalize(axis_mean)
-    cos_const = constancy(dot(normalize(samples.darboux), axis_hat), tol)
+    _check(checks, "axis_norm_is_sqrt_one_plus_d_squared",
+           norm(axis_mean) - math.sqrt(1.0 + d * d), tol)
+    cos_const = constancy(dot(normalize(samples.darboux), normalize(axis_mean)), tol)
     _check(checks, "darboux_angle_is_constant", cos_const.relative_spread, tol)
-    _check(
-        checks,
-        "darboux_cosine_matches_axis_norm_reciprocal",
-        abs(cos_const.mean - 1.0 / math.sqrt(1.0 + d * d)),
-        tol,
-    )
+    _check(checks, "darboux_cosine_matches_axis_norm_reciprocal",
+           cos_const.mean - 1.0 / math.sqrt(1.0 + d * d), tol)
     return _finish("3.2", True, checks, notes)
 
 
@@ -491,10 +464,11 @@ def verify_theorems_3_3_3_4(
     """Audit the frame decomposition of fixed axes on constant-kappa surfaces.
 
     For any fixed unit axis u with coefficients (a1, a2, a3) in {q, h, a}:
-    kappa*a1 + a3 must equal the constant C = <W, u> at every sample; a2 is
-    constant exactly when a3 is, and then a3 = C / (1 + kappa^2).  The
-    default axis is the direction of the (fixed) Darboux vector; callers may
-    supply extra axes to exercise the vacuous branches.
+    kappa*a1 + a3 must equal the constant C = <W, u> at every sample, to
+    within tol relative to |W| = sqrt(1 + kappa^2); a2 is constant exactly
+    when a3 is, and then a3 = C / (1 + kappa^2).  The default axis is the
+    direction of the (fixed) Darboux vector; callers may supply extra axes
+    to exercise the vacuous branches.
 
     Not applicable when kappa is not constant, because then no fixed axis
     keeps <W, u> constant and the hypotheses are empty.  Kappa constancy is
@@ -502,7 +476,6 @@ def verify_theorems_3_3_3_4(
     verdict is read.
     """
     samples, report = _inputs(surface, grid, tol, samples, report)
-    kappas = samples.kappa
     kappa_const = report.kappa_constancy
     if not kappa_const.relative_spread < tol:
         return _finish("3.3-3.4", False, [], [
@@ -515,6 +488,7 @@ def verify_theorems_3_3_3_4(
     # with vanishing curvature a is fixed, so a3 is constant no matter what
     # a2 does: the equivalence has no content, and a3 alone decides the lock
     flat = abs(kappa_mean) <= report.angle_tol
+    w_norm = math.sqrt(1.0 + kappa_mean * kappa_mean)
 
     axis_list: list[tuple[str, np.ndarray]] = [
         ("darboux_direction", normalize(_mean_vec(samples.darboux)))
@@ -525,8 +499,8 @@ def verify_theorems_3_3_3_4(
     for name, axis in axis_list:
         a1, a2, a3 = dot(samples.q, axis), dot(samples.h, axis), dot(samples.a, axis)
         c_value = _mean(dot(samples.darboux, axis))
-        worst = np.abs(kappas * a1 + a3 - c_value).max()
-        _check(checks, f"{name}: expansion_matches_darboux_projection", worst, tol)
+        _check(checks, f"{name}: expansion_matches_darboux_projection",
+               (samples.kappa * a1 + a3 - c_value) / w_norm, tol)
 
         a2_const = constancy(a2, tol)
         a3_const = constancy(a3, tol)
@@ -536,9 +510,8 @@ def verify_theorems_3_3_3_4(
             _check(checks, f"{name}: central_and_third_coefficient_constancy_agree",
                    0.0 if a2_const.is_constant == a3_const.is_constant else 1.0, 0.5)
         if a3_const.is_constant and (flat or a2_const.is_constant):
-            locked = c_value / (1.0 + kappa_mean * kappa_mean)
             _check(checks, f"{name}: third_coefficient_locks_to_projection_over_norm_squared",
-                   np.abs(a3 - locked).max(), tol)
+                   a3 - c_value / (1.0 + kappa_mean * kappa_mean), tol)
             if not flat:
                 _check(checks, f"{name}: first_coefficient_constant_in_turn",
                        constancy(a1, tol).relative_spread, tol)

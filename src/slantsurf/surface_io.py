@@ -441,8 +441,12 @@ def export_obj(
         raise SpecError("mesh needs at least 2 columns and 2 rows")
     if not (math.isfinite(v_min) and math.isfinite(v_max) and v_max > v_min):
         raise SpecError("degenerate v range: need v_min < v_max")
+    try:
+        v_values = SampleGrid.uniform((v_min, v_max), rows).u_values
+    except ValueError:
+        raise SpecError(f"degenerate v range: {rows} rows between v_min={v_min!r} and "
+                        f"v_max={v_max!r} are not distinct") from None
     u_values = SampleGrid.uniform(surface.param_range, grid_cols).u_values
-    v_values = SampleGrid.uniform((v_min, v_max), rows).u_values
     f0 = surface.base_curve(u_values).d0
     q0 = surface.director(u_values).d0
     points = f0[:, None, :] + q0[:, None, :] * v_values[None, :, None]

@@ -18,6 +18,14 @@ def write_spec(path, doc):
     return str(path)
 
 
+# a latitude cone tabulated at 32 rows whose base curve jumps between -1e308 and 1e308
+_T = [2.0 * math.pi * k / 31 for k in range(32)]
+HUGE_F = {"kind": "sampled", "u": _T,
+          "f": [[(-1) ** k * 1e308, 0.0, 0.0] for k in range(32)],
+          "q": [[math.cos(0.5) * math.cos(t), math.cos(0.5) * math.sin(t), math.sin(0.5)]
+                for t in _T]}
+
+
 @pytest.fixture
 def helicoid_spec(tmp_path):
     return write_spec(tmp_path / "helicoid.json", {"kind": "catalog", "name": "helicoid"})
@@ -264,15 +272,45 @@ class TestAnalyze:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")  # a numpy warning fails here instead of printing
-    def test_overflowing_profile_prints_one_error_line(self, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        path = write_spec(tmp_path / "spec.json", {
-            "kind": "prescribed_kappa", "profile": {"type": "constant", "kappa0": 1e300}})
-        assert main(["classify", "--surface", path, "--out", str(out)]) == 1
+    @pytest.mark.parametrize("spec, argv, last_line", [
+        ({"kind": "prescribed_kappa", "profile": {"type": "constant", "kappa0": 1e300}},
+         ["classify"], "error: surface jets are non-finite at u=0.0"),
+        (HUGE_F, ["analyze"], "error: surface jets are non-finite at u=0.0"),
+        (HUGE_F, ["export"], "error: non-finite value -inf cannot be serialized"),
+        ({**HUGE_F, "f": [[0.0, 0.0, 0.0]] * 32, "u": [1e-300 * k for k in range(32)]},
+         ["analyze"], "error: surface jets are non-finite at u=0.0"),
+        ({"kind": "catalog", "name": "tabulated_kappa",
+          "params": {"s1_knots": [0.0, 1.0, 2.0, 3.0], "kappa_values": [0.0, 1e308, -0.4, 0.6]}},
+         ["analyze"], "error: surface jets are non-finite at u=0.0"),
+        ({"kind": "catalog", "name": "tabulated_kappa",
+          "params": {"s1_knots": [-1e308, 0.0, 1e308], "kappa_values": [0.0, 0.8, -0.4]}},
+         ["analyze"], "error: step 0.01 too fine: at most 1048576 steps across "
+                      "[-1e+308, 1e+308]"),
+        ({"kind": "catalog", "name": "helicoid"},
+         ["export", "--grid", "2x2", "--v-range", "-1e308:1e308"],
+         "slant export: error: argument --v-range: expected a finite MAX - MIN, "
+         "got '-1e308:1e308'"),
+    ], ids=["constant-kappa-1e300", "sampled-f-1e308-analyze", "sampled-f-1e308-export",
+            "sampled-u-step-1e-300", "tabulated-kappa-1e308", "tabulated-knots-1e308",
+            "export-v-span-overflows"])
+    def test_overflowing_profile_prints_one_error_line(self, spec, argv, last_line,
+                                                       tmp_path, capsys):
+        path = write_spec(tmp_path / "spec.json", spec)
+        try:
+            code = main([*argv, "--surface", path, "--out", str(tmp_path / "out")])
+        except SystemExit as exc:  # a bad flag stops the parser
+            code = exc.code
+        assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: surface jets are non-finite at u=0.0\n"
-        assert not out.exists()
+        if last_line.startswith("error: "):
+            assert captured.err == last_line + "\n"
+        else:  # rejected while the flags are parsed: usage, then the one error line
+            assert captured.err.startswith("usage: ")
+            assert [line for line in captured.err.splitlines() if "error: " in line] == [
+                last_line]
+            assert captured.err.endswith(last_line + "\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 
 class TestClassify:

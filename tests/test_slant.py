@@ -303,6 +303,16 @@ class TestAuditors:
         assert record.notes[0].startswith(
             "the decomposition audit needs constant conical curvature (relative spread ")
 
+    def test_expansion_residual_is_relative_to_the_darboux_norm(self):
+        # kappa = tan(beta) ~ 1e7: the absolute residual is rounding of |W| ~ 1e7
+        surface = catalog("latitude_cone", {"beta": 1.5707962267948966})
+        grid = SampleGrid.uniform(surface.param_range, 128)
+        record = verify_theorems_3_3_3_4(surface, grid)
+        assert record.passed
+        check = record.checks[0]
+        assert check.name == "darboux_direction: expansion_matches_darboux_projection"
+        assert check.value < 1e-14
+
     def test_zero_curvature_equivalence_is_vacuous(self):
         # on the helicoid a3 is constant for any axis while a2 may vary
         surface = catalog("helicoid")

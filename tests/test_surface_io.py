@@ -522,3 +522,10 @@ class TestExportObj:
             export_obj(surface, 4, 1.0, 1.0, 4)
         with pytest.raises(SpecError):
             export_obj(surface, 4, 2.0, -2.0, 4)
+
+    def test_collapsed_v_grid_names_the_range(self):
+        # the v step 2e-324 rounds to 0 or 5e-324: neighbouring rows coincide
+        with pytest.raises(SpecError) as info:
+            export_obj(catalog("helicoid"), 4, 0.0, 1e-323, 6)
+        assert str(info.value) == ("degenerate v range: 6 rows between v_min=0.0 and "
+                                   "v_max=1e-323 are not distinct")
