@@ -151,6 +151,9 @@ INVOCATIONS = [
     ["verify", "--surface", "sigma.json", "--samples", "4096", "--out", "v_4096.json"],
     ["verify", "--surface", "tab.json", "--samples", "4096", "--csv", "--out", "v_tab_4096.json"],
     ["generate", "--surface", "sigma.json", "--samples", "4096", "--out", "g_sigma_4096.json"],
+    # the benchmark's peak case: 16 row blocks of sampled jets, then both text renderers
+    ["verify", "--surface", "g_sigma_4096.json", "--samples", "4096", "--csv",
+     "--out", "v_g_sigma_4096.json"],
     # exit 1: usage
     [],
     ["analyze", "--surface", "sigma.json", "--bogus"],

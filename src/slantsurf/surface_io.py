@@ -17,7 +17,7 @@ import os
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,9 +64,9 @@ MIN_SAMPLED_ROWS = 16
 SAMPLED_UNIT_TOL = 1e-6
 # table rows behind each sampled jet: a degree-7 interpolant
 SAMPLED_WINDOW = 8
-# sample rows per `%` and characters per write: each bounds a temporary
+# sample rows per `%` or jet block and characters per write: each bounds a temporary
 ROW_BLOCK = 256
-WRITE_SLICE = 1 << 20
+WRITE_SLICE = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def _render_rows(matrix: np.ndarray, row: str, sep: str) -> Iterator[str]:
         yield template % tuple(block.ravel().tolist())
 
 
-def _table_rows(samples: FrameTable, indent: int, out: list[str]) -> None:
+def _table_rows(samples: FrameTable, indent: int, out: list) -> None:
     """The report's ``samples`` list: one dict per row, all from one template."""
     matrix = _table_matrix(samples)
     if not len(matrix):
@@ -117,7 +117,7 @@ def _table_rows(samples: FrameTable, indent: int, out: list[str]) -> None:
               for key, name in zip(_ROW_KEYS, _COLUMNS)]
     row = f"{pad}  {{\n" + ",\n".join(fields) + f"\n{pad}  }}"
     out.append("[\n")
-    out.extend(_render_rows(matrix, row, ",\n"))
+    out.append(_render_rows(matrix, row, ",\n"))
     out.append(f"\n{pad}]")
 
 
@@ -137,7 +137,7 @@ def _scalar_text(value) -> str:
     return str(value)
 
 
-def _emit(value, indent: int, out: list[str]) -> None:
+def _emit(value, indent: int, out: list) -> None:
     pad = "  " * indent
     if isinstance(value, _SCALARS):
         out.append(_scalar_text(value))
@@ -175,16 +175,33 @@ def _emit(value, indent: int, out: list[str]) -> None:
         raise SpecError(f"cannot serialize {type(value).__name__}")
 
 
+def _joined(parts: Iterable[str | Iterator[str]]) -> str:
+    """The strings of ``parts``, and the pieces of its iterators, appended to one ``str``.
+
+    CPython resizes ``text`` in place for ``+=`` while this local holds its only
+    reference, so the text is never alive beside a copy of itself or beside all
+    its row blocks (``"".join`` and ``io.StringIO`` peak at 2.00x the text).
+    """
+    text = ""
+    for part in parts:
+        if isinstance(part, str):
+            text += part
+        else:
+            for piece in part:
+                text += piece
+    return text
+
+
 def dumps_deterministic(doc: dict) -> str:
     """Render a document as JSON with fixed key order and .17g floats.
 
     A ``FrameTable`` value renders as the list of per-row dicts of a report's
     ``samples`` block.
     """
-    out: list[str] = []
+    out: list = []
     _emit(doc, 0, out)
     out.append("\n")
-    return "".join(out)
+    return _joined(out)
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -221,9 +238,29 @@ def write_json_atomic(path: str | Path, doc: dict) -> None:
 # spec loading
 
 
+def _plain_rows(value: list) -> bool:
+    """Whether every item of ``value`` is a list of 3 floats or ints (a bool is neither)."""
+    for row in value:
+        if type(row) is not list or len(row) != 3:
+            return False
+        for x in row:
+            if type(x) is not float and type(x) is not int:
+                return False
+    return True
+
+
 def _as_vec_rows(value, where: str) -> np.ndarray:
+    """``value`` as an (M, 3) float array: one type walk, one ``np.isfinite``.
+
+    Any other table is walked again by ``finite_floats``, which names its
+    first bad item, or accepts rows that are tuples or other real numbers.
+    """
     if not isinstance(value, list):
         raise SpecError(f"{where}: expected a list of [x, y, z] rows")
+    if _plain_rows(value):
+        rows = np.array(value, dtype=float).reshape(len(value), 3)
+        if np.isfinite(rows).all():
+            return rows
     rows = [finite_floats(row, f"{where}[{i}]", 3) for i, row in enumerate(value)]
     return np.array(rows, dtype=float).reshape(len(rows), 3)
 
@@ -245,21 +282,32 @@ def _load_prescribed(doc: dict) -> RuledSurfaceSpec:
     return build_surface(integrate_frame(config), config)
 
 
-def _table_jets(u: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Jets at ``t`` of the degree-7 polynomial through the 8 table rows around each point.
+def _table_jet(u: np.ndarray, rows: np.ndarray, t: np.ndarray, unit: bool) -> Jet3:
+    """Jet at ``t`` of the degree-7 polynomial through the 8 table rows around each
+    point, through ``_unit_jet`` when ``unit``.
 
     The window is centred on the point and one-sided at the table ends, so no
-    derivative reaches past the data.  Returns the (4, M, 3) stack of values
-    and first three derivatives.
+    derivative reaches past the data.  The points go ``ROW_BLOCK`` at a time,
+    so one block's windows, weights and (4, 8, B, 3) product are the largest
+    temporaries.  Each block lands in four separate (M, 3) arrays, not one
+    stack, so a column a caller keeps holds no other.
     """
     t = np.asarray(t, dtype=float)
-    start = np.clip(np.searchsorted(u, t) - SAMPLED_WINDOW // 2, 0, len(u) - SAMPLED_WINDOW)
-    window = start + np.arange(SAMPLED_WINDOW)[:, None]  # (8, M): one row per node
-    return (derivative_weights(t, u[window])[..., None] * rows[window]).sum(axis=1)
+    jet = Jet3(*(np.empty((len(t), 3)) for _ in range(4)))
+    for lo in range(0, len(t), ROW_BLOCK):
+        at = t[lo:lo + ROW_BLOCK]
+        start = np.clip(np.searchsorted(u, at) - SAMPLED_WINDOW // 2, 0, len(u) - SAMPLED_WINDOW)
+        window = start + np.arange(SAMPLED_WINDOW)[:, None]  # (8, B): one row per node
+        d = (derivative_weights(at, u[window])[..., None] * rows[window]).sum(axis=1)
+        if unit:
+            d = _unit_jet(*d)
+        for whole, block in zip((jet.d0, jet.d1, jet.d2, jet.d3), d):
+            whole[lo:lo + ROW_BLOCK] = block
+    return jet
 
 
-def _unit_jet(p0, p1, p2, p3) -> Jet3:
-    """Jet of q = p/|p| from the jet of p, by the chain rule to third order.
+def _unit_jet(p0, p1, p2, p3) -> tuple[np.ndarray, ...]:
+    """Jet (q, q', q'', q''') of q = p/|p| from the jet of p, by the chain rule to third order.
 
     With s = <p, p> and g = s^(-1/2), q = g p and
 
@@ -276,7 +324,7 @@ def _unit_jet(p0, p1, p2, p3) -> Jet3:
     dg2 = 0.75 * s1 * s1 * fifth - 0.5 * s2 * cube
     dg3 = -1.875 * s1**3 * seventh + 2.25 * s1 * s2 * fifth - 0.5 * s3 * cube
     g, dg1, dg2, dg3 = g[:, None], dg1[:, None], dg2[:, None], dg3[:, None]
-    return Jet3(
+    return (
         normalize(p0),
         dg1 * p0 + g * p1,
         dg2 * p0 + 2.0 * dg1 * p1 + g * p2,
@@ -293,9 +341,10 @@ def _load_sampled(doc: dict) -> RuledSurfaceSpec:
         raise SpecError("spec: u, f and q must have equal lengths")
     if len(u) < MIN_SAMPLED_ROWS:
         raise SpecError(f"spec: need at least {MIN_SAMPLED_ROWS} sample rows")
-    for i, (left, right) in enumerate(zip(u, u[1:])):
-        if not right > left:
-            raise SpecError(f"spec.u[{i + 1}]: values must be strictly increasing")
+    nodes = np.array(u)
+    stalled = np.flatnonzero(nodes[1:] <= nodes[:-1])
+    if stalled.size:
+        raise SpecError(f"spec.u[{stalled[0] + 1}]: values must be strictly increasing")
     q_norms = norm(q_rows)
     off = np.flatnonzero(np.abs(q_norms - 1.0) > SAMPLED_UNIT_TOL)
     if off.size:
@@ -304,13 +353,11 @@ def _load_sampled(doc: dict) -> RuledSurfaceSpec:
             f"{SAMPLED_UNIT_TOL:g} (norm {float(q_norms[off[0]])!r})"
         )
 
-    nodes = np.array(u)
-
     def base_curve(t: np.ndarray) -> Jet3:
-        return Jet3(*_table_jets(nodes, f_rows, t))
+        return _table_jet(nodes, f_rows, t, unit=False)
 
     def director(t: np.ndarray) -> Jet3:
-        return _unit_jet(*_table_jets(nodes, q_rows, t))
+        return _table_jet(nodes, q_rows, t, unit=True)
 
     return RuledSurfaceSpec(
         base_curve=base_curve,
@@ -420,7 +467,7 @@ def report_document(
 def csv_table(samples: FrameTable) -> str:
     """Sample table as CSV text with a fixed header and .17g floats."""
     row = "\n" + ",".join(["%.17g"] * len(CSV_HEADER.split(",")))
-    return "".join([CSV_HEADER, *_render_rows(_table_matrix(samples), row, ""), "\n"])
+    return _joined([CSV_HEADER, _render_rows(_table_matrix(samples), row, ""), "\n"])
 
 
 def export_obj(
@@ -454,5 +501,5 @@ def export_obj(
     corner = (np.arange(grid_cols - 1)[:, None] * rows + np.arange(1, rows)).ravel()
     across = corner + rows
     faces = np.column_stack((corner, corner + 1, across + 1, corner, across + 1, across))
-    return "".join([*_render_rows(_finite(points.reshape(-1, 3)), "v %.17g %.17g %.17g\n", ""),
-                    *_render_rows(faces, "f %d %d %d\nf %d %d %d\n", "")])
+    return _joined([_render_rows(_finite(points.reshape(-1, 3)), "v %.17g %.17g %.17g\n", ""),
+                    _render_rows(faces, "f %d %d %d\nf %d %d %d\n", "")])

@@ -33,10 +33,37 @@ from slantsurf import (
 from slantsurf.cli import parse_cli, run
 from slantsurf.generators import GENERATOR_KEYS
 from slantsurf.geometry import cross, dot, norm
-from slantsurf.surface_io import WRITE_SLICE
+from slantsurf.surface_io import ROW_BLOCK, WRITE_SLICE
 
 TABULATED = {"s1_knots": [0.0, 1.0, 2.0, 3.0], "kappa_values": [0.0, 0.8, -0.4, 0.6]}
 VERDICTS = ("q_slant", "h_slant", "a_slant", "darboux_strict", "darboux_angular")
+
+
+def sampled_with(key: str, index: int, value) -> dict:
+    """A valid 16-row sampled spec whose ``key`` list holds ``value`` at ``index``."""
+    doc = {"kind": "sampled", "u": [0.1 * k for k in range(16)],
+           "f": [[0.1 * k, 0.0, 0.0] for k in range(16)],
+           "q": [[math.cos(0.1 * k), math.sin(0.1 * k), 0.0] for k in range(16)]}
+    doc[key][index] = value
+    return doc
+
+
+# one bad item per case: the message names it, whichever check finds it
+BAD_ROWS = [
+    *((sampled_with(key, 3, [0.3, item, 0.0]), f"spec.{key}[3][1]: expected a number, got {text}")
+      for key in ("f", "q")
+      for item, text in ((True, "True"), ("1.0", "'1.0'"), (None, "None"), (math.nan, "nan"))),
+    (sampled_with("f", 2, [1.0, 2.0]), "spec.f[2]: expected a list of 3 numbers, got [1.0, 2.0]"),
+    (sampled_with("q", 6, [[0.0], 0.0, 1.0]), "spec.q[6][0]: expected a number, got [0.0]"),
+    (sampled_with("f", 15, "1.0, 0.0, 0.0"),
+     "spec.f[15]: expected a list of 3 numbers, got '1.0, 0.0, 0.0'"),
+    (sampled_with("u", 7, 0.6), "spec.u[7]: values must be strictly increasing"),
+    (sampled_with("u", 12, 0.5), "spec.u[12]: values must be strictly increasing"),
+]
+BAD_ROW_IDS = [*(f"sampled-{key}-{kind}" for key in ("f", "q")
+                 for kind in ("bool", "string", "none", "nan")),
+               "sampled-short-row", "sampled-nested-row", "sampled-row-not-list",
+               "sampled-u-repeat", "sampled-u-decrease"]
 
 
 class TestDumps:
@@ -203,8 +230,10 @@ class TestLoadSurface:
          "profile: expected an object with a 'type' key"),
         ({"kind": "sampled", "u": [0.0, 1.0, 2.0, math.inf], "f": [], "q": []},
          "spec.u[3]: expected a number, got inf"),
+        *BAD_ROWS,
     ], ids=["catalog-missing", "catalog-span", "catalog-unknown", "catalog-name",
-            "catalog-reversed", "range3", "alpha-nan", "profile-list", "sampled-inf"])
+            "catalog-reversed", "range3", "alpha-nan", "profile-list", "sampled-inf",
+            *BAD_ROW_IDS])
     def test_both_spec_kinds_raise_one_error_class(self, doc, message):
         assert SpecError is BadParams
         with pytest.raises(SpecError) as info:
@@ -304,6 +333,26 @@ class TestSampledJets:
         orders = [math.log2(coarse / fine) for coarse, fine in zip(ladder, ladder[1:])]
         assert min(orders) >= 4.5, orders
         assert error(512) <= 1e-7 and error(1024) <= 1e-7
+
+    @pytest.mark.parametrize("jet", ["base_curve", "director"])
+    def test_row_blocks_match_points_one_at_a_time(self, jet):
+        # 2 ROW_BLOCK + 1 points: two whole blocks and one of a single point
+        surface = load_surface(sampled_spec_document(catalog("constant_sigma", {"d": 0.5}), 1024))
+        t = SampleGrid.uniform(surface.param_range, 2 * ROW_BLOCK + 1).u_values
+        blocks = getattr(surface, jet)(t)
+        singles = [getattr(surface, jet)(t[i:i + 1]) for i in range(len(t))]
+        for order in ("d0", "d1", "d2", "d3"):
+            got = getattr(blocks, order)
+            assert got.shape == (len(t), 3)
+            want = np.concatenate([getattr(single, order) for single in singles])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), order
+
+    def test_frame_peak_is_bounded_by_a_row_block(self):
+        # measured 1.97 MB; 6.16 MB when each jet held a (4, 8, M, 3) product
+        surface = load_surface(sampled_spec_document(catalog("constant_sigma", {"d": 0.5}), 4096))
+        grid = SampleGrid.uniform(surface.param_range, 4096)
+        _, peak = traced_peak(frame_samples, surface, grid)
+        assert peak <= 2.5e6
 
 
 class TestDocuments:
@@ -416,12 +465,15 @@ def traced_peak(render, *args):
 class TestSerializationPeak:
     """Peak memory of rendering an 8192-sample report (4.8 MB) and writing 9.6 MB.
 
-    The floor is the parts the text is joined from plus the joined ``str``:
-    2.00x the text, measured, for the report and for the CSV table, at 8192
-    and at 16384 samples.  Rendering the whole table in one ``%`` peaked at
-    3.09x (report) and 3.59x (CSV), and encoding the whole text in one write
-    took 1.00x the text more.  Tracing every allocation makes each render
-    about 6x slower, so the table is 8192 samples, not 16384.
+    The text is held once: each row block is appended to one ``str`` that
+    grows in place, so the peak is the text plus the checked (N, 20) value
+    matrix and one block.  Measured: 1.36x the text for the report, 1.49x for
+    the CSV table (its matrix is a larger share of a shorter text).  Joining
+    the blocks with ``"".join`` peaked at 2.00x for both; rendering the whole
+    table in one ``%`` at 3.09x (report) and 3.59x (CSV).  A write encodes
+    one 64 KiB slice at a time; encoding the whole text in one write took
+    1.00x the text more.  Tracing every allocation makes each render about
+    6x slower, so the table is 8192 samples, not 16384.
     """
 
     @pytest.fixture(scope="class")
@@ -430,18 +482,18 @@ class TestSerializationPeak:
         samples = frame_samples(surface, SampleGrid.uniform(surface.param_range, 8192))
         return samples, report_document(surface, samples, classify_samples(samples))
 
-    def test_report_peaks_near_twice_its_text(self, table):
+    def test_report_holds_its_text_once(self, table):
         text, peak = traced_peak(dumps_deterministic, table[1])
-        assert peak <= 2.25 * len(text)  # measured 2.00x; margin 12%
+        assert peak <= 1.52 * len(text)  # measured 1.36x; margin 12%
 
-    def test_csv_peaks_near_twice_its_text(self, table):
+    def test_csv_holds_its_text_once(self, table):
         text, peak = traced_peak(csv_table, table[0])
-        assert peak <= 2.25 * len(text)  # measured 2.00x; margin 12%
+        assert peak <= 1.67 * len(text)  # measured 1.49x; margin 12%
 
     def test_write_encodes_a_slice_at_a_time(self, tmp_path):
         text = "0.30000000000000004,\n" * 458_000  # 9.6 MB: a 16384-sample report
         _, peak = traced_peak(write_text_atomic, tmp_path / "r.json", text)
-        assert peak <= 3 * 2**20  # measured 2.01 MiB; margin 1.5x (9.18 MiB in one write)
+        assert peak <= 2**19  # measured 0.13 MiB (2.01 MiB in 1 MiB slices, 9.18 in one write)
 
 
 class TestExportObj:
