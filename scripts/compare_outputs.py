@@ -105,6 +105,11 @@ SPECS = {
     "knots_wide.json": {"kind": "catalog", "name": "tabulated_kappa",
                         "params": {"s1_knots": [-1e308, 0.0, 1e308],
                                    "kappa_values": [0.0, 0.8, -0.4]}},
+    # an integer beyond float range where a number is wanted: one error line, exit 1
+    "beta_overflow.json": {"kind": "catalog", "name": "latitude_cone",
+                           "params": {"beta": 10 ** 400}},
+    "f_overflow.json": {"kind": "sampled", "u": _T,
+                        "f": [[10 ** 400, 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * 63, "q": _Q},
     "broken.json": "{\"kind\": ",  # written as is: not valid JSON
 }
 
@@ -180,6 +185,8 @@ INVOCATIONS = [
     *(["analyze", "--surface", spec, *N, "--out", f"x_{spec}"]
       for spec in ("f_huge.json", "u_tiny.json", "knot_huge.json", "knots_wide.json")),
     ["export", "--surface", "f_huge.json", "--out", "x_f_huge.obj"],
+    *(["classify", "--surface", spec, *N, "--out", f"x_{spec}"]
+      for spec in ("beta_overflow.json", "f_overflow.json")),
     # the v step underflows, so neighbouring rows coincide
     ["export", "--surface", "helicoid.json", "--grid", "4x6", "--v-range", "0:1e-323",
      "--out", "x_collapsed.obj"],
@@ -196,9 +203,11 @@ INVOCATIONS = [
 
 # runs in the child: each invocation through slantsurf.cli.main, then the
 # sha256 of every file it created or changed.  Each invocation gets fresh
-# warning filters, so a warning an earlier one printed is printed again.
+# warning filters, so a warning an earlier one printed is printed again.  An
+# exception that escapes main exits 1 with its last traceback line, as the
+# interpreter would.
 CHILD = r"""
-import contextlib, hashlib, io, json, os, sys, warnings
+import contextlib, hashlib, io, json, os, sys, traceback, warnings
 from slantsurf.cli import main
 
 def snapshot():
@@ -220,6 +229,9 @@ for argv in json.loads(sys.argv[1]):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
+        except Exception as exc:
+            code = 1
+            err.write("uncaught " + "".join(traceback.format_exception_only(exc)))
     after = snapshot()
     files = {p: h for p, h in sorted(after.items()) if before.get(p) != h}
     results.append({"code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),

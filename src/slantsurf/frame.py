@@ -150,8 +150,12 @@ def _speed(q_jet: Jet3) -> np.ndarray:
 
 def striction_point(f_jet: Jet3, q_jet: Jet3) -> np.ndarray:
     """Striction points c = f - (<q', f'>/<q', q'>) q at common parameters."""
-    n1 = _speed(q_jet)
-    return f_jet.d0 - q_jet.d0 * (dot(q_jet.d1, f_jet.d1) / (n1 * n1))[:, None]
+    return _striction(f_jet.d0, f_jet.d1, q_jet, _speed(q_jet))
+
+
+def _striction(f0: np.ndarray, f1: np.ndarray, q_jet: Jet3, n1: np.ndarray) -> np.ndarray:
+    """``striction_point`` from f, f' and the director speed ``n1`` = |q'|."""
+    return f0 - q_jet.d0 * (dot(q_jet.d1, f1) / (n1 * n1))[:, None]
 
 
 def asymptotic_normal(q_jet: Jet3) -> np.ndarray:
@@ -224,14 +228,20 @@ def frame_samples(surface: RuledSurfaceSpec, grid: SampleGrid) -> FrameTable:
     """
     u = grid.u_values
     mid = 0.5 * (u[:-1] + u[1:])
+    # each jet is dropped once read: the base curve's d2 and d3 and the
+    # midpoint jet are never alive beside the jets that follow them
     f_jet = surface.base_curve(u)
+    f0, f1, finite = f_jet.d0, f_jet.d1, f_jet.is_finite()
+    del f_jet
     q_jet = surface.director(u)
+    finite &= q_jet.is_finite()
     q_mid = surface.director(mid)
+    mid_speed, mid_finite = norm(q_mid.d1), q_mid.is_finite()
+    del q_mid
     speed = norm(q_jet.d1)
-    mid_speed = norm(q_mid.d1)
     _raise_first_fault(
         np.concatenate((u, mid)),
-        np.concatenate((f_jet.is_finite() & q_jet.is_finite(), q_mid.is_finite())),
+        np.concatenate((finite, mid_finite)),
         np.concatenate((speed, mid_speed)),
     )
     a = asymptotic_normal(q_jet)
@@ -248,5 +258,5 @@ def frame_samples(surface: RuledSurfaceSpec, grid: SampleGrid) -> FrameTable:
         kappa_prime=kp,
         sigma=sigma(kap, kp),
         darboux=darboux_vector(kap, q_jet.d0, a),
-        striction=striction_point(f_jet, q_jet),
+        striction=_striction(f0, f1, q_jet, speed),
     )

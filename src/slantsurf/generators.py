@@ -76,8 +76,11 @@ class UnknownCatalogName(BadParams):
 
 def _is_number(value) -> bool:
     # float and int first: they skip the slower numbers.Real check
-    return (isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    try:
+        return (isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 def finite_float(value, where: str) -> float:
@@ -443,12 +446,11 @@ class _PiecewisePoly:
         i = np.clip(i, 0, len(self.s_nodes) - 2)
         width = self.s_nodes[i + 1] - self.s_nodes[i]
         t = ((u - self.s_nodes[i]) / width)[:, None]
-        coeffs = self.coeffs[:, i]
-        acc = np.zeros(coeffs.shape[1:])
-        dacc = np.zeros(coeffs.shape[1:])
-        for c in coeffs[::-1]:
+        acc = np.zeros((len(i), self.coeffs.shape[-1]))
+        dacc = np.zeros_like(acc)
+        for c in self.coeffs[::-1]:  # one degree's rows gathered at a time
             dacc = dacc * t + acc
-            acc = acc * t + c
+            acc = acc * t + c[i]
         return acc, dacc / width[:, None]
 
 

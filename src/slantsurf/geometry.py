@@ -120,7 +120,8 @@ class Jet3:
 
     def is_finite(self) -> np.ndarray:
         """Per row: whether the value and all three derivatives are finite."""
-        return np.isfinite(np.stack((self.d0, self.d1, self.d2, self.d3))).all(axis=(0, -1))
+        return (np.isfinite(self.d0).all(-1) & np.isfinite(self.d1).all(-1)
+                & np.isfinite(self.d2).all(-1) & np.isfinite(self.d3).all(-1))
 
 
 def fd_jet(curve: Callable[[np.ndarray], np.ndarray], u0, step: float) -> Jet3:

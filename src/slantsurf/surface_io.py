@@ -91,33 +91,45 @@ def _finite(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _table_matrix(samples: FrameTable) -> np.ndarray:
-    """The table as one checked (N, 20) matrix; read row by row, that is document order."""
-    return _finite(np.column_stack([getattr(samples, name) for name in _COLUMNS]))
+def _table_columns(samples: FrameTable) -> list[np.ndarray]:
+    """The table's columns in document order as (N, 1) and (N, 3) views, once checked.
+
+    One bool mask marks the rows with a non-finite value, and ``_finite`` reads
+    the first such row alone, so no (N, 20) matrix of the table is built.
+    """
+    columns = [getattr(samples, name) for name in _COLUMNS]
+    columns = [column[:, None] if column.ndim == 1 else column for column in columns]
+    bad = np.zeros(len(samples), dtype=bool)
+    for column in columns:
+        bad |= ~np.isfinite(column).all(axis=1)
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        _finite(np.concatenate([column[rows[0]] for column in columns]))
+    return columns
 
 
-def _render_rows(matrix: np.ndarray, row: str, sep: str) -> Iterator[str]:
-    """The rows of ``matrix`` through the ``%`` template ``row``, joined by ``sep``,
-    as texts of ``ROW_BLOCK`` rows: one block's values are alive at a time."""
-    for start in range(0, len(matrix), ROW_BLOCK):
-        block = matrix[start:start + ROW_BLOCK]
+def _render_rows(columns: Sequence[np.ndarray], row: str, sep: str) -> Iterator[str]:
+    """The rows of the 2-D ``columns`` side by side through the ``%`` template ``row``,
+    joined by ``sep``, as texts of ``ROW_BLOCK`` rows: one block's values are alive at a time."""
+    for start in range(0, len(columns[0]), ROW_BLOCK):
+        block = np.column_stack([column[start:start + ROW_BLOCK] for column in columns])
         template = (sep if start else "") + sep.join([row] * len(block))
         yield template % tuple(block.ravel().tolist())
 
 
 def _table_rows(samples: FrameTable, indent: int, out: list) -> None:
     """The report's ``samples`` list: one dict per row, all from one template."""
-    matrix = _table_matrix(samples)
-    if not len(matrix):
+    columns = _table_columns(samples)
+    if not len(samples):
         out.append("[]")
         return
     pad = "  " * indent
     fields = [f'{pad}    "{key}": '
-              + ("%.17g" if getattr(samples, name).ndim == 1 else "[%.17g, %.17g, %.17g]")
-              for key, name in zip(_ROW_KEYS, _COLUMNS)]
+              + ("%.17g" if column.shape[1] == 1 else "[%.17g, %.17g, %.17g]")
+              for key, column in zip(_ROW_KEYS, columns)]
     row = f"{pad}  {{\n" + ",\n".join(fields) + f"\n{pad}  }}"
     out.append("[\n")
-    out.append(_render_rows(matrix, row, ",\n"))
+    out.append(_render_rows(columns, row, ",\n"))
     out.append(f"\n{pad}]")
 
 
@@ -258,9 +270,12 @@ def _as_vec_rows(value, where: str) -> np.ndarray:
     if not isinstance(value, list):
         raise SpecError(f"{where}: expected a list of [x, y, z] rows")
     if _plain_rows(value):
-        rows = np.array(value, dtype=float).reshape(len(value), 3)
-        if np.isfinite(rows).all():
-            return rows
+        try:
+            rows = np.array(value, dtype=float).reshape(len(value), 3)
+            if np.isfinite(rows).all():
+                return rows
+        except OverflowError:  # an int beyond float range, which the walk names
+            pass
     rows = [finite_floats(row, f"{where}[{i}]", 3) for i, row in enumerate(value)]
     return np.array(rows, dtype=float).reshape(len(rows), 3)
 
@@ -467,7 +482,7 @@ def report_document(
 def csv_table(samples: FrameTable) -> str:
     """Sample table as CSV text with a fixed header and .17g floats."""
     row = "\n" + ",".join(["%.17g"] * len(CSV_HEADER.split(",")))
-    return _joined([CSV_HEADER, _render_rows(_table_matrix(samples), row, ""), "\n"])
+    return _joined([CSV_HEADER, _render_rows(_table_columns(samples), row, ""), "\n"])
 
 
 def export_obj(
@@ -501,5 +516,5 @@ def export_obj(
     corner = (np.arange(grid_cols - 1)[:, None] * rows + np.arange(1, rows)).ravel()
     across = corner + rows
     faces = np.column_stack((corner, corner + 1, across + 1, corner, across + 1, across))
-    return _joined([_render_rows(_finite(points.reshape(-1, 3)), "v %.17g %.17g %.17g\n", ""),
-                    _render_rows(faces, "f %d %d %d\nf %d %d %d\n", "")])
+    return _joined([_render_rows([_finite(points.reshape(-1, 3))], "v %.17g %.17g %.17g\n", ""),
+                    _render_rows([faces], "f %d %d %d\nf %d %d %d\n", "")])

@@ -1,6 +1,8 @@
-"""Shared fixtures: reference surfaces, rigid-motion helpers and a scalar 3-vector."""
+"""Shared fixtures: reference surfaces, rigid-motion helpers, a scalar 3-vector and a
+traced memory peak."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,3 +129,13 @@ def rotate_surface(rotate, surface: RuledSurfaceSpec) -> RuledSurfaceSpec:
         param_range=surface.param_range,
         provenance=dict(surface.provenance, rotated=True),
     )
+
+
+def traced_peak(render, *args):
+    """``render(*args)`` and the peak of memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        result = render(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

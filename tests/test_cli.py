@@ -290,9 +290,17 @@ class TestAnalyze:
          ["export", "--grid", "2x2", "--v-range", "-1e308:1e308"],
          "slant export: error: argument --v-range: expected a finite MAX - MIN, "
          "got '-1e308:1e308'"),
+        # integers beyond float range, where math.isfinite and np.array overflow
+        ({"kind": "catalog", "name": "latitude_cone", "params": {"beta": 10 ** 400}},
+         ["classify"], f"error: latitude_cone.beta: expected a number, got {10 ** 400}"),
+        ({**HUGE_F, "f": [[10 ** 400, 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * 31},
+         ["classify"], f"error: spec.f[0][0]: expected a number, got {10 ** 400}"),
+        ({**HUGE_F, "u": [*_T[:5], 10 ** 400, *_T[6:]]},
+         ["classify"], f"error: spec.u[5]: expected a number, got {10 ** 400}"),
     ], ids=["constant-kappa-1e300", "sampled-f-1e308-analyze", "sampled-f-1e308-export",
             "sampled-u-step-1e-300", "tabulated-kappa-1e308", "tabulated-knots-1e308",
-            "export-v-span-overflows"])
+            "export-v-span-overflows", "catalog-beta-int-1e400", "sampled-f-int-1e400",
+            "sampled-u-int-1e400"])
     def test_overflowing_profile_prints_one_error_line(self, spec, argv, last_line,
                                                        tmp_path, capsys):
         path = write_spec(tmp_path / "spec.json", spec)

@@ -29,7 +29,7 @@ from slantsurf import (
     sigma,
     striction_point,
 )
-from conftest import Vec3, latitude_jet
+from conftest import Vec3, latitude_jet, traced_peak
 from slantsurf.geometry import cross, dot, norm
 
 TAN = {
@@ -231,6 +231,14 @@ class TestFrameSamples:
             frame_samples(spec, SampleGrid.uniform(spec.param_range, count))
             per_grid.append(len(calls))
         assert per_grid[0] == per_grid[1] == 3
+
+    def test_generated_frame_peak_holds_no_whole_jet_it_has_read(self):
+        # measured 1.39 MB; 2.17 MB with the (8, N, 3) Hermite gather, the
+        # (4, N, 3) finiteness stack and every jet alive to the end
+        surface = catalog("constant_sigma", {"d": 0.5})
+        grid = SampleGrid.uniform(surface.param_range, 4096)
+        _, peak = traced_peak(frame_samples, surface, grid)
+        assert peak <= 1.6e6
 
 
 def line(u):

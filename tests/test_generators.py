@@ -405,6 +405,33 @@ class TestHermiteInterpolant:
         assert inside <= self.VALUE_BOUND
         assert inside_slope <= self.SLOPE_BOUND
 
+    def test_horner_by_degree_matches_the_whole_gather_bit_for_bit(self):
+        profile = ConstantSigma(0.5, (-1.5, 1.5))
+        frames = integrate_frame(GeneratorConfig(profile, step=0.01))
+        s = np.array(frames.s1)
+        kap, kp = profile.kappa(s)[:, None], profile.kappa_prime(s)[:, None]
+        poly = _PiecewisePoly(s, _director_jet(frames.q, frames.h, frames.a, kap, kp))
+        inside = s[:-1] + np.linspace(0.05, 0.95, 7)[:, None] * (s[1:] - s[:-1])
+        last = s[-2] + np.linspace(0.0, 1.0, 9) * (s[-1] - s[-2])
+        u = np.concatenate((s, inside.ravel(), last))  # nodes, interiors, the last interval
+        for got, want in zip(poly.value_and_derivative(u), gathered_horner(poly, u)):
+            assert got.shape == want.shape == (len(u), 3)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def gathered_horner(poly: _PiecewisePoly, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``value_and_derivative`` as it read with one (8, M, 3) gather of the coefficients."""
+    i = np.clip(np.searchsorted(poly.s_nodes, u, side="right") - 1, 0, len(poly.s_nodes) - 2)
+    width = poly.s_nodes[i + 1] - poly.s_nodes[i]
+    t = ((u - poly.s_nodes[i]) / width)[:, None]
+    coeffs = poly.coeffs[:, i]
+    acc = np.zeros(coeffs.shape[1:])
+    dacc = np.zeros(coeffs.shape[1:])
+    for c in coeffs[::-1]:
+        dacc = dacc * t + acc
+        acc = acc * t + c
+    return acc, dacc / width[:, None]
+
 
 class TestCatalog:
     def test_names(self):

@@ -1,7 +1,7 @@
 """Report, CSV and spec bytes against a value-by-value reference emitter.
 
 ``dumps_deterministic`` renders a report's sample rows from one row template,
-``ROW_BLOCK`` rows at a time, after one finiteness check of the stacked
+``ROW_BLOCK`` rows at a time, after one finiteness check of the table's
 columns, and ``csv_table`` does the same for CSV rows.  The reference below
 walks the document one value at a time, with the table spelled out as one
 dict per row; every output must match it byte for byte, and every

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +29,7 @@ from slantsurf import (
     write_json_atomic,
     write_text_atomic,
 )
+from conftest import traced_peak
 from slantsurf.cli import parse_cli, run
 from slantsurf.generators import GENERATOR_KEYS
 from slantsurf.geometry import cross, dot, norm
@@ -348,11 +348,12 @@ class TestSampledJets:
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), order
 
     def test_frame_peak_is_bounded_by_a_row_block(self):
-        # measured 1.97 MB; 6.16 MB when each jet held a (4, 8, M, 3) product
+        # measured 1.43 MB; 1.97 MB with the whole base-curve and midpoint jets
+        # alive, 6.16 MB when each jet held a (4, 8, M, 3) product
         surface = load_surface(sampled_spec_document(catalog("constant_sigma", {"d": 0.5}), 4096))
         grid = SampleGrid.uniform(surface.param_range, 4096)
         _, peak = traced_peak(frame_samples, surface, grid)
-        assert peak <= 2.5e6
+        assert peak <= 1.6e6
 
 
 class TestDocuments:
@@ -452,27 +453,18 @@ class TestDocuments:
         assert target.read_text() == "old\n"
 
 
-def traced_peak(render, *args):
-    """``render(*args)`` and the peak of memory it allocated, in bytes."""
-    tracemalloc.start()
-    try:
-        result = render(*args)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestSerializationPeak:
     """Peak memory of rendering an 8192-sample report (4.8 MB) and writing 9.6 MB.
 
-    The text is held once: each row block is appended to one ``str`` that
-    grows in place, so the peak is the text plus the checked (N, 20) value
-    matrix and one block.  Measured: 1.36x the text for the report, 1.49x for
-    the CSV table (its matrix is a larger share of a shorter text).  Joining
-    the blocks with ``"".join`` peaked at 2.00x for both; rendering the whole
-    table in one ``%`` at 3.09x (report) and 3.59x (CSV).  A write encodes
-    one 64 KiB slice at a time; encoding the whole text in one write took
-    1.00x the text more.  Tracing every allocation makes each render about
+    The text is held once: each row block is stacked straight from the table's
+    columns and appended to one ``str`` that grows in place, so the peak is the
+    text plus one block and a bool mask per row.  Measured: 1.09x the text for
+    the report, 1.11x for the CSV table.  A checked (N, 20) value matrix of the
+    whole table took 1.36x and 1.49x (it is a larger share of the shorter CSV
+    text); joining the blocks with ``"".join`` peaked at 2.00x for both;
+    rendering the whole table in one ``%`` at 3.09x (report) and 3.59x (CSV).
+    A write encodes one 64 KiB slice at a time; encoding the whole text in one
+    write took 1.00x the text more.  Tracing every allocation makes each render about
     6x slower, so the table is 8192 samples, not 16384.
     """
 
@@ -484,11 +476,11 @@ class TestSerializationPeak:
 
     def test_report_holds_its_text_once(self, table):
         text, peak = traced_peak(dumps_deterministic, table[1])
-        assert peak <= 1.52 * len(text)  # measured 1.36x; margin 12%
+        assert peak <= 1.22 * len(text)  # measured 1.09x; margin 12%
 
     def test_csv_holds_its_text_once(self, table):
         text, peak = traced_peak(csv_table, table[0])
-        assert peak <= 1.67 * len(text)  # measured 1.49x; margin 12%
+        assert peak <= 1.24 * len(text)  # measured 1.11x; margin 12%
 
     def test_write_encodes_a_slice_at_a_time(self, tmp_path):
         text = "0.30000000000000004,\n" * 458_000  # 9.6 MB: a 16384-sample report
