@@ -110,6 +110,11 @@ SPECS = {
                            "params": {"beta": 10 ** 400}},
     "f_overflow.json": {"kind": "sampled", "u": _T,
                         "f": [[10 ** 400, 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * 63, "q": _Q},
+    # an integer of 4001 digits, echoed cut; one of 5001, past json's digit limit
+    "beta_digits.json": {"kind": "catalog", "name": "latitude_cone",
+                         "params": {"beta": 10 ** 4000}},
+    "beta_too_long.json": '{"kind": "catalog", "name": "latitude_cone", "params": {"beta": 1'
+                          + "0" * 5000 + "}}",
     "broken.json": "{\"kind\": ",  # written as is: not valid JSON
 }
 
@@ -186,7 +191,8 @@ INVOCATIONS = [
       for spec in ("f_huge.json", "u_tiny.json", "knot_huge.json", "knots_wide.json")),
     ["export", "--surface", "f_huge.json", "--out", "x_f_huge.obj"],
     *(["classify", "--surface", spec, *N, "--out", f"x_{spec}"]
-      for spec in ("beta_overflow.json", "f_overflow.json")),
+      for spec in ("beta_overflow.json", "f_overflow.json", "beta_digits.json",
+                   "beta_too_long.json")),
     # the v step underflows, so neighbouring rows coincide
     ["export", "--surface", "helicoid.json", "--grid", "4x6", "--v-range", "0:1e-323",
      "--out", "x_collapsed.obj"],

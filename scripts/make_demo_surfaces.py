@@ -18,11 +18,11 @@ from slantsurf import (
     catalog,
     classify_samples,
     csv_table,
-    dumps_deterministic,
     export_obj,
     frame_samples,
     report_document,
     sampled_spec_document,
+    write_json_atomic,
     write_text_atomic,
 )
 from slantsurf.cli import AUDITORS
@@ -53,7 +53,7 @@ def main():
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, spec in DEMOS.items():
-        write_text_atomic(out / name, dumps_deterministic(spec))
+        write_json_atomic(out / name, spec)
         print(f"wrote {out / name}")
 
     surface = catalog("constant_sigma", {"d": 0.5})
@@ -63,10 +63,10 @@ def main():
     audits = [auditor(surface, grid, samples=samples, report=rep)
               for auditor in AUDITORS.values()]
     doc = report_document(surface, samples, rep, audits)
-    write_text_atomic(out / "constant_sigma_report.json", dumps_deterministic(doc))
+    write_json_atomic(out / "constant_sigma_report.json", doc)
     write_text_atomic(out / "constant_sigma_table.csv", csv_table(samples))
-    write_text_atomic(out / "constant_sigma_resampled.json",
-                      dumps_deterministic(sampled_spec_document(surface, 256)))
+    write_json_atomic(out / "constant_sigma_resampled.json",
+                      sampled_spec_document(surface, 256))
     write_text_atomic(out / "constant_sigma.obj",
                       export_obj(surface, 96, -0.6, 0.6, rows=12))
     mesh = catalog("helicoid")

@@ -57,6 +57,8 @@ MIN_STEPS_PER_DOMAIN = 64
 # the work budget of one input: the most RK4 steps, u samples or mesh
 # vertices it may ask for
 WORK_LIMIT = 2**20
+# characters of a rejected value that an error message repeats
+ECHO_LIMIT = 500
 
 
 class OutOfDomain(ValueError):
@@ -83,10 +85,16 @@ def _is_number(value) -> bool:
         return False
 
 
+def _echo(value) -> str:
+    """``repr(value)``, cut at ``ECHO_LIMIT`` characters and its length given when longer."""
+    text = repr(value)
+    return text if len(text) <= ECHO_LIMIT else f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"
+
+
 def finite_float(value, where: str) -> float:
     """``value`` as a float; anything but a finite real number raises ``BadParams``."""
     if not _is_number(value):
-        raise BadParams(f"{where}: expected a number, got {value!r}")
+        raise BadParams(f"{where}: expected a number, got {_echo(value)}")
     return float(value)
 
 
@@ -94,7 +102,7 @@ def finite_floats(value, where: str, length: int | None = None) -> tuple[float, 
     """A list or tuple of finite numbers as floats, of ``length`` items when given."""
     if not isinstance(value, (list, tuple)) or (length is not None and len(value) != length):
         want = "a list of numbers" if length is None else f"a list of {length} numbers"
-        raise BadParams(f"{where}: expected {want}, got {value!r}")
+        raise BadParams(f"{where}: expected {want}, got {_echo(value)}")
     for i, item in enumerate(value):
         if not _is_number(item):
             finite_float(item, f"{where}[{i}]")  # raises, naming the item

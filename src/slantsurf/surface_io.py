@@ -187,21 +187,31 @@ def _emit(value, indent: int, out: list) -> None:
         raise SpecError(f"cannot serialize {type(value).__name__}")
 
 
+def _pieces(parts: Iterable[str | Iterator[str]]) -> Iterator[str]:
+    """The strings of ``parts`` and the pieces of its iterators, in order."""
+    for part in parts:
+        yield from (part,) if isinstance(part, str) else part
+
+
 def _joined(parts: Iterable[str | Iterator[str]]) -> str:
-    """The strings of ``parts``, and the pieces of its iterators, appended to one ``str``.
+    """The pieces of ``parts`` appended to one ``str``.
 
     CPython resizes ``text`` in place for ``+=`` while this local holds its only
     reference, so the text is never alive beside a copy of itself or beside all
     its row blocks (``"".join`` and ``io.StringIO`` peak at 2.00x the text).
     """
     text = ""
-    for part in parts:
-        if isinstance(part, str):
-            text += part
-        else:
-            for piece in part:
-                text += piece
+    for piece in _pieces(parts):
+        text += piece
     return text
+
+
+def _document(doc: dict) -> list:
+    """``doc``'s JSON text in parts, all checked: a table's rows render when read."""
+    out: list = []
+    _emit(doc, 0, out)
+    out.append("\n")
+    return out
 
 
 def dumps_deterministic(doc: dict) -> str:
@@ -210,25 +220,24 @@ def dumps_deterministic(doc: dict) -> str:
     A ``FrameTable`` value renders as the list of per-row dicts of a report's
     ``samples`` block.
     """
-    out: list = []
-    _emit(doc, 0, out)
-    out.append("\n")
-    return _joined(out)
+    return _joined(_document(doc))
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write through a private temp file in the target directory, then rename.
+def _write_atomic(path: str | Path, parts: Iterable[str | Iterator[str]]) -> None:
+    """Write ``parts`` through a private temp file in the target directory, then rename.
 
-    The text is encoded ``WRITE_SLICE`` characters at a time.  Concurrent
-    writers to one path never share a temp file, and a failed write removes
-    its own.  An ``OSError`` names ``path``, never the temp file.
+    A generator part is read one piece at a time, and each piece is encoded
+    ``WRITE_SLICE`` characters at a time.  Concurrent writers to one path never
+    share a temp file, and a failed write removes its own.  An ``OSError``
+    names ``path``, never the temp file.
     """
     target, tmp = Path(path), None
     try:
         fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
         with open(fd, "w", encoding="utf-8") as handle:
-            for start in range(0, len(text), WRITE_SLICE):
-                handle.write(text[start:start + WRITE_SLICE])
+            for piece in _pieces(parts):
+                for start in range(0, len(piece), WRITE_SLICE):
+                    handle.write(piece[start:start + WRITE_SLICE])
         # mkstemp creates the file 0600; give it the mode a plain open would
         umask = os.umask(0)
         os.umask(umask)
@@ -242,8 +251,15 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically (see ``_write_atomic``)."""
+    _write_atomic(path, [text])
+
+
 def write_json_atomic(path: str | Path, doc: dict) -> None:
-    write_text_atomic(path, dumps_deterministic(doc))
+    """``dumps_deterministic(doc)`` streamed, one row block at a time, once
+    ``_document`` has raised any ``SpecError`` with no file created."""
+    _write_atomic(path, _document(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +423,8 @@ def read_spec(path: str | Path) -> dict:
             raise SpecError(f"{path}: not UTF-8 text ({exc})") from None
         except RecursionError:
             raise SpecError(f"{path}: JSON nested too deeply to read") from None
+        except ValueError:  # an integer literal past Python's integer string conversion limit
+            raise SpecError(f"{path}: an integer has too many digits to read") from None
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from slantsurf.surface_io import CSV_HEADER
 
 
 def write_spec(path, doc):
-    path.write_text(json.dumps(doc))
+    """``doc`` as JSON at ``path``; a string is written as it is."""
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -297,13 +298,21 @@ class TestAnalyze:
          ["classify"], f"error: spec.f[0][0]: expected a number, got {10 ** 400}"),
         ({**HUGE_F, "u": [*_T[:5], 10 ** 400, *_T[6:]]},
          ["classify"], f"error: spec.u[5]: expected a number, got {10 ** 400}"),
+        # past 500 characters the value is cut; past 4300 digits json cannot read it
+        ({"kind": "catalog", "name": "latitude_cone", "params": {"beta": 10 ** 4000}},
+         ["classify"], "error: latitude_cone.beta: expected a number, got 1"
+                       + "0" * 499 + "... (4001 characters)"),
+        ('{"kind": "catalog", "name": "latitude_cone", "params": {"beta": 1'
+         + "0" * 5000 + "}}",
+         ["classify"], "error: SPEC: an integer has too many digits to read"),
     ], ids=["constant-kappa-1e300", "sampled-f-1e308-analyze", "sampled-f-1e308-export",
             "sampled-u-step-1e-300", "tabulated-kappa-1e308", "tabulated-knots-1e308",
             "export-v-span-overflows", "catalog-beta-int-1e400", "sampled-f-int-1e400",
-            "sampled-u-int-1e400"])
+            "sampled-u-int-1e400", "catalog-beta-4001-digits", "catalog-beta-5001-digits"])
     def test_overflowing_profile_prints_one_error_line(self, spec, argv, last_line,
                                                        tmp_path, capsys):
         path = write_spec(tmp_path / "spec.json", spec)
+        last_line = last_line.replace("SPEC", path)
         try:
             code = main([*argv, "--surface", path, "--out", str(tmp_path / "out")])
         except SystemExit as exc:  # a bad flag stops the parser

@@ -59,11 +59,14 @@ BAD_ROWS = [
      "spec.f[15]: expected a list of 3 numbers, got '1.0, 0.0, 0.0'"),
     (sampled_with("u", 7, 0.6), "spec.u[7]: values must be strictly increasing"),
     (sampled_with("u", 12, 0.5), "spec.u[12]: values must be strictly increasing"),
+    # a rejected value past 500 characters is cut there
+    (sampled_with("f", 0, list(range(1000))), "spec.f[0]: expected a list of 3 numbers, got "
+     + repr(list(range(1000)))[:500] + "... (4890 characters)"),
 ]
 BAD_ROW_IDS = [*(f"sampled-{key}-{kind}" for key in ("f", "q")
                  for kind in ("bool", "string", "none", "nan")),
                "sampled-short-row", "sampled-nested-row", "sampled-row-not-list",
-               "sampled-u-repeat", "sampled-u-decrease"]
+               "sampled-u-repeat", "sampled-u-decrease", "sampled-long-row"]
 
 
 class TestDumps:
@@ -397,6 +400,32 @@ class TestDocuments:
         assert target.exists()
         assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
+    def test_streamed_spec_writes_the_rendered_bytes(self, tmp_path):
+        surface = catalog("constant_sigma", {"d": 0.5})
+        doc = sampled_spec_document(surface, 3 * ROW_BLOCK + 1)
+        write_json_atomic(tmp_path / "spec.json", doc)
+        assert (tmp_path / "spec.json").read_bytes() == dumps_deterministic(doc).encode()
+
+    @pytest.mark.parametrize("bad, message", [({1: 2.0}, "non-string key 1"),
+                                              (object(), "cannot serialize object")])
+    def test_value_after_the_table_fails_before_the_file(self, bad, message, tmp_path):
+        surface = catalog("helicoid")
+        samples = frame_samples(surface, SampleGrid.uniform(surface.param_range, 2 * ROW_BLOCK))
+        doc = {**report_document(surface, samples, classify_samples(samples)), "late": bad}
+        target = tmp_path / "doc.json"
+        target.write_text("old\n")
+        with pytest.raises(SpecError, match=message):
+            write_json_atomic(target, doc)
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+        assert target.read_text() == "old\n"
+
+    def test_write_into_a_missing_directory_names_the_path(self, tmp_path):
+        target = tmp_path / "missing" / "doc.json"
+        with pytest.raises(FileNotFoundError) as caught:
+            write_json_atomic(target, {"x": 1})
+        assert caught.value.filename == str(target)
+        assert str(target) in str(caught.value)
+
     def test_failed_write_leaves_target_and_no_stray_file(self, tmp_path):
         target = tmp_path / "doc.txt"
         target.write_text("old\n")
@@ -456,13 +485,16 @@ class TestDocuments:
 class TestSerializationPeak:
     """Peak memory of rendering an 8192-sample report (4.8 MB) and writing 9.6 MB.
 
-    The text is held once: each row block is stacked straight from the table's
-    columns and appended to one ``str`` that grows in place, so the peak is the
-    text plus one block and a bool mask per row.  Measured: 1.09x the text for
-    the report, 1.11x for the CSV table.  A checked (N, 20) value matrix of the
-    whole table took 1.36x and 1.49x (it is a larger share of the shorter CSV
-    text); joining the blocks with ``"".join`` peaked at 2.00x for both;
-    rendering the whole table in one ``%`` at 3.09x (report) and 3.59x (CSV).
+    ``dumps_deterministic`` and ``csv_table`` hold their text once: each row
+    block is stacked straight from the table's columns and appended to one
+    ``str`` that grows in place, so the peak is the text plus one block and a
+    bool mask per row.  Measured: 1.09x the text for the report, 1.11x for the
+    CSV table.  A checked (N, 20) value matrix of the whole table took 1.36x
+    and 1.49x (it is a larger share of the shorter CSV text); joining the
+    blocks with ``"".join`` peaked at 2.00x for both; rendering the whole table
+    in one ``%`` at 3.09x (report) and 3.59x (CSV).  ``write_json_atomic``
+    never holds the text: it writes each row block as it renders, at 0.13x
+    the text, where rendering first and writing the whole text took 1.09x.
     A write encodes one 64 KiB slice at a time; encoding the whole text in one
     write took 1.00x the text more.  Tracing every allocation makes each render about
     6x slower, so the table is 8192 samples, not 16384.
@@ -481,6 +513,13 @@ class TestSerializationPeak:
     def test_csv_holds_its_text_once(self, table):
         text, peak = traced_peak(csv_table, table[0])
         assert peak <= 1.24 * len(text)  # measured 1.11x; margin 12%
+
+    def test_streamed_report_writes_the_rendered_bytes(self, table, tmp_path):
+        target = tmp_path / "r.json"
+        _, peak = traced_peak(write_json_atomic, target, table[1])
+        text = dumps_deterministic(table[1])
+        assert target.read_bytes() == text.encode("utf-8")
+        assert peak <= 0.2 * len(text)  # measured 0.13x; rendering, then writing 1.09x
 
     def test_write_encodes_a_slice_at_a_time(self, tmp_path):
         text = "0.30000000000000004,\n" * 458_000  # 9.6 MB: a 16384-sample report
