@@ -94,6 +94,9 @@ SPECS = {
     # overflows the march: one error line, exit 1
     "pk_huge.json": {"kind": "prescribed_kappa",
                      "profile": {"type": "constant", "kappa0": 1e300}},
+    # one RK4 step leaves Gram-Schmidt a vector of norm exactly 0: exit 1
+    "pk_zero_norm.json": {"kind": "prescribed_kappa",
+                          "profile": {"type": "constant", "kappa0": 5e8}, "s1_range": [0.0, 2.0]},
     # inputs whose jets or spline overflow: one error line, exit 1, no numpy warnings
     "f_huge.json": {"kind": "sampled", "u": _T,
                     "f": [[(-1) ** k * 1e308, 0.0, 0.0] for k in range(64)], "q": _Q},
@@ -164,6 +167,12 @@ INVOCATIONS = [
     # the benchmark's peak case: 16 row blocks of sampled jets, then both text renderers
     ["verify", "--surface", "g_sigma_4096.json", "--samples", "4096", "--csv",
      "--out", "v_g_sigma_4096.json"],
+    # spec tables on each side of a row block's edge, and the tabulated march at 4096 rows
+    *(["generate", "--surface", "sigma.json", "--samples", str(rows),
+       "--out", f"g_sigma_{rows}.json"] for rows in (255, 256, 257)),
+    ["generate", "--surface", "pk_tab.json", "--samples", "4096", "--out", "g_pk_tab_4096.json"],
+    ["verify", "--surface", "g_pk_tab_4096.json", "--samples", "4096",
+     "--out", "v_g_pk_tab_4096.json"],
     # exit 1: usage
     [],
     ["analyze", "--surface", "sigma.json", "--bogus"],
@@ -187,6 +196,7 @@ INVOCATIONS = [
       for spec in ("no_d.json", "tab_range.json", "pk_range3.json", "pk_alpha_nan.json",
                    "pk_profile_list.json")),
     ["classify", "--surface", "pk_huge.json", *N, "--out", "x_pk_huge.json"],
+    ["classify", "--surface", "pk_zero_norm.json", *N, "--out", "x_pk_zero_norm.json"],
     *(["analyze", "--surface", spec, *N, "--out", f"x_{spec}"]
       for spec in ("f_huge.json", "u_tiny.json", "knot_huge.json", "knots_wide.json")),
     ["export", "--surface", "f_huge.json", "--out", "x_f_huge.obj"],

@@ -6,7 +6,10 @@ any prescribed conical curvature profile can be produced by integrating
     q' = h,    h' = -q + kappa*a,    a' = -kappa*h
 
 with classical fixed-step RK4, re-orthonormalizing the triple after every
-step (Gram-Schmidt in the order q, h, a).  A base curve that is its own
+step (Gram-Schmidt in the order q, h, a).  The march runs on plain Python
+floats: on 3x3 arrays numpy's per-call cost outweighs the arithmetic, and a
+fixed order of operations keeps the frames' bits independent of the BLAS
+build.  A base curve that is its own
 striction curve follows by quadrature of c' = cos(alpha) q + sin(alpha) a:
 that derivative is orthogonal to q' for every fixed angle alpha, which is
 exactly the striction property.
@@ -59,6 +62,7 @@ MIN_STEPS_PER_DOMAIN = 64
 WORK_LIMIT = 2**20
 # characters of a rejected value that an error message repeats
 ECHO_LIMIT = 500
+_ZERO = np.float64(0.0)  # divides as numpy does: x / 0 is inf or nan
 
 
 class OutOfDomain(ValueError):
@@ -339,24 +343,6 @@ def generator_config(profile, params: dict, where: str = "spec",
     return GeneratorConfig(kappa_profile, **fields)
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    # one row: math.sqrt on the scalar skips normalize's zero check and broadcast
-    return v / math.sqrt(dot(v, v))
-
-
-def _gram_schmidt(frame: np.ndarray) -> np.ndarray:
-    q, h, a = frame
-    q = _unit(q)
-    h = _unit(h - q * dot(h, q))
-    a = a - q * dot(a, q)
-    return np.array((q, h, _unit(a - h * dot(a, h))))
-
-
-def _frame_derivative(frame: np.ndarray, kappa: float) -> np.ndarray:
-    q, h, a = frame
-    return np.array((h, -q + a * kappa, h * (-kappa)))
-
-
 @dataclass
 class FramePath:
     """Frames at the RK4 nodes as (N, 3) arrays, iterable as (s1, q, h, a) rows."""
@@ -381,6 +367,12 @@ def integrate_frame(config: GeneratorConfig) -> FramePath:
     shorter) step lands exactly on the domain's upper end.  The stage
     abscissae do not depend on the frame, so kappa is evaluated at all of
     them in one call before the march.
+
+    The nine components march as Python floats: numpy's per-call cost on
+    3x3 arrays outweighs the arithmetic.  The frame equations couple only
+    equal coordinates, so the inner loop takes one coordinate of q, h and a
+    per pass.  Each operation keeps the order of the one-vector-at-a-time
+    reference, so the frames keep its bits whatever BLAS numpy was built with.
     """
     profile = config.profile
     lo, hi = profile.domain
@@ -397,16 +389,39 @@ def integrate_frame(config: GeneratorConfig) -> FramePath:
     stage_s = [(s, s + dt / 2.0, s + dt) for s, dt in zip(s_nodes, steps)]
     kappas = kappa_of_s1(profile, np.clip(np.array(stage_s), lo, hi)).tolist()
 
-    frames = np.empty((len(s_nodes), 3, 3))
-    frames[0] = frame = np.eye(3)
+    q, h, a = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+    frames = np.empty((len(s_nodes), 9))
+    frames[0] = q + h + a
     for i, (dt, (k_start, k_half, k_end)) in enumerate(zip(steps, kappas), 1):
-        half = dt / 2.0
-        k1 = _frame_derivative(frame, k_start)
-        k2 = _frame_derivative(frame + k1 * half, k_half)
-        k3 = _frame_derivative(frame + k2 * half, k_half)
-        k4 = _frame_derivative(frame + k3 * dt, k_end)
-        frame = _gram_schmidt(frame + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6.0))
-        frames[i] = frame
+        half, sixth = dt / 2.0, dt / 6.0
+        rows = []
+        # K at a stage point (q, h, a) is (h, b, c), b = -q + a*kappa, c = h*(-kappa)
+        for qc, hc, ac in zip(q, h, a):
+            b1, c1 = -qc + ac * k_start, hc * -k_start
+            q2, h2, a2 = qc + hc * half, hc + b1 * half, ac + c1 * half
+            b2, c2 = -q2 + a2 * k_half, h2 * -k_half
+            q3, h3, a3 = qc + h2 * half, hc + b2 * half, ac + c2 * half
+            b3, c3 = -q3 + a3 * k_half, h3 * -k_half
+            q4, h4, a4 = qc + h3 * dt, hc + b3 * dt, ac + c3 * dt
+            b4, c4 = -q4 + a4 * k_end, h4 * -k_end
+            rows.append((qc + (hc + h2 * 2.0 + h3 * 2.0 + h4) * sixth,
+                         hc + (b1 + b2 * 2.0 + b3 * 2.0 + b4) * sixth,
+                         ac + (c1 + c2 * 2.0 + c3 * 2.0 + c4) * sixth))
+        (qx, hx, ax), (qy, hy, ay), (qz, hz, az) = rows
+        n = math.sqrt(qx * qx + qy * qy + qz * qz) or _ZERO
+        qx, qy, qz = qx / n, qy / n, qz / n
+        d = hx * qx + hy * qy + hz * qz
+        hx, hy, hz = hx - qx * d, hy - qy * d, hz - qz * d
+        n = math.sqrt(hx * hx + hy * hy + hz * hz) or _ZERO
+        hx, hy, hz = hx / n, hy / n, hz / n
+        d = ax * qx + ay * qy + az * qz
+        ax, ay, az = ax - qx * d, ay - qy * d, az - qz * d
+        d = ax * hx + ay * hy + az * hz
+        ax, ay, az = ax - hx * d, ay - hy * d, az - hz * d
+        n = math.sqrt(ax * ax + ay * ay + az * az) or _ZERO
+        q, h, a = (qx, qy, qz), (hx, hy, hz), (ax / n, ay / n, az / n)
+        frames[i] = q + h + a
+    frames = frames.reshape(-1, 3, 3)
     return FramePath(s_nodes, frames[:, 0], frames[:, 1], frames[:, 2])
 
 

@@ -16,6 +16,7 @@ import math
 import os
 import tempfile
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -133,6 +134,19 @@ def _table_rows(samples: FrameTable, indent: int, out: list) -> None:
     out.append(f"\n{pad}]")
 
 
+def _array_rows(array: np.ndarray, indent: int, out: list) -> None:
+    """An array as the text of its ``tolist()``: a 1-D or 2-D float array from one
+    row template after one ``_finite`` check, any other through the list walk."""
+    if array.dtype != np.float64 or array.ndim not in (1, 2) or not array.size:
+        _emit(array.tolist(), indent, out)
+    elif array.ndim == 1:
+        out += ["[", _render_rows([_finite(array)], "%.17g", ", "), "]"]
+    else:
+        pad = "  " * indent
+        row = f"{pad}  [" + ", ".join(["%.17g"] * array.shape[1]) + "]"
+        out += ["[\n", _render_rows([_finite(array)], row, ",\n"), f"\n{pad}]"]
+
+
 _SCALARS = (bool, int, float, type(None))
 
 
@@ -183,6 +197,8 @@ def _emit(value, indent: int, out: list) -> None:
             out.append(pad + "]")
     elif isinstance(value, FrameTable):
         _table_rows(value, indent, out)
+    elif isinstance(value, np.ndarray):
+        _array_rows(value, indent, out)
     else:
         raise SpecError(f"cannot serialize {type(value).__name__}")
 
@@ -266,34 +282,33 @@ def write_json_atomic(path: str | Path, doc: dict) -> None:
 # spec loading
 
 
-def _plain_rows(value: list) -> bool:
-    """Whether every item of ``value`` is a list of 3 floats or ints (a bool is neither)."""
-    for row in value:
-        if type(row) is not list or len(row) != 3:
-            return False
-        for x in row:
-            if type(x) is not float and type(x) is not int:
-                return False
-    return True
+def _as_floats(value, where: str, width: int | None = None) -> np.ndarray:
+    """``value`` as a float column, or (M, ``width``) rows: one type walk, one
+    ``np.fromiter``, one ``np.isfinite``.  An array is read as its ``tolist()``.
 
-
-def _as_vec_rows(value, where: str) -> np.ndarray:
-    """``value`` as an (M, 3) float array: one type walk, one ``np.isfinite``.
-
-    Any other table is walked again by ``finite_floats``, which names its
-    first bad item, or accepts rows that are tuples or other real numbers.
+    Any other value is walked again by ``finite_floats``, which names its first
+    bad item or accepts tuple rows and other real numbers.
     """
-    if not isinstance(value, list):
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if width is None:
+        plain = isinstance(value, (list, tuple)) and set(map(type, value)) <= {float, int}
+    elif not isinstance(value, list):
         raise SpecError(f"{where}: expected a list of [x, y, z] rows")
-    if _plain_rows(value):
+    else:
+        plain = (set(map(type, value)) <= {list} and set(map(len, value)) <= {width}
+                 and set(map(type, chain.from_iterable(value))) <= {float, int})
+    if plain:
         try:
-            rows = np.array(value, dtype=float).reshape(len(value), 3)
-            if np.isfinite(rows).all():
-                return rows
+            array = np.fromiter(value if width is None else chain.from_iterable(value), float)
+            if np.isfinite(array).all():
+                return array if width is None else array.reshape(len(value), width)
         except OverflowError:  # an int beyond float range, which the walk names
             pass
-    rows = [finite_floats(row, f"{where}[{i}]", 3) for i, row in enumerate(value)]
-    return np.array(rows, dtype=float).reshape(len(rows), 3)
+    if width is None:
+        return np.array(finite_floats(value, where))
+    rows = [finite_floats(row, f"{where}[{i}]", width) for i, row in enumerate(value)]
+    return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
 def _load_catalog(doc: dict) -> RuledSurfaceSpec:
@@ -365,14 +380,13 @@ def _unit_jet(p0, p1, p2, p3) -> tuple[np.ndarray, ...]:
 
 def _load_sampled(doc: dict) -> RuledSurfaceSpec:
     check_keys(doc, ("kind", "u", "f", "q"), (), "spec")
-    u = finite_floats(doc["u"], "spec.u")
-    f_rows = _as_vec_rows(doc["f"], "spec.f")
-    q_rows = _as_vec_rows(doc["q"], "spec.q")
-    if not (len(u) == len(f_rows) == len(q_rows)):
+    nodes = _as_floats(doc["u"], "spec.u")
+    f_rows = _as_floats(doc["f"], "spec.f", 3)
+    q_rows = _as_floats(doc["q"], "spec.q", 3)
+    if not (len(nodes) == len(f_rows) == len(q_rows)):
         raise SpecError("spec: u, f and q must have equal lengths")
-    if len(u) < MIN_SAMPLED_ROWS:
+    if len(nodes) < MIN_SAMPLED_ROWS:
         raise SpecError(f"spec: need at least {MIN_SAMPLED_ROWS} sample rows")
-    nodes = np.array(u)
     stalled = np.flatnonzero(nodes[1:] <= nodes[:-1])
     if stalled.size:
         raise SpecError(f"spec.u[{stalled[0] + 1}]: values must be strictly increasing")
@@ -393,8 +407,8 @@ def _load_sampled(doc: dict) -> RuledSurfaceSpec:
     return RuledSurfaceSpec(
         base_curve=base_curve,
         director=director,
-        param_range=(u[0], u[-1]),
-        provenance={"kind": "sampled", "count": len(u)},
+        param_range=(nodes[0].item(), nodes[-1].item()),
+        provenance={"kind": "sampled", "count": len(nodes)},
     )
 
 
@@ -432,15 +446,15 @@ def read_spec(path: str | Path) -> dict:
 
 
 def sampled_spec_document(surface: RuledSurfaceSpec, count: int) -> dict:
-    """Tabulate a surface into a self-contained sampled spec."""
+    """Tabulate a surface into a self-contained sampled spec of ``u``, ``f`` and ``q`` arrays."""
     if count < MIN_SAMPLED_ROWS:
         raise SpecError(f"sampled specs need at least {MIN_SAMPLED_ROWS} rows")
     u = SampleGrid.uniform(surface.param_range, count).u_values
     return {
         "kind": "sampled",
-        "u": u.tolist(),
-        "f": surface.base_curve(u).d0.tolist(),
-        "q": surface.director(u).d0.tolist(),
+        "u": u,
+        "f": surface.base_curve(u).d0,
+        "q": surface.director(u).d0,
     }
 
 

@@ -608,3 +608,25 @@ class TestStartup:
         assert not loaded
         assert lines[0] == ("q_slant=False h_slant=False a_slant=False "
                             "darboux_strict=False darboux_angular=False")
+
+
+@pytest.mark.parametrize("spec, error", [
+    ({"kind": "prescribed_kappa", "profile": {"type": "constant", "kappa0": 1e300}},
+     "error: surface jets are non-finite at u=0.0"),
+    ({"kind": "catalog", "name": "tabulated_kappa",
+      "params": {"s1_knots": [0.0, 1.0, 2.0, 3.0], "kappa_values": [0.0, 1e308, -0.4, 0.6]}},
+     "error: surface jets are non-finite at u=0.0"),
+    # one RK4 step leaves a vector of norm exactly 0 for Gram-Schmidt: 0/0 is nan there
+    ({"kind": "prescribed_kappa", "profile": {"type": "constant", "kappa0": 5e8},
+      "s1_range": [0.0, 2.0]},
+     "error: director jet is non-finite at u=0.0410958904109589"),
+], ids=["constant-kappa-1e300", "tabulated-kappa-1e308", "constant-kappa-zero-norm"])
+def test_non_finite_march_exits_1_without_a_traceback(spec, error, tmp_path):
+    write_spec(tmp_path / "spec.json", spec)
+    proc = subprocess.run(
+        [sys.executable, "-m", "slantsurf.cli", "classify", "--surface", "spec.json",
+         "--out", "r.json"], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", error + "\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]

@@ -277,6 +277,16 @@ class TestIntegrateFrame:
             assert same_bits(getattr(path, name), column), name
 
 
+    def test_a_zero_norm_divides_to_nan_as_numpy_does(self):
+        # at kappa0 5e8 one step leaves a vector of norm exactly 0 for Gram-Schmidt,
+        # where the reference's normalize raises; rows before it stay finite
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):  # as cli.run
+            path = integrate_frame(GeneratorConfig(ConstantKappa(5e8, (0.0, 2.0))))
+        finite = [np.isfinite(column).all(axis=1) for column in (path.q, path.h, path.a)]
+        assert [int(np.argmin(rows)) for rows in finite] == [6, 6, 5]
+        assert not any(rows[7:].any() for rows in finite)
+
+
 class TestBuildSurface:
     def test_recomputed_curvature_round_trips(self):
         prof = ConstantSigma(0.5)

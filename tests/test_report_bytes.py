@@ -2,10 +2,11 @@
 
 ``dumps_deterministic`` renders a report's sample rows from one row template,
 ``ROW_BLOCK`` rows at a time, after one finiteness check of the table's
-columns, and ``csv_table`` does the same for CSV rows.  The reference below
-walks the document one value at a time, with the table spelled out as one
-dict per row; every output must match it byte for byte, and every
-non-finite value must raise the same error text.
+columns, and ``csv_table`` does the same for CSV rows; the arrays of a
+sampled spec go through the same row renderer.  The reference below walks
+the document one value at a time, with the table spelled out as one dict per
+row and an array as its ``tolist()``; every output must match it byte for
+byte, and every non-finite value must raise the same error text.
 """
 
 import json
@@ -85,6 +86,8 @@ def reference_emit(value, indent: int, out: list) -> None:
             out.append(pad + "]")
     elif isinstance(value, FrameTable):
         reference_emit(reference_rows(value), indent, out)
+    elif isinstance(value, np.ndarray):
+        reference_emit(value.tolist(), indent, out)
     else:
         raise TypeError(type(value).__name__)
 
@@ -171,6 +174,7 @@ def table_from_matrix(m: np.ndarray) -> FrameTable:
 def table_document(table: FrameTable) -> dict:
     return {"meta": {"samples": len(table), "tol": 1e-6}, "samples": table,
             "u": table.u.tolist(), "q": table.q.tolist(),
+            "u_array": table.u, "q_array": table.q,
             "mixed": [True, 0, *table.u.tolist(), -3, False, None]}
 
 
@@ -255,3 +259,36 @@ def test_non_finite_in_a_later_block_raises_the_reference_error(rows, planted):
     expected = error_text(reference_dumps, doc)
     assert error_text(dumps_deterministic, doc) == expected
     assert error_text(csv_table, table) == expected == error_text(reference_csv, table)
+
+
+SPEC_ROWS = [16, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 4096]
+
+
+@pytest.mark.parametrize("rows", SPEC_ROWS)
+@pytest.mark.parametrize("name", ["constant_sigma", "hyperboloid"])
+def test_spec_document_matches_the_reference(name, rows):
+    spec = sampled_spec_document(SURFACES[name](), rows)
+    assert dumps_deterministic(spec) == reference_dumps(spec)
+
+
+def test_arrays_of_other_kinds_render_as_their_lists():
+    doc = {"empty": np.zeros(0), "no_rows": np.zeros((0, 3)), "no_columns": np.zeros((2, 0)),
+           "ints": np.arange(3), "cube": np.arange(8.0).reshape(2, 2, 2),
+           "wide": np.linspace(-1.0, 1.0, 10).reshape(2, 5), "column": np.array([-0.0, 5e-324])}
+    assert dumps_deterministic(doc) == reference_dumps(doc)
+
+
+@pytest.mark.parametrize("key, planted", [
+    ("u", [(0, math.nan)]),
+    ("u", [(ROW_BLOCK + 3, math.inf), (-1, math.nan)]),
+    ("f", [((ROW_BLOCK, 2), -math.inf), ((ROW_BLOCK + 1, 0), math.nan)]),
+    ("q", [((-1, 1), math.nan), ((3, 2), math.inf), ((3, 0), -math.inf)]),
+])
+def test_non_finite_in_a_spec_array_raises_the_reference_error(key, planted):
+    spec = sampled_spec_document(SURFACES["hyperboloid"](), 2 * ROW_BLOCK + 1)
+    spec[key] = spec[key].copy()
+    for index, value in planted:
+        spec[key][index] = value
+    expected = error_text(reference_dumps, spec)
+    assert expected.startswith("non-finite value")
+    assert error_text(dumps_deterministic, spec) == expected

@@ -62,11 +62,18 @@ BAD_ROWS = [
     # a rejected value past 500 characters is cut there
     (sampled_with("f", 0, list(range(1000))), "spec.f[0]: expected a list of 3 numbers, got "
      + repr(list(range(1000)))[:500] + "... (4890 characters)"),
+    # the u column is read as the rows are: one walk, then the item the first bad one names
+    *((sampled_with("u", 5, item), f"spec.u[5]: expected a number, got {text}")
+      for item, text in ((True, "True"), ("1", "'1'"), (math.nan, "nan"),
+                         (10 ** 400, "1" + "0" * 400), ([0.5], "[0.5]"))),
+    ({**sampled_with("u", 0, 0.0), "u": []}, "spec: u, f and q must have equal lengths"),
 ]
 BAD_ROW_IDS = [*(f"sampled-{key}-{kind}" for key in ("f", "q")
                  for kind in ("bool", "string", "none", "nan")),
                "sampled-short-row", "sampled-nested-row", "sampled-row-not-list",
-               "sampled-u-repeat", "sampled-u-decrease", "sampled-long-row"]
+               "sampled-u-repeat", "sampled-u-decrease", "sampled-long-row",
+               *(f"sampled-u-{kind}" for kind in ("bool", "string", "nan", "overflow", "list")),
+               "sampled-u-empty"]
 
 
 class TestDumps:
@@ -242,6 +249,33 @@ class TestLoadSurface:
         with pytest.raises(SpecError) as info:
             load_surface(doc)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("rows", [16, ROW_BLOCK + 1])
+    @pytest.mark.parametrize("name, params", [("constant_sigma", {"d": 0.4}),
+                                              ("hyperboloid", {"r": 1.5, "pitch": 0.7})])
+    def test_spec_arrays_load_like_their_json_text(self, name, params, rows):
+        doc = sampled_spec_document(catalog(name, params), rows)
+        from_arrays = load_surface(doc)
+        from_text = load_surface(json.loads(dumps_deterministic(doc)))
+        assert from_arrays.param_range == from_text.param_range
+        t = np.linspace(*from_text.param_range, 3 * rows)
+        for jet in ("base_curve", "director"):
+            got, want = getattr(from_arrays, jet)(t), getattr(from_text, jet)(t)
+            for order in ("d0", "d1", "d2", "d3"):
+                assert np.array_equal(getattr(got, order).view(np.int64),
+                                      getattr(want, order).view(np.int64)), (jet, order)
+
+    @pytest.mark.parametrize("key, index", [("u", 7), ("f", (3, 1)), ("q", (15, 2))])
+    def test_spec_arrays_name_a_bad_item_as_lists_do(self, key, index):
+        doc = sampled_spec_document(catalog("helicoid"), 16)
+        doc[key] = doc[key].copy()
+        doc[key][index] = math.nan
+        messages = []
+        for spec in (doc, {**doc, key: doc[key].tolist()}):
+            with pytest.raises(SpecError) as info:
+                load_surface(spec)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] and messages[0].endswith("expected a number, got nan")
 
     def test_sampled_validation(self):
         u = [0.1 * k for k in range(20)]
