@@ -62,6 +62,9 @@ SPECS = {
     "cyl.json": {"kind": "sampled", "u": [0.1 * k for k in range(24)],
                  "f": [[0.1 * k, 0.0, 0.0] for k in range(24)],
                  "q": [[0.0, 0.0, 1.0]] * 24},
+    # q flips between +x and -x, so its interpolant passes through zero: exit 2
+    "flip.json": {"kind": "sampled", "u": list(range(32)), "f": [[0.0, 0.0, 0.0]] * 32,
+                  "q": [[(-1.0) ** k, 0.0, 0.0] for k in range(32)]},
     "bad_beta.json": {"kind": "catalog", "name": "latitude_cone", "params": {"beta": "x"}},
     "unknown_param.json": {"kind": "catalog", "name": "hyperboloid", "params": {"R": 2}},
     "moebius.json": {"kind": "catalog", "name": "moebius"},
@@ -210,6 +213,7 @@ INVOCATIONS = [
       for value in ("1:1", "3:-2", "nan:1", "-inf:1")),
     # exit 2: cylindrical surface
     ["analyze", "--surface", "cyl.json", "--samples", "24", "--out", "x_cyl.json"],
+    ["classify", "--surface", "flip.json", "--samples", "63", "--out", "x_flip.json"],
     # exit 3: I/O
     ["analyze", "--surface", "missing.json", *N],
     ["classify", "--surface", ".", *N],

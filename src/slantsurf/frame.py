@@ -201,53 +201,46 @@ def sigma(kappa, kappa_prime_value):
     return kappa_prime_value / power(1.0 + kappa * kappa, 1.5)
 
 
-def _raise_first_fault(points: np.ndarray, finite: np.ndarray, speed: np.ndarray) -> None:
-    """Name the bad point with the smallest u.
-
-    ``points`` holds the N grid values, then the N - 1 interval midpoints.
-    """
-    n = (len(points) + 1) // 2
+def _raise_first_fault(u: np.ndarray, finite: np.ndarray, speed: np.ndarray) -> None:
+    """Name the bad grid value with the smallest u."""
     bad = np.flatnonzero(~finite | (speed <= EPS_CYL))
     if bad.size:
-        i = bad[np.argmin(points[bad])]
-        if not finite[i]:
-            what = "surface jets are" if i < n else "director jet is"
-            raise NonFiniteSample(f"{what} non-finite at u={float(points[i])!r}")
-        raise CylindricalDirector(u=float(points[i]))
+        at = float(u[bad[0]])
+        if not finite[bad[0]]:
+            raise NonFiniteSample(f"surface jets are non-finite at u={at!r}")
+        raise CylindricalDirector(u=at)
 
 
 def frame_samples(surface: RuledSurfaceSpec, grid: SampleGrid) -> FrameTable:
     """Evaluate the frame, curvature and striction data on a grid.
 
-    Three jet evaluations cover the whole grid: the base curve and the
-    director at the grid values, and the director at the interval midpoints.
-    The spherical arc length s1 starts at zero on the first grid point and
-    accumulates by composite Simpson quadrature of |dq/du| over each grid
-    interval (midpoint included), so it is exact for constant-speed
-    directors and fourth-order accurate otherwise.
+    Two jet evaluations cover the whole grid: the base curve and the
+    director at the grid values.  The spherical arc length s1 starts at zero
+    on the first grid point and accumulates over each interval by the
+    end-corrected trapezoid rule (Euler-Maclaurin)
+
+        ds1 = du/2 (n_i + n_{i+1}) + du^2/12 (n'_i - n'_{i+1})
+
+    in the speed n = |q_u| and its derivative n' = <q_u, q_uu> / n, both read
+    from the director jet.  The rule is exact for constant-speed directors
+    and fourth-order accurate otherwise.
     """
     u = grid.u_values
-    mid = 0.5 * (u[:-1] + u[1:])
-    # each jet is dropped once read: the base curve's d2 and d3 and the
-    # midpoint jet are never alive beside the jets that follow them
+    # the base curve's jet is dropped once read: its d2 and d3 are never
+    # alive beside the director jet
     f_jet = surface.base_curve(u)
     f0, f1, finite = f_jet.d0, f_jet.d1, f_jet.is_finite()
     del f_jet
     q_jet = surface.director(u)
     finite &= q_jet.is_finite()
-    q_mid = surface.director(mid)
-    mid_speed, mid_finite = norm(q_mid.d1), q_mid.is_finite()
-    del q_mid
     speed = norm(q_jet.d1)
-    _raise_first_fault(
-        np.concatenate((u, mid)),
-        np.concatenate((finite, mid_finite)),
-        np.concatenate((speed, mid_speed)),
-    )
+    _raise_first_fault(u, finite, speed)
     a = asymptotic_normal(q_jet)
     kap = conical_curvature(q_jet)
     kp = kappa_prime(q_jet)
-    steps = (u[1:] - u[:-1]) / 6.0 * (speed[:-1] + 4.0 * mid_speed + speed[1:])
+    du = u[1:] - u[:-1]
+    dspeed = dot(q_jet.d1, q_jet.d2) / speed
+    steps = du / 2.0 * (speed[:-1] + speed[1:]) + du * du / 12.0 * (dspeed[:-1] - dspeed[1:])
     return FrameTable(
         u=u,
         s1=np.cumsum(np.concatenate(([0.0], steps))),

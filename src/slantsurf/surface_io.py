@@ -33,7 +33,7 @@ from .generators import (
     generator_config,
     integrate_frame,
 )
-from .geometry import Jet3, derivative_weights, dot, fd_jet, norm, normalize
+from .geometry import Jet3, derivative_weights, dot, fd_jet, norm
 from .slant import AuditRecord, SlantReport, SlantVerdict
 
 __all__ = [
@@ -361,7 +361,8 @@ def _unit_jet(p0, p1, p2, p3) -> tuple[np.ndarray, ...]:
         g''  = 3 s'^2 g^5 / 4 - s'' g^3 / 2
         g''' = -15 s'^3 g^7 / 8 + 9 s' s'' g^5 / 4 - s''' g^3 / 2
     """
-    g = 1.0 / norm(p0)
+    n = norm(p0)
+    g = 1.0 / n
     s1 = 2.0 * dot(p0, p1)
     s2 = 2.0 * (dot(p1, p1) + dot(p0, p2))
     s3 = 2.0 * (3.0 * dot(p1, p2) + dot(p0, p3))
@@ -371,7 +372,7 @@ def _unit_jet(p0, p1, p2, p3) -> tuple[np.ndarray, ...]:
     dg3 = -1.875 * s1**3 * seventh + 2.25 * s1 * s2 * fifth - 0.5 * s3 * cube
     g, dg1, dg2, dg3 = g[:, None], dg1[:, None], dg2[:, None], dg3[:, None]
     return (
-        normalize(p0),
+        p0 / n[:, None],
         dg1 * p0 + g * p1,
         dg2 * p0 + 2.0 * dg1 * p1 + g * p2,
         dg3 * p0 + 3.0 * dg2 * p1 + 3.0 * dg1 * p2 + g * p3,
@@ -449,7 +450,7 @@ def sampled_spec_document(surface: RuledSurfaceSpec, count: int) -> dict:
     """Tabulate a surface into a self-contained sampled spec of ``u``, ``f`` and ``q`` arrays."""
     if count < MIN_SAMPLED_ROWS:
         raise SpecError(f"sampled specs need at least {MIN_SAMPLED_ROWS} rows")
-    u = SampleGrid.uniform(surface.param_range, count).u_values
+    u = SampleGrid.uniform(surface.param_range, count).u_values.copy()  # writable, as f and q
     return {
         "kind": "sampled",
         "u": u,

@@ -399,6 +399,20 @@ class TestCylindricalRejection:
         assert "cylindrical" in err
         assert "u=" in err  # diagnostic names the offending parameter
 
+    @pytest.mark.parametrize("samples", ["63", "64", "125"])
+    def test_director_through_zero_exits_two(self, samples, tmp_path, capsys):
+        # q flips between +x and -x, so its interpolant passes through 0 between rows
+        path = write_spec(tmp_path / "flip.json", {
+            "kind": "sampled", "u": list(range(32)), "f": [[0.0, 0.0, 0.0]] * 32,
+            "q": [[(-1.0) ** k, 0.0, 0.0] for k in range(32)],
+        })
+        code = main(["classify", "--surface", path, "--samples", samples,
+                     "--out", str(tmp_path / "r.json")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: cylindrical surface: director derivative vanishes at u=0.0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["flip.json"]
+
 
 class TestVerify:
     def test_all_theorems_on_cone(self, tmp_path):
@@ -619,7 +633,7 @@ class TestStartup:
     # one RK4 step leaves a vector of norm exactly 0 for Gram-Schmidt: 0/0 is nan there
     ({"kind": "prescribed_kappa", "profile": {"type": "constant", "kappa0": 5e8},
       "s1_range": [0.0, 2.0]},
-     "error: director jet is non-finite at u=0.0410958904109589"),
+     "error: surface jets are non-finite at u=0.043052837573385516"),
 ], ids=["constant-kappa-1e300", "tabulated-kappa-1e308", "constant-kappa-zero-norm"])
 def test_non_finite_march_exits_1_without_a_traceback(spec, error, tmp_path):
     write_spec(tmp_path / "spec.json", spec)

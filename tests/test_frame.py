@@ -179,6 +179,53 @@ class TestFrameSamples:
             samples = frame_samples(surface, SampleGrid.uniform(surface.param_range, 64))
             assert np.all(samples.s1[1:] > samples.s1[:-1]), label
 
+    def test_s1_is_exact_for_constant_speed_directors(self, catalog_instances):
+        # measured at most 7.5e-15 of the total (latitude_cone_pi6): the cumsum's rounding
+        for label, surface in catalog_instances:
+            samples = frame_samples(surface, SampleGrid.uniform(surface.param_range, 512))
+            speed = norm(surface.director(samples.u[:1]).d1)[0]
+            exact = speed * (samples.u - samples.u[0])
+            assert np.max(np.abs(samples.s1 - exact)) <= 1e-14 * samples.s1[-1], label
+
+    def test_s1_converges_at_fourth_order(self):
+        # a latitude cone (beta 0.5) at u = t + 0.3 sin t, whose speed varies
+        # along u: exact s1 = cos(beta) (t(u) - t(u0)).  Measured orders 4.1,
+        # 4.1, 4.0, 4.0 from 32 to 512 rows and still 4.0 at 4096 rows, where
+        # the error is 1.8e-14, about 20 ulp of the total length 5.4
+        beta = 0.5
+
+        def t_of(u):
+            t = u
+            for _ in range(40):  # Newton's method from t = u; converged long before
+                t = t - (t + 0.3 * np.sin(t) - u) / (1.0 + 0.3 * np.cos(t))
+            return t
+
+        def director(u):
+            t = t_of(u)
+            t1 = (1.0 / (1.0 + 0.3 * np.cos(t)))[:, None]
+            t2 = 0.3 * np.sin(t)[:, None] * t1**3
+            t3 = 0.3 * np.cos(t)[:, None] * t1**4 + 0.9 * np.sin(t)[:, None] * t1**2 * t2
+            c0 = math.cos(beta) * np.stack([np.cos(t), np.sin(t), 0.0 * t], axis=-1)
+            c1 = math.cos(beta) * np.stack([-np.sin(t), np.cos(t), 0.0 * t], axis=-1)
+            return Jet3(c0 + [0.0, 0.0, math.sin(beta)], c1 * t1, -c0 * t1**2 + c1 * t2,
+                        -c1 * t1**3 - 3.0 * c0 * t1 * t2 + c1 * t3)
+
+        def base(u):
+            zero = np.zeros((len(u), 3))
+            return Jet3(zero, zero, zero, zero)
+
+        surface = RuledSurfaceSpec(base, director, (0.0, 2.0 * math.pi), {"kind": "test"})
+
+        def error(rows: int) -> float:
+            samples = frame_samples(surface, SampleGrid.uniform(surface.param_range, rows))
+            exact = math.cos(beta) * (t_of(samples.u) - t_of(samples.u[:1]))
+            return float(np.max(np.abs(samples.s1 - exact)))
+
+        ladder = [error(rows) for rows in (32, 64, 128, 256, 512)]
+        orders = [math.log2(coarse / fine) for coarse, fine in zip(ladder, ladder[1:])]
+        assert min(orders) >= 3.5, orders
+        assert error(4096) <= 5e-14
+
     def test_striction_curve_runs_orthogonal_to_director_motion(self, catalog_instances):
         """Central differences of the striction curve stay orthogonal to q'."""
         for label, surface in catalog_instances:
@@ -230,10 +277,10 @@ class TestFrameSamples:
             calls.clear()
             frame_samples(spec, SampleGrid.uniform(spec.param_range, count))
             per_grid.append(len(calls))
-        assert per_grid[0] == per_grid[1] == 3
+        assert per_grid[0] == per_grid[1] == 2
 
     def test_generated_frame_peak_holds_no_whole_jet_it_has_read(self):
-        # measured 1.39 MB; 2.17 MB with the (8, N, 3) Hermite gather, the
+        # measured 1.35 MB; 2.17 MB with the (8, N, 3) Hermite gather, the
         # (4, N, 3) finiteness stack and every jet alive to the end
         surface = catalog("constant_sigma", {"d": 0.5})
         grid = SampleGrid.uniform(surface.param_range, 4096)
@@ -253,18 +300,18 @@ def jet_rows(jet: Jet3) -> list[tuple[Vec3, Vec3, Vec3, Vec3]]:
 def reference_frame(surface, u_values) -> list[tuple]:
     """The frame one sample at a time in Vec3 arithmetic, from the same jets."""
     u = u_values.tolist()
-    mids = np.array([0.5 * (left + right) for left, right in zip(u, u[1:])])
-    mid_speeds = [d1.norm() for _, d1, _, _ in jet_rows(surface.director(mids))]
     f_jets = jet_rows(surface.base_curve(u_values))
-    rows, s1, prev = [], 0.0, 0.0
+    rows, s1, prev, prev_dp = [], 0.0, 0.0, 0.0
     for i, (q0, q1, q2, q3) in enumerate(jet_rows(surface.director(u_values))):
         p = q1.norm()
+        dp = q1.dot(q2) / p
         kap = q0.dot(q1.cross(q2)) / (p * p * p)
         kp = (q0.dot(q1.cross(q3)) / p - 3.0 * q1.dot(q2) * kap) / (p * p * p)
         a = q0.cross(q1) / p
         if i:
-            s1 += (u[i] - u[i - 1]) / 6.0 * (prev + 4.0 * mid_speeds[i - 1] + p)
-        prev = p
+            du = u[i] - u[i - 1]
+            s1 += du / 2.0 * (prev + p) + du * du / 12.0 * (prev_dp - dp)
+        prev, prev_dp = p, dp
         f0, f1 = f_jets[i][:2]
         striction = f0 - q0 * (q1.dot(f1) / (p * p))
         rows.append((u[i], s1, q0, a.cross(q0), a, kap, kp,
@@ -284,7 +331,7 @@ def spoiled_helicoid(director_filter):
 
 
 class TestFirstFault:
-    """Errors name the smallest bad u, grid value or interval midpoint."""
+    """Errors name the smallest bad grid value."""
 
     grid = SampleGrid.uniform((0.0, 1.0), 32)
 
@@ -295,21 +342,9 @@ class TestFirstFault:
         first = float(self.grid.u_values[self.grid.u_values > 0.5][0])
         assert str(err.value) == f"surface jets are non-finite at u={first!r}"
 
-    def test_non_finite_midpoint_named_before_later_grid_values(self):
-        u = self.grid.u_values
-        mid = float(0.5 * (u[3] + u[4]))
-
-        def spoil(at, rows):
-            bad = (at == mid) | (at > 0.8)
-            return np.where(bad[:, None], math.nan, rows)
-
-        with pytest.raises(NonFiniteSample) as err:
-            frame_samples(spoiled_helicoid(spoil), self.grid)
-        assert str(err.value) == f"director jet is non-finite at u={mid!r}"
-
     def test_stalled_director_names_first_grid_value(self):
         # the director stops turning for u >= 0.4: a cylindrical stretch whose
-        # smallest bad u is the midpoint 0.4032..., before the grid value 0.4194...
+        # first grid value is 13/31
         helicoid = catalog("helicoid")
 
         def director(u):
@@ -320,9 +355,5 @@ class TestFirstFault:
         spec = dataclasses.replace(helicoid, director=director)
         with pytest.raises(CylindricalDirector) as err:
             frame_samples(spec, self.grid)
-        u = self.grid.u_values
-        points = np.concatenate((u, 0.5 * (u[:-1] + u[1:])))
-        first = float(points[points >= 0.4].min())
-        assert first < float(u[u >= 0.4][0])  # a midpoint
-        assert err.value.u == first
-        assert f"u={first!r}" in str(err.value)
+        assert err.value.u == 0.4193548387096774
+        assert "u=0.4193548387096774" in str(err.value)

@@ -9,8 +9,9 @@ motion, the sample count and phi.  The bound is 1e-13 relative to each
 column's size for the rigid motions and the reversal, whose measured
 differences are rounding, at most 2e-14 (the reversed s1, a cumulative sum).
 The reparametrized columns agree to 1e-12 (measured at most 3.3e-14, on
-kappa'), except s1: its Simpson quadrature sees other interval midpoints, so
-it agrees to 1e-9 (measured at most 1.5e-11).
+kappa'), except s1: its quadrature integrates the speed in t, not in u, and
+its fourth-order error differs with it, so it agrees to 1e-9 (measured at
+most 5.6e-11).
 """
 
 import math

@@ -385,7 +385,7 @@ class TestSampledJets:
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), order
 
     def test_frame_peak_is_bounded_by_a_row_block(self):
-        # measured 1.43 MB; 1.97 MB with the whole base-curve and midpoint jets
+        # measured 1.35 MB; 1.97 MB with the whole base-curve and midpoint jets
         # alive, 6.16 MB when each jet held a (4, 8, M, 3) product
         surface = load_surface(sampled_spec_document(catalog("constant_sigma", {"d": 0.5}), 4096))
         grid = SampleGrid.uniform(surface.param_range, 4096)
@@ -399,6 +399,12 @@ class TestDocuments:
         assert list(doc) == ["kind", "u", "f", "q"]
         assert len(doc["u"]) == len(doc["f"]) == len(doc["q"]) == 32
         assert doc["u"][0] == 0.0 and doc["u"][-1] == 2 * math.pi
+
+    def test_sampled_spec_document_u_is_writable_in_place(self):
+        doc = sampled_spec_document(catalog("helicoid"), 32)
+        scaled = {**doc, "u": doc["u"] * 2.0}
+        doc["u"] *= 2.0
+        assert dumps_deterministic(doc) == dumps_deterministic(scaled)
 
     def test_sampled_spec_document_minimum(self):
         with pytest.raises(SpecError):
