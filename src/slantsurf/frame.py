@@ -160,7 +160,11 @@ def _striction(f0: np.ndarray, f1: np.ndarray, q_jet: Jet3, n1: np.ndarray) -> n
 
 def asymptotic_normal(q_jet: Jet3) -> np.ndarray:
     """Unit normals a = (q x q') / |q'|, the limit of the surface normal."""
-    return cross(q_jet.d0, q_jet.d1) / _speed(q_jet)[:, None]
+    return _asymptotic_normal(q_jet, _speed(q_jet))
+
+
+def _asymptotic_normal(q_jet: Jet3, n1: np.ndarray) -> np.ndarray:
+    return cross(q_jet.d0, q_jet.d1) / n1[:, None]
 
 
 def central_normal(q: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -176,15 +180,23 @@ def central_normal(q: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def conical_curvature(q_jet: Jet3) -> np.ndarray:
     """Conical curvature kappa = det(q, q_u, q_uu) / |q_u|^3, or det(q, dq/ds1, d2q/ds1^2)."""
-    n1 = _speed(q_jet)
+    return _conical_curvature(q_jet, _speed(q_jet))
+
+
+def _conical_curvature(q_jet: Jet3, n1: np.ndarray) -> np.ndarray:
     return det3(q_jet.d0, q_jet.d1, q_jet.d2) / (n1 * n1 * n1)
 
 
 def kappa_prime(q_jet: Jet3) -> np.ndarray:
     """d(kappa)/ds1 = (det(q, q_u, q_uuu) / |q_u| - 3 <q_u, q_uu> kappa) / |q_u|^3."""
     n1 = _speed(q_jet)
+    return _kappa_prime(q_jet, n1, dot(q_jet.d1, q_jet.d2), _conical_curvature(q_jet, n1))
+
+
+def _kappa_prime(q_jet: Jet3, n1: np.ndarray, d12: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """``kappa_prime`` from the speed ``n1``, <q_u, q_uu> ``d12`` and ``kappa``."""
     third = det3(q_jet.d0, q_jet.d1, q_jet.d3) / n1
-    return (third - 3.0 * dot(q_jet.d1, q_jet.d2) * conical_curvature(q_jet)) / (n1 * n1 * n1)
+    return (third - 3.0 * d12 * kappa) / (n1 * n1 * n1)
 
 
 def darboux_vector(kappa, q: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -235,11 +247,12 @@ def frame_samples(surface: RuledSurfaceSpec, grid: SampleGrid) -> FrameTable:
     finite &= q_jet.is_finite()
     speed = norm(q_jet.d1)
     _raise_first_fault(u, finite, speed)
-    a = asymptotic_normal(q_jet)
-    kap = conical_curvature(q_jet)
-    kp = kappa_prime(q_jet)
+    a = _asymptotic_normal(q_jet, speed)
+    kap = _conical_curvature(q_jet, speed)
+    d12 = dot(q_jet.d1, q_jet.d2)
+    kp = _kappa_prime(q_jet, speed, d12, kap)
     du = u[1:] - u[:-1]
-    dspeed = dot(q_jet.d1, q_jet.d2) / speed
+    dspeed = d12 / speed
     steps = du / 2.0 * (speed[:-1] + speed[1:]) + du * du / 12.0 * (dspeed[:-1] - dspeed[1:])
     return FrameTable(
         u=u,

@@ -128,6 +128,66 @@ class TestDetectAxis:
             detect_axis(np.tile(EZ, (15, 1)), np.arange(15))
 
 
+EPS = np.finfo(float).eps
+
+
+def jacobi_against_eigh(m: np.ndarray):
+    """The Jacobi solve of ``m`` checked against LAPACK's: ascending
+    eigenvalues within 8 ulps of the trace, orthonormal eigenvectors, and
+    M V = V diag(w) to the same size.  Returns both solves."""
+    w, v = slantsurf.slant._jacobi_eigh(m.tolist())
+    w_ref, v_ref = np.linalg.eigh(m)
+    ulp = EPS * np.trace(m)
+    assert w == sorted(w)
+    assert np.abs(np.array(w) - w_ref).max() <= 8 * ulp
+    assert np.abs(v.T @ v - np.eye(3)).max() <= 8 * EPS
+    assert np.abs(m @ v - v * w).max() <= 8 * ulp
+    return w, v, w_ref, v_ref
+
+
+class TestJacobiEigh:
+    """The axis fit's eigensolver on symmetric positive semidefinite 3x3 matrices."""
+
+    @pytest.mark.parametrize("exponent", [-150, -100, -50, 0, 50, 100, 150])
+    @pytest.mark.parametrize("rank", [3, 2, 1])
+    def test_random_matrices_match_lapack(self, exponent, rank):
+        rng = np.random.default_rng(1000 * rank + exponent)
+        for _ in range(40):
+            b = rng.standard_normal((3, rank)) * 10.0 ** (exponent / 2)
+            w, v, w_ref, v_ref = jacobi_against_eigh(b @ b.T)
+            trace = sum(w)
+            if rank < 3:
+                # the null space is found to within rounding of the trace
+                assert max(abs(x) for x in w[:3 - rank]) <= 8 * EPS * trace
+            if w_ref[1] - w_ref[0] > 1e-3 * trace:
+                # the smallest eigenvector is unique: the same up to sign
+                assert min(norm(v[:, 0] - v_ref[:, 0]), norm(v[:, 0] + v_ref[:, 0])) < 1e-12
+
+    @pytest.mark.parametrize("diagonal", [(3.0, 1e-20, 7.0), (0.0, 2.0, 1.0),
+                                          (1e150, 1e-150, 1.0), (5.0, 5.0, 5.0)])
+    def test_diagonal_matrices_are_exact(self, diagonal):
+        w, v = slantsurf.slant._jacobi_eigh(np.diag(diagonal).tolist())
+        assert w == sorted(diagonal)
+        assert np.array_equal(np.abs(v).T @ np.array(diagonal), np.array(w))
+        assert np.array_equal(np.abs(v).sum(axis=0), np.ones(3))
+
+    @pytest.mark.parametrize("m, expected", [
+        ([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 3.0]], (1.0, 3.0, 3.0)),
+        ([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]], (1.0, 1.0, 4.0)),
+        ([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 3.0]], (3.0, 3.0, 3.0)),
+    ], ids=["double-tie-largest", "double-tie-smallest", "triple-tie"])
+    def test_exact_ties(self, m, expected):
+        w, _, _, _ = jacobi_against_eigh(np.array(m))
+        assert w == pytest.approx(expected, abs=4 * EPS * sum(expected))
+        if expected[0] == expected[1]:
+            assert w[1] - w[0] <= slantsurf.slant.EIGENVALUE_TIE * sum(w)
+
+    def test_rotated_double_tie_stays_tied(self):
+        q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))
+        w, _, _, _ = jacobi_against_eigh((q * (2.0, 2.0, 9.0)) @ q.T)
+        assert w[1] - w[0] <= slantsurf.slant.EIGENVALUE_TIE * sum(w)
+
+
 class TestHSlantAxis:
     def test_zero_curvature(self):
         assert h_slant_axis(0.0, 0.5) == (0.0, 0.5, 1.0)
