@@ -65,8 +65,10 @@ MIN_SAMPLED_ROWS = 16
 SAMPLED_UNIT_TOL = 1e-6
 # table rows behind each sampled jet: a degree-7 interpolant
 SAMPLED_WINDOW = 8
-# sample rows per `%` or jet block and characters per write: each bounds a temporary
-ROW_BLOCK = 256
+# rows per `%` block, points per sampled-jet block and characters per write: each
+# bounds a temporary.  A jet block costs about a hundred numpy calls, a row block ten
+ROW_BLOCK = 16
+JET_BLOCK = 512
 WRITE_SLICE = 1 << 16
 
 
@@ -333,22 +335,22 @@ def _table_jet(u: np.ndarray, rows: np.ndarray, t: np.ndarray, unit: bool) -> Je
     point, through ``_unit_jet`` when ``unit``.
 
     The window is centred on the point and one-sided at the table ends, so no
-    derivative reaches past the data.  The points go ``ROW_BLOCK`` at a time,
+    derivative reaches past the data.  The points go ``JET_BLOCK`` at a time,
     so one block's windows, weights and (4, 8, B, 3) product are the largest
     temporaries.  Each block lands in four separate (M, 3) arrays, not one
     stack, so a column a caller keeps holds no other.
     """
     t = np.asarray(t, dtype=float)
     jet = Jet3(*(np.empty((len(t), 3)) for _ in range(4)))
-    for lo in range(0, len(t), ROW_BLOCK):
-        at = t[lo:lo + ROW_BLOCK]
+    for lo in range(0, len(t), JET_BLOCK):
+        at = t[lo:lo + JET_BLOCK]
         start = np.clip(np.searchsorted(u, at) - SAMPLED_WINDOW // 2, 0, len(u) - SAMPLED_WINDOW)
         window = start + np.arange(SAMPLED_WINDOW)[:, None]  # (8, B): one row per node
         d = (derivative_weights(at, u[window])[..., None] * rows[window]).sum(axis=1)
         if unit:
             d = _unit_jet(*d)
         for whole, block in zip((jet.d0, jet.d1, jet.d2, jet.d3), d):
-            whole[lo:lo + ROW_BLOCK] = block
+            whole[lo:lo + JET_BLOCK] = block
     return jet
 
 

@@ -26,11 +26,14 @@ from slantsurf import (
     classify_samples,
     csv_table,
     dumps_deterministic,
+    export_obj,
     frame_samples,
     load_surface,
     report_document,
     sampled_spec_document,
+    write_json_atomic,
 )
+from slantsurf import surface_io
 from slantsurf.cli import AUDITORS
 from slantsurf.surface_io import CSV_HEADER, ROW_BLOCK
 
@@ -233,7 +236,10 @@ def random_table(rows: int, seed: int) -> FrameTable:
     return table_from_matrix(m)
 
 
-BLOCK_EDGES = [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1]
+# 255, 256, 257 and 513 rows sit on a block edge for every power-of-two ROW_BLOCK
+# up to 256, so these cases stay edges when the constant moves
+WIDE_EDGES = [255, 256, 257, 513]
+BLOCK_EDGES = sorted({1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, *WIDE_EDGES})
 
 
 @pytest.mark.parametrize("rows", BLOCK_EDGES)
@@ -244,7 +250,7 @@ def test_block_edges_match_the_reference(rows):
     assert csv_table(table) == reference_csv(table)
 
 
-@pytest.mark.parametrize("rows", BLOCK_EDGES[-2:])
+@pytest.mark.parametrize("rows", WIDE_EDGES[-2:])
 @pytest.mark.parametrize("planted", [
     [(ROW_BLOCK, 0, math.nan)],
     [(-1, 19, math.inf)],
@@ -261,7 +267,8 @@ def test_non_finite_in_a_later_block_raises_the_reference_error(rows, planted):
     assert error_text(csv_table, table) == expected == error_text(reference_csv, table)
 
 
-SPEC_ROWS = [16, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 4096]
+# a spec has at least 16 rows, so the edges are taken above one block
+SPEC_ROWS = sorted({16, ROW_BLOCK + 1, 2 * ROW_BLOCK - 1, 2 * ROW_BLOCK, *WIDE_EDGES[:3], 4096})
 
 
 @pytest.mark.parametrize("rows", SPEC_ROWS)
@@ -291,3 +298,23 @@ def test_non_finite_in_a_spec_array_raises_the_reference_error(key, planted):
     expected = error_text(reference_dumps, spec)
     assert expected.startswith("non-finite value")
     assert error_text(dumps_deterministic, spec) == expected
+
+
+@pytest.mark.parametrize("block", [1, 7, ROW_BLOCK, 4096])
+def test_row_block_size_changes_no_byte(block, monkeypatch, tmp_path):
+    # 100 rows: blocks of 7 leave a short last block, 4096 puts every row in one
+    surface = SURFACES["constant_sigma"]()
+    samples = frame_samples(surface, SampleGrid.uniform(surface.param_range, 100))
+    report = report_document(surface, samples, classify_samples(samples))
+    spec = sampled_spec_document(surface, 100)
+
+    def outputs() -> list[str]:
+        write_json_atomic(tmp_path / "report.json", report)
+        write_json_atomic(tmp_path / "spec.json", spec)
+        return [dumps_deterministic(report), csv_table(samples),
+                export_obj(surface, 11, -1.0, 1.0, 9), dumps_deterministic(spec),
+                (tmp_path / "report.json").read_text(), (tmp_path / "spec.json").read_text()]
+
+    expected = outputs()
+    monkeypatch.setattr(surface_io, "ROW_BLOCK", block)
+    assert outputs() == expected

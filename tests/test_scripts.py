@@ -181,3 +181,23 @@ def test_bench_record_writes_one_file_per_label(tmp_path, monkeypatch):
         assert info.value.code == 2
     assert (tmp_path / "BENCH_base.json").read_bytes() == written
     assert len(calls) == 2 * len(names)
+
+
+def test_command_peaks_runs_every_command_from_both_trees(tmp_path):
+    src = str(ROOT / "src")
+    lines = run_script("command_peaks.py", src, src, "--workload", "cli_small", "--runs", "1",
+                       cwd=tmp_path)
+    assert lines[0].split()[:3] == ["workload", "command", "tree"]
+    rows = [line.split() for line in lines[1:]]
+    assert len(rows) == 3 * 9  # parent, change and delta for each cli_small command
+    labels = [" ".join(row[1:-9]) for row in rows[0::3]]
+    assert labels[:3] == ["classify helicoid --samples 512", "analyze helicoid --samples 512 --csv",
+                          "export helicoid --grid 64x8"]
+    for parent, change, delta in zip(rows[0::3], rows[1::3], rows[2::3]):
+        assert (parent[0], parent[-9], change[-9], delta[-5]) == ("cli_small", "parent", "change",
+                                                                  "delta")
+        # one run: min, median and max are the same number
+        assert parent[-7:-4] == [parent[-6]] * 3 and parent[-3:] == [parent[-2]] * 3
+        peak, wall = float(parent[-6]), float(parent[-2])
+        assert 0.0 < peak < 1000.0 and 0.0 < wall < 60.0
+        assert float(delta[-3]) == pytest.approx(float(change[-6]) - peak, abs=0.011)

@@ -33,7 +33,8 @@ from conftest import traced_peak
 from slantsurf.cli import parse_cli, run
 from slantsurf.generators import GENERATOR_KEYS
 from slantsurf.geometry import cross, dot, norm
-from slantsurf.surface_io import ROW_BLOCK, WRITE_SLICE
+from slantsurf import surface_io
+from slantsurf.surface_io import JET_BLOCK, ROW_BLOCK, WRITE_SLICE
 
 TABULATED = {"s1_knots": [0.0, 1.0, 2.0, 3.0], "kappa_values": [0.0, 0.8, -0.4, 0.6]}
 VERDICTS = ("q_slant", "h_slant", "a_slant", "darboux_strict", "darboux_angular")
@@ -250,7 +251,9 @@ class TestLoadSurface:
             load_surface(doc)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("rows", [16, ROW_BLOCK + 1])
+    # 257 rows end one row past a whole number of row blocks for every power-of-two
+    # ROW_BLOCK up to 256; at JET_BLOCK + 1 rows the 3 * rows points fill four jet blocks
+    @pytest.mark.parametrize("rows", [16, 257, JET_BLOCK + 1])
     @pytest.mark.parametrize("name, params", [("constant_sigma", {"d": 0.4}),
                                               ("hyperboloid", {"r": 1.5, "pitch": 0.7})])
     def test_spec_arrays_load_like_their_json_text(self, name, params, rows):
@@ -373,9 +376,9 @@ class TestSampledJets:
 
     @pytest.mark.parametrize("jet", ["base_curve", "director"])
     def test_row_blocks_match_points_one_at_a_time(self, jet):
-        # 2 ROW_BLOCK + 1 points: two whole blocks and one of a single point
+        # 2 JET_BLOCK + 1 points: two whole jet blocks and one of a single point
         surface = load_surface(sampled_spec_document(catalog("constant_sigma", {"d": 0.5}), 1024))
-        t = SampleGrid.uniform(surface.param_range, 2 * ROW_BLOCK + 1).u_values
+        t = SampleGrid.uniform(surface.param_range, 2 * JET_BLOCK + 1).u_values
         blocks = getattr(surface, jet)(t)
         singles = [getattr(surface, jet)(t[i:i + 1]) for i in range(len(t))]
         for order in ("d0", "d1", "d2", "d3"):
@@ -384,9 +387,22 @@ class TestSampledJets:
             want = np.concatenate([getattr(single, order) for single in singles])
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), order
 
+    @pytest.mark.parametrize("block", [1, 7, JET_BLOCK, 4096])
+    def test_jet_block_size_changes_no_bit(self, block, monkeypatch):
+        # 300 points: blocks of 7 leave a short last block, 4096 takes them all at once
+        surface = load_surface(sampled_spec_document(catalog("hyperboloid"), 64))
+        t = np.linspace(*surface.param_range, 300)
+        expected = [surface.base_curve(t), surface.director(t)]
+        monkeypatch.setattr(surface_io, "JET_BLOCK", block)
+        for want, got in zip(expected, [surface.base_curve(t), surface.director(t)]):
+            for order in ("d0", "d1", "d2", "d3"):
+                assert np.array_equal(getattr(got, order).view(np.int64),
+                                      getattr(want, order).view(np.int64)), order
+
     def test_frame_peak_is_bounded_by_a_row_block(self):
-        # measured 1.35 MB; 1.97 MB with the whole base-curve and midpoint jets
-        # alive, 6.16 MB when each jet held a (4, 8, M, 3) product
+        # measured 1.39 MB at JET_BLOCK 256 and 512 alike (2.08 MB at 1024); 1.97 MB
+        # with the whole base-curve and midpoint jets alive, 6.16 MB when each jet
+        # held a (4, 8, M, 3) product
         surface = load_surface(sampled_spec_document(catalog("constant_sigma", {"d": 0.5}), 4096))
         grid = SampleGrid.uniform(surface.param_range, 4096)
         _, peak = traced_peak(frame_samples, surface, grid)
@@ -523,21 +539,26 @@ class TestDocuments:
 
 
 class TestSerializationPeak:
-    """Peak memory of rendering an 8192-sample report (4.8 MB) and writing 9.6 MB.
+    """Peak memory of rendering an 8192-sample report (4.8 MB) and writing 9.6 MB,
+    and of a 512-sample report (0.30 MB) and CSV table (0.21 MB).
 
-    ``dumps_deterministic`` and ``csv_table`` hold their text once: each row
-    block is stacked straight from the table's columns and appended to one
-    ``str`` that grows in place, so the peak is the text plus one block and a
-    bool mask per row.  Measured: 1.09x the text for the report, 1.11x for the
-    CSV table.  A checked (N, 20) value matrix of the whole table took 1.36x
-    and 1.49x (it is a larger share of the shorter CSV text); joining the
-    blocks with ``"".join`` peaked at 2.00x for both; rendering the whole table
-    in one ``%`` at 3.09x (report) and 3.59x (CSV).  ``write_json_atomic``
-    never holds the text: it writes each row block as it renders, at 0.13x
-    the text, where rendering first and writing the whole text took 1.09x.
-    A write encodes one 64 KiB slice at a time; encoding the whole text in one
-    write took 1.00x the text more.  Tracing every allocation makes each render about
-    6x slower, so the table is 8192 samples, not 16384.
+    ``dumps_deterministic`` and ``csv_table`` hold their text once: each block
+    of ``ROW_BLOCK`` (16) rows is stacked straight from the table's columns and
+    appended to one ``str`` that grows in place, so the peak is the text plus
+    one block and a bool mask per row.  Measured at 8192 samples: 1.01x the
+    text for the report and for the CSV table (1.09x and 1.11x with 256-row
+    blocks).  A checked (N, 20) value matrix of the whole table took 1.36x and
+    1.49x (it is a larger share of the shorter CSV text); joining the blocks
+    with ``"".join`` peaked at 2.00x for both; rendering the whole table in one
+    ``%`` at 3.09x (report) and 3.59x (CSV).  ``write_json_atomic`` never holds
+    the text: it writes each row block as it renders, at 54 kB whatever the
+    sample count (0.011x the text at 8192 samples, 0.18x at 512), where
+    256-row blocks held 603-606 kB (0.13x and 2.0x) and rendering first and
+    writing the whole text took 1.09x.  At 512 samples the CSV table peaks at
+    1.12x its text, against 2.73x with 256-row blocks.  A write encodes one
+    64 KiB slice at a time; encoding the whole text in one write took 1.00x the
+    text more.  Tracing every allocation makes each render about 6x slower, so
+    the large table is 8192 samples, not 16384.
     """
 
     @pytest.fixture(scope="class")
@@ -546,20 +567,37 @@ class TestSerializationPeak:
         samples = frame_samples(surface, SampleGrid.uniform(surface.param_range, 8192))
         return samples, report_document(surface, samples, classify_samples(samples))
 
+    @pytest.fixture(scope="class")
+    def small(self):
+        surface = catalog("constant_sigma", {"d": 0.5})
+        samples = frame_samples(surface, SampleGrid.uniform(surface.param_range, 512))
+        return samples, report_document(surface, samples, classify_samples(samples))
+
     def test_report_holds_its_text_once(self, table):
         text, peak = traced_peak(dumps_deterministic, table[1])
-        assert peak <= 1.22 * len(text)  # measured 1.09x; margin 12%
+        assert peak <= 1.13 * len(text)  # measured 1.01x; margin 12%
 
     def test_csv_holds_its_text_once(self, table):
         text, peak = traced_peak(csv_table, table[0])
-        assert peak <= 1.24 * len(text)  # measured 1.11x; margin 12%
+        assert peak <= 1.13 * len(text)  # measured 1.01x; margin 12%
 
     def test_streamed_report_writes_the_rendered_bytes(self, table, tmp_path):
         target = tmp_path / "r.json"
         _, peak = traced_peak(write_json_atomic, target, table[1])
         text = dumps_deterministic(table[1])
         assert target.read_bytes() == text.encode("utf-8")
-        assert peak <= 0.2 * len(text)  # measured 0.13x; rendering, then writing 1.09x
+        assert peak <= 0.015 * len(text)  # measured 0.011x, margin 34%; render-then-write 1.09x
+
+    def test_small_report_streams_in_row_blocks(self, small, tmp_path):
+        target = tmp_path / "r.json"
+        _, peak = traced_peak(write_json_atomic, target, small[1])
+        text = dumps_deterministic(small[1])
+        assert target.read_bytes() == text.encode("utf-8")
+        assert peak <= 0.22 * len(text)  # measured 0.18x (54 kB); margin 23%; 2.0x at 256 rows
+
+    def test_small_csv_holds_its_text_once(self, small):
+        text, peak = traced_peak(csv_table, small[0])
+        assert peak <= 1.25 * len(text)  # measured 1.12x; margin 12%; 2.73x at 256 rows
 
     def test_write_encodes_a_slice_at_a_time(self, tmp_path):
         text = "0.30000000000000004,\n" * 458_000  # 9.6 MB: a 16384-sample report
