@@ -173,6 +173,12 @@ INVOCATIONS = [
     # spec tables on each side of a row block's edge, and the tabulated march at 4096 rows
     *(["generate", "--surface", "sigma.json", "--samples", str(rows),
        "--out", f"g_sigma_{rows}.json"] for rows in (255, 256, 257)),
+    # row counts that leave a short last row block: report, CSV and spec tables
+    ["analyze", "--surface", "hyperboloid.json", "--samples", "100",
+     "--out", "a_hyperboloid_100.json", "--csv"],
+    ["generate", "--surface", "sigma.json", "--samples", "33", "--out", "g_sigma_33.json"],
+    ["verify", "--surface", "g_sigma_33.json", "--samples", "100", "--csv",
+     "--out", "v_g_sigma_33.json"],
     ["generate", "--surface", "pk_tab.json", "--samples", "4096", "--out", "g_pk_tab_4096.json"],
     ["verify", "--surface", "g_pk_tab_4096.json", "--samples", "4096",
      "--out", "v_g_pk_tab_4096.json"],

@@ -85,68 +85,61 @@ def _non_finite(value: float) -> SpecError:
     return SpecError(f"non-finite value {value!r} cannot be serialized")
 
 
-def _finite(matrix: np.ndarray) -> np.ndarray:
-    """``matrix``, once checked: a non-finite value raises the error that
-    ``_scalar_text`` gives, for the first such value a row-by-row walk meets."""
-    bad = np.flatnonzero(~np.isfinite(matrix))
-    if bad.size:
-        raise _non_finite(float(matrix.flat[bad[0]]))
-    return matrix
-
-
-def _table_columns(samples: FrameTable) -> list[np.ndarray]:
-    """The table's columns in document order as (N, 1) and (N, 3) views, once checked.
-
-    One bool mask marks the rows with a non-finite value, and ``_finite`` reads
-    the first such row alone, so no (N, 20) matrix of the table is built.
-    """
-    columns = [getattr(samples, name) for name in _COLUMNS]
+def _finite(columns: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """``columns`` as (N, 1) and (N, k) views, once checked: a non-finite value raises
+    ``_scalar_text``'s error for the first one a row-by-row walk meets.  One bool mask
+    marks the bad rows and the first is read alone, so no matrix of all columns is built."""
     columns = [column[:, None] if column.ndim == 1 else column for column in columns]
-    bad = np.zeros(len(samples), dtype=bool)
+    bad = np.zeros(len(columns[0]), dtype=bool)
     for column in columns:
         bad |= ~np.isfinite(column).all(axis=1)
     rows = np.flatnonzero(bad)
     if rows.size:
-        _finite(np.concatenate([column[rows[0]] for column in columns]))
+        row = np.concatenate([column[rows[0]] for column in columns])
+        raise _non_finite(float(row[~np.isfinite(row)][0]))
     return columns
 
 
 def _render_rows(columns: Sequence[np.ndarray], row: str, sep: str) -> Iterator[str]:
     """The rows of the 2-D ``columns`` side by side through the ``%`` template ``row``,
-    joined by ``sep``, as texts of ``ROW_BLOCK`` rows: one block's values are alive at a time."""
+    joined by ``sep``, as texts of ``ROW_BLOCK`` rows: one block's values are alive at a
+    time.  One template serves every full block; a short last block builds its own."""
+    template = sep.join([row] * ROW_BLOCK)
     for start in range(0, len(columns[0]), ROW_BLOCK):
-        block = np.column_stack([column[start:start + ROW_BLOCK] for column in columns])
-        template = (sep if start else "") + sep.join([row] * len(block))
+        block = np.concatenate([column[start:start + ROW_BLOCK] for column in columns], axis=1)
+        if len(block) < ROW_BLOCK:
+            template = sep.join([row] * len(block))
+        if start:
+            yield sep
         yield template % tuple(block.ravel().tolist())
+
+
+def _bracketed(columns: list[np.ndarray], row: str, indent: int, out: list) -> None:
+    """The rows of ``columns`` through ``row`` as a JSON list at ``indent``, one row a line."""
+    pad = "  " * indent
+    out += (["[\n", _render_rows(columns, f"{pad}  {row}", ",\n"), f"\n{pad}]"]
+            if len(columns[0]) else ["[]"])
 
 
 def _table_rows(samples: FrameTable, indent: int, out: list) -> None:
     """The report's ``samples`` list: one dict per row, all from one template."""
-    columns = _table_columns(samples)
-    if not len(samples):
-        out.append("[]")
-        return
+    columns = _finite([getattr(samples, name) for name in _COLUMNS])
     pad = "  " * indent
     fields = [f'{pad}    "{key}": '
               + ("%.17g" if column.shape[1] == 1 else "[%.17g, %.17g, %.17g]")
               for key, column in zip(_ROW_KEYS, columns)]
-    row = f"{pad}  {{\n" + ",\n".join(fields) + f"\n{pad}  }}"
-    out.append("[\n")
-    out.append(_render_rows(columns, row, ",\n"))
-    out.append(f"\n{pad}]")
+    _bracketed(columns, "{\n" + ",\n".join(fields) + f"\n{pad}  }}", indent, out)
 
 
 def _array_rows(array: np.ndarray, indent: int, out: list) -> None:
     """An array as the text of its ``tolist()``: a 1-D or 2-D float array from one
     row template after one ``_finite`` check, any other through the list walk."""
-    if array.dtype != np.float64 or array.ndim not in (1, 2) or not array.size:
+    if array.dtype != np.float64 or array.ndim not in (1, 2):
         _emit(array.tolist(), indent, out)
     elif array.ndim == 1:
-        out += ["[", _render_rows([_finite(array)], "%.17g", ", "), "]"]
+        out += ["[", _render_rows(_finite([array]), "%.17g", ", "), "]"]
     else:
-        pad = "  " * indent
-        row = f"{pad}  [" + ", ".join(["%.17g"] * array.shape[1]) + "]"
-        out += ["[\n", _render_rows([_finite(array)], row, ",\n"), f"\n{pad}]"]
+        _bracketed(_finite([array]), f"[{', '.join(['%.17g'] * array.shape[1])}]", indent, out)
 
 
 _SCALARS = (bool, int, float, type(None))
@@ -517,7 +510,8 @@ def report_document(
 def csv_table(samples: FrameTable) -> str:
     """Sample table as CSV text with a fixed header and .17g floats."""
     row = "\n" + ",".join(["%.17g"] * len(CSV_HEADER.split(",")))
-    return _joined([CSV_HEADER, _render_rows(_table_columns(samples), row, ""), "\n"])
+    columns = _finite([getattr(samples, name) for name in _COLUMNS])
+    return _joined([CSV_HEADER, _render_rows(columns, row, ""), "\n"])
 
 
 def export_obj(
@@ -551,5 +545,5 @@ def export_obj(
     corner = (np.arange(grid_cols - 1)[:, None] * rows + np.arange(1, rows)).ravel()
     across = corner + rows
     faces = np.column_stack((corner, corner + 1, across + 1, corner, across + 1, across))
-    return _joined([_render_rows([_finite(points.reshape(-1, 3))], "v %.17g %.17g %.17g\n", ""),
+    return _joined([_render_rows(_finite([points.reshape(-1, 3)]), "v %.17g %.17g %.17g\n", ""),
                     _render_rows([faces], "f %d %d %d\nf %d %d %d\n", "")])

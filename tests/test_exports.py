@@ -1,4 +1,5 @@
-"""Every ``__all__`` name resolves, every import is used, and the version is stated once."""
+"""Every ``__all__`` name resolves, every import and private module name is used, and the
+version is stated once."""
 
 import ast
 import importlib
@@ -47,6 +48,51 @@ def test_unused_imports_detects_a_stray_name():
     ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each module-level ``_name`` that no module of ``sources`` reads.
+
+    A read is a loaded name, an attribute, or a ``from ... import`` of the name.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [f"{module}.{name}" for name in names
+                       if name.startswith("_") and not name.startswith("__") and name not in read]
+    return unread
+
+
+def test_unread_private_names_detects_a_dead_helper():
+    sources = {
+        "a": "_KEEP = 1\n_DROP, _USED = 2, 3\ndef _helper():\n    return _KEEP\n"
+             "def _orphan():\n    pass\nclass _Stray:\n    pass\n",
+        "b": "import a\nfrom a import _USED\nprint(a._helper(), _USED)\n",
+    }
+    assert unread_private_names(sources) == ["a._DROP", "a._orphan", "a._Stray"]
+
+
+def test_every_private_module_name_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(Path(slantsurf.__file__).parent.glob("*.py"))}
+    assert unread_private_names(sources) == []
 
 
 def test_the_distribution_version_is_tool_version():

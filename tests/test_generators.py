@@ -260,9 +260,14 @@ class TestIntegrateFrame:
         assert constant_sigma_march_error(d, 0.01) <= 1e-8
 
     def test_constant_sigma_error_falls_at_fourth_order(self):
-        # measured 1.85e-9 at step 0.01 and 1.16e-10 at 0.005: ratio 15.9, order 4.0
-        ratio = constant_sigma_march_error(0.5, 0.01) / constant_sigma_march_error(0.5, 0.005)
-        assert math.log2(ratio) >= 3.5
+        # measured 2.95e-8, 1.85e-9, 1.16e-10, 7.19e-12 and 5.01e-13 from step 0.02
+        # to 0.00125: orders 3.99, 4.00, 4.01, 3.84.  Rounding then sets a floor of
+        # 2.3e-13 at 0.000625 (2.6e-13 at 0.0003125)
+        ladder = [constant_sigma_march_error(0.5, step)
+                  for step in (0.02, 0.01, 0.005, 0.0025, 0.00125)]
+        orders = [math.log2(coarse / fine) for coarse, fine in zip(ladder, ladder[1:])]
+        assert min(orders) >= 3.5, orders
+        assert constant_sigma_march_error(0.5, 0.000625) <= 1e-12
 
     @pytest.mark.parametrize("params", [
         {"profile": ConstantKappa(0.7, (0.0, 2.0)), "step": 0.013},
