@@ -103,6 +103,9 @@ SPECS = {
     # inputs whose jets or spline overflow: one error line, exit 1, no numpy warnings
     "f_huge.json": {"kind": "sampled", "u": _T,
                     "f": [[(-1) ** k * 1e308, 0.0, 0.0] for k in range(64)], "q": _Q},
+    # f and f' are finite, f''' of the table's interpolant is not
+    "f_large.json": {"kind": "sampled", "u": _T,
+                     "f": [[1e305 * math.cos(3.0 * t), 0.0, 0.0] for t in _T], "q": _Q},
     "u_tiny.json": {"kind": "sampled", "u": [1e-300 * k for k in range(64)],
                     "f": [[0.0, 0.0, 0.0]] * 64, "q": _Q},
     "knot_huge.json": {"kind": "catalog", "name": "tabulated_kappa",
@@ -182,6 +185,8 @@ INVOCATIONS = [
     ["generate", "--surface", "pk_tab.json", "--samples", "4096", "--out", "g_pk_tab_4096.json"],
     ["verify", "--surface", "g_pk_tab_4096.json", "--samples", "4096",
      "--out", "v_g_pk_tab_4096.json"],
+    # a base curve whose third derivative overflows, which no column reads: exit 0
+    ["classify", "--surface", "f_large.json", "--samples", "64", "--out", "c_f_large.json"],
     # exit 1: usage
     [],
     ["analyze", "--surface", "sigma.json", "--bogus"],

@@ -70,16 +70,17 @@ class NonOrthogonalInput(ValueError):
 
 @dataclass(frozen=True)
 class RuledSurfaceSpec:
-    """Ruled surface given by third-order jets of its base curve and director.
+    """Ruled surface given by the 1-jet of its base curve and the 3-jet of its director.
 
-    ``base_curve`` and ``director`` map a 1-D array of parameter values u to a
-    ``Jet3`` of u-derivatives, one row per value; the director jet must have unit
-    values.  ``provenance`` records where the surface came from (catalog
-    entry, prescribed-curvature build, or user samples) and flows into report
+    ``base_curve`` maps a 1-D array of parameter values u to the pair (f, f_u) of
+    (N, 3) arrays, the only base derivatives the striction point reads, and
+    ``director`` to a ``Jet3`` of u-derivatives with unit values, one row per
+    value.  ``provenance`` records where the surface came from (catalog entry,
+    prescribed-curvature build, or user samples) and flows into report
     metadata unchanged.
     """
 
-    base_curve: Callable[[np.ndarray], Jet3]
+    base_curve: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     director: Callable[[np.ndarray], Jet3]
     param_range: tuple[float, float]
     provenance: dict
@@ -148,9 +149,9 @@ def _speed(q_jet: Jet3) -> np.ndarray:
     return n1
 
 
-def striction_point(f_jet: Jet3, q_jet: Jet3) -> np.ndarray:
-    """Striction points c = f - (<q', f'>/<q', q'>) q at common parameters."""
-    return _striction(f_jet.d0, f_jet.d1, q_jet, _speed(q_jet))
+def striction_point(base: tuple[np.ndarray, np.ndarray], q_jet: Jet3) -> np.ndarray:
+    """Striction points c = f - (<q', f'>/<q', q'>) q at common parameters, ``base`` = (f, f')."""
+    return _striction(*base, q_jet, _speed(q_jet))
 
 
 def _striction(f0: np.ndarray, f1: np.ndarray, q_jet: Jet3, n1: np.ndarray) -> np.ndarray:
@@ -238,13 +239,9 @@ def frame_samples(surface: RuledSurfaceSpec, grid: SampleGrid) -> FrameTable:
     and fourth-order accurate otherwise.
     """
     u = grid.u_values
-    # the base curve's jet is dropped once read: its d2 and d3 are never
-    # alive beside the director jet
-    f_jet = surface.base_curve(u)
-    f0, f1, finite = f_jet.d0, f_jet.d1, f_jet.is_finite()
-    del f_jet
+    f0, f1 = surface.base_curve(u)
     q_jet = surface.director(u)
-    finite &= q_jet.is_finite()
+    finite = np.isfinite(f0).all(-1) & np.isfinite(f1).all(-1) & q_jet.is_finite()
     speed = norm(q_jet.d1)
     _raise_first_fault(u, finite, speed)
     a = _asymptotic_normal(q_jet, speed)

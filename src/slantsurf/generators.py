@@ -17,10 +17,10 @@ exactly the striction property.
 Between nodes the director and base curve are evaluated from two-point
 Taylor interpolants (degree 7, matching value and three derivatives at both
 ends, all known from the frame equations).  The glued interpolant is C^3
-across nodes, so sampled derivatives up to third order converge cleanly and
-the returned jets satisfy the frame equations identically at the query
-point.  Profiles, interpolants and surface jets all evaluate whole arrays of
-parameter values at once.
+across nodes, so sampled derivatives up to third order converge cleanly, and
+the director's jet and the base curve's tangent satisfy the frame equations
+identically at the query point.  Profiles, interpolants and surface jets all
+evaluate whole arrays of parameter values at once.
 """
 
 from __future__ import annotations
@@ -484,8 +484,8 @@ def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpe
     the origin and is accumulated with per-interval Simpson quadrature
     (midpoint frames from the interpolant), so it is its own striction curve
     up to the integration error.  The returned spec is parametrized by
-    u = s1 and exposes jets built from the frame equations and the exact
-    profile values.
+    u = s1: the director's jet and the base curve's tangent come from the
+    frame equations and the exact profile values.
     """
     profile = config.profile
     s = np.array(frames.s1)
@@ -509,25 +509,17 @@ def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpe
     steps = (g[:-1] + tangent(qm, am) * 4.0 + g[1:]) * ((s[1:] - s[:-1]) / 6.0)[:, None]
     c_nodes = np.cumsum(np.concatenate((np.zeros((1, 3)), steps)), axis=0)
 
-    def base_jet_of_frame(q, h, a, kap, kp, c_val) -> Jet3:
-        scale = cos_a - kap * sin_a
-        return Jet3(
-            d0=c_val,
-            d1=tangent(q, a),
-            d2=h * scale,
-            d3=h * (-kp * sin_a) + (-q + a * kap) * scale,
-        )
-
-    node_jet = base_jet_of_frame(q, h, a, kap, kp, c_nodes)
-    c_poly = _PiecewisePoly(s, (node_jet.d0, node_jet.d1, node_jet.d2, node_jet.d3))
+    # the node data of c and its first three s1-derivatives, by the frame equations
+    scale = cos_a - kap * sin_a
+    c_poly = _PiecewisePoly(s, (c_nodes, g, h * scale,
+                                h * (-kp * sin_a) + (-q + a * kap) * scale))
 
     def director(u: np.ndarray) -> Jet3:
         return Jet3(*_director_jet(*frame_at(u), *_kappa_columns(profile, u)))
 
-    def base_curve(u: np.ndarray) -> Jet3:
-        q, h, a = frame_at(u)
-        kap, kp = _kappa_columns(profile, u)
-        return base_jet_of_frame(q, h, a, kap, kp, c_poly.value_and_derivative(u)[0])
+    def base_curve(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q, _, a = frame_at(u)
+        return c_poly.value_and_derivative(u)[0], tangent(q, a)
 
     return RuledSurfaceSpec(
         base_curve=base_curve,
@@ -565,9 +557,20 @@ def _circle_director(height: float, radius: float):
     return jet
 
 
-def _origin(u: np.ndarray) -> Jet3:
+def _circle(radius: float):
+    """Base curve (f, f') of the circle f = (radius cos u, radius sin u, 0)."""
+
+    def base(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cu, su = np.cos(u), np.sin(u)
+        return (_columns(u, radius * cu, radius * su, 0.0),
+                _columns(u, -radius * su, radius * cu, 0.0))
+
+    return base
+
+
+def _origin(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     zero = np.zeros((len(u), 3))
-    return Jet3(zero, zero, zero, zero)
+    return zero, zero
 
 
 def _entry(name: str, params: dict, base_curve, director,
@@ -578,9 +581,8 @@ def _entry(name: str, params: dict, base_curve, director,
 
 
 def _helicoid(params: dict) -> RuledSurfaceSpec:
-    def base(u: np.ndarray) -> Jet3:
-        zero = np.zeros((len(u), 3))
-        return Jet3(_columns(u, 0.0, 0.0, u), _columns(u, 0.0, 0.0, 1.0), zero, zero)
+    def base(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _columns(u, 0.0, 0.0, u), _columns(u, 0.0, 0.0, 1.0)
 
     return _entry("helicoid", params, base, _circle_director(0.0, 1.0))
 
@@ -611,13 +613,11 @@ def _hyperboloid(params: dict) -> RuledSurfaceSpec:
             d3=_columns(u, cu * scale, su * scale, 0.0),
         )
 
-    return _entry("hyperboloid", {"r": radius, "pitch": pitch},
-                  _circle_director(0.0, radius), director)
+    return _entry("hyperboloid", {"r": radius, "pitch": pitch}, _circle(radius), director)
 
 
 def _radial_plane(params: dict) -> RuledSurfaceSpec:
-    circle = _circle_director(0.0, 1.0)
-    return _entry("radial_plane", params, circle, circle)
+    return _entry("radial_plane", params, _circle(1.0), _circle_director(0.0, 1.0))
 
 
 def _generated(name: str, kind: str) -> tuple:

@@ -323,26 +323,26 @@ def _load_prescribed(doc: dict) -> RuledSurfaceSpec:
     return build_surface(integrate_frame(config), config)
 
 
-def _table_jet(u: np.ndarray, rows: np.ndarray, t: np.ndarray, unit: bool) -> Jet3:
-    """Jet at ``t`` of the degree-7 polynomial through the 8 table rows around each
-    point, through ``_unit_jet`` when ``unit``.
+def _table_jet(u: np.ndarray, rows: np.ndarray, t: np.ndarray, unit: bool) -> tuple:
+    """Derivatives at ``t`` of the degree-7 polynomial through the 8 table rows around
+    each point: orders 0..3 through ``_unit_jet`` when ``unit``, else orders 0 and 1.
 
     The window is centred on the point and one-sided at the table ends, so no
     derivative reaches past the data.  The points go ``JET_BLOCK`` at a time,
-    so one block's windows, weights and (4, 8, B, 3) product are the largest
-    temporaries.  Each block lands in four separate (M, 3) arrays, not one
+    so one block's windows, weights and (orders, 8, B, 3) product are the largest
+    temporaries.  Each block lands in one (M, 3) array per order, not one
     stack, so a column a caller keeps holds no other.
     """
     t = np.asarray(t, dtype=float)
-    jet = Jet3(*(np.empty((len(t), 3)) for _ in range(4)))
+    jet = tuple(np.empty((len(t), 3)) for _ in range(4 if unit else 2))
     for lo in range(0, len(t), JET_BLOCK):
         at = t[lo:lo + JET_BLOCK]
         start = np.clip(np.searchsorted(u, at) - SAMPLED_WINDOW // 2, 0, len(u) - SAMPLED_WINDOW)
         window = start + np.arange(SAMPLED_WINDOW)[:, None]  # (8, B): one row per node
-        d = (derivative_weights(at, u[window])[..., None] * rows[window]).sum(axis=1)
+        d = (derivative_weights(at, u[window], len(jet) - 1)[..., None] * rows[window]).sum(axis=1)
         if unit:
             d = _unit_jet(*d)
-        for whole, block in zip((jet.d0, jet.d1, jet.d2, jet.d3), d):
+        for whole, block in zip(jet, d):
             whole[lo:lo + JET_BLOCK] = block
     return jet
 
@@ -394,11 +394,11 @@ def _load_sampled(doc: dict) -> RuledSurfaceSpec:
             f"{SAMPLED_UNIT_TOL:g} (norm {float(q_norms[off[0]])!r})"
         )
 
-    def base_curve(t: np.ndarray) -> Jet3:
+    def base_curve(t: np.ndarray) -> tuple:
         return _table_jet(nodes, f_rows, t, unit=False)
 
     def director(t: np.ndarray) -> Jet3:
-        return _table_jet(nodes, q_rows, t, unit=True)
+        return Jet3(*_table_jet(nodes, q_rows, t, unit=True))
 
     return RuledSurfaceSpec(
         base_curve=base_curve,
@@ -449,7 +449,7 @@ def sampled_spec_document(surface: RuledSurfaceSpec, count: int) -> dict:
     return {
         "kind": "sampled",
         "u": u,
-        "f": surface.base_curve(u).d0,
+        "f": surface.base_curve(u)[0],
         "q": surface.director(u).d0,
     }
 
@@ -538,7 +538,7 @@ def export_obj(
         raise SpecError(f"degenerate v range: {rows} rows between v_min={v_min!r} and "
                         f"v_max={v_max!r} are not distinct") from None
     u_values = SampleGrid.uniform(surface.param_range, grid_cols).u_values
-    f0 = surface.base_curve(u_values).d0
+    f0 = surface.base_curve(u_values)[0]
     q0 = surface.director(u_values).d0
     points = f0[:, None, :] + q0[:, None, :] * v_values[None, :, None]
     # the 1-based index of each cell's (u_i, v_j) corner, and of its (u_i+1, v_j) corner

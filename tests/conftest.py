@@ -124,7 +124,7 @@ def rotate_jet(rotate, jet: Jet3) -> Jet3:
 def rotate_surface(rotate, surface: RuledSurfaceSpec) -> RuledSurfaceSpec:
     """The same surface moved rigidly (rotation only, so jets map directly)."""
     return RuledSurfaceSpec(
-        base_curve=lambda u: rotate_jet(rotate, surface.base_curve(u)),
+        base_curve=lambda u: tuple(map(rotate, surface.base_curve(u))),
         director=lambda u: rotate_jet(rotate, surface.director(u)),
         param_range=surface.param_range,
         provenance=dict(surface.provenance, rotated=True),

@@ -60,14 +60,13 @@ class TestStriction:
         surface = catalog("hyperboloid", {"r": 2.0, "pitch": 0.5})
         u = at(0.7)
         c = striction_point(surface.base_curve(u), surface.director(u))
-        assert norm(c - surface.base_curve(u).d0)[0] < 1e-14
+        assert norm(c - surface.base_curve(u)[0])[0] < 1e-14
 
     def test_cylindrical_director_rejected(self):
         zero = np.zeros((1, 3))
-        f = Jet3(zero, np.array([[1.0, 0.0, 0.0]]), zero, zero)
         q = Jet3(np.array([[0.0, 0.0, 1.0]]), zero, zero, zero)
         with pytest.raises(CylindricalDirector):
-            striction_point(f, q)
+            striction_point((zero, np.array([[1.0, 0.0, 0.0]])), q)
 
 
 class TestNormals:
@@ -212,7 +211,7 @@ class TestFrameSamples:
 
         def base(u):
             zero = np.zeros((len(u), 3))
-            return Jet3(zero, zero, zero, zero)
+            return zero, zero
 
         surface = RuledSurfaceSpec(base, director, (0.0, 2.0 * math.pi), {"kind": "test"})
 
@@ -238,7 +237,7 @@ class TestFrameSamples:
 
     def test_cylindrical_surface_names_parameter(self):
         def base(u):
-            return Jet3(line(u), line(1.0 + 0.0 * u), 0.0 * line(u), 0.0 * line(u))
+            return line(u), line(1.0 + 0.0 * u)
 
         def director(u):
             zero = 0.0 * line(u)
@@ -292,17 +291,18 @@ def line(u):
     return np.stack([u, 0.0 * u, 0.0 * u], axis=-1)
 
 
-def jet_rows(jet: Jet3) -> list[tuple[Vec3, Vec3, Vec3, Vec3]]:
-    columns = (d.tolist() for d in (jet.d0, jet.d1, jet.d2, jet.d3))
-    return [tuple(Vec3(*r) for r in rows) for rows in zip(*columns)]
+def jet_rows(*columns: np.ndarray) -> list[tuple[Vec3, ...]]:
+    """Row i of each (N, 3) column as a Vec3, one tuple per row."""
+    return [tuple(Vec3(*r) for r in rows) for rows in zip(*(d.tolist() for d in columns))]
 
 
 def reference_frame(surface, u_values) -> list[tuple]:
     """The frame one sample at a time in Vec3 arithmetic, from the same jets."""
     u = u_values.tolist()
-    f_jets = jet_rows(surface.base_curve(u_values))
+    f_jets = jet_rows(*surface.base_curve(u_values))
+    q_jet = surface.director(u_values)
     rows, s1, prev, prev_dp = [], 0.0, 0.0, 0.0
-    for i, (q0, q1, q2, q3) in enumerate(jet_rows(surface.director(u_values))):
+    for i, (q0, q1, q2, q3) in enumerate(jet_rows(q_jet.d0, q_jet.d1, q_jet.d2, q_jet.d3)):
         p = q1.norm()
         dp = q1.dot(q2) / p
         kap = q0.dot(q1.cross(q2)) / (p * p * p)
@@ -312,7 +312,7 @@ def reference_frame(surface, u_values) -> list[tuple]:
             du = u[i] - u[i - 1]
             s1 += du / 2.0 * (prev + p) + du * du / 12.0 * (prev_dp - dp)
         prev, prev_dp = p, dp
-        f0, f1 = f_jets[i][:2]
+        f0, f1 = f_jets[i]
         striction = f0 - q0 * (q1.dot(f1) / (p * p))
         rows.append((u[i], s1, q0, a.cross(q0), a, kap, kp,
                      kp / (1.0 + kap * kap) ** 1.5, q0 * kap + a, striction))

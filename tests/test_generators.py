@@ -307,7 +307,7 @@ class TestBuildSurface:
         config = GeneratorConfig(profile=prof, step=0.01, alpha=0.7)
         surface = build_surface(integrate_frame(config), config)
         samples = frame_samples(surface, SampleGrid.uniform(surface.param_range, 64))
-        assert np.all(norm(samples.striction - surface.base_curve(samples.u).d0) < 1e-12)
+        assert np.all(norm(samples.striction - surface.base_curve(samples.u)[0]) < 1e-12)
 
     def test_parameter_is_spherical_arc_length(self):
         prof = ConstantKappa(1.2, (0.0, 2.0))
@@ -322,7 +322,7 @@ class TestBuildSurface:
         config = GeneratorConfig(profile=prof, step=0.01, alpha=alpha)
         surface = build_surface(integrate_frame(config), config)
         u = np.array([1.1])
-        d1 = surface.base_curve(u).d1
+        _, d1 = surface.base_curve(u)
         jet = surface.director(u)
         q = jet.d0
         assert dot(d1, q)[0] == pytest.approx(math.cos(alpha), abs=1e-12)

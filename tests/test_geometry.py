@@ -144,6 +144,21 @@ class TestDerivativeWeights:
             assert got == pytest.approx(poly.deriv(k)(z), rel=1e-7, abs=1e-7), k
 
 
+    @pytest.mark.parametrize("start, first, last", [(0, 0, 3), (6, 3, 4), (12, 4, 7)],
+                             ids=["left-end", "centred", "right-end"])
+    def test_lower_orders_do_not_read_the_higher(self, start, first, last):
+        # 8-node windows of an uneven table as the sampled jets take them, the
+        # query points one-sided at the ends: orders 0 and 1 alone, as the base
+        # curve asks for them, keep every bit of the full set's first two
+        u = np.sort(np.random.default_rng(11).uniform(0.0, 2.0, 20))
+        nodes = u[start:start + 8]
+        z = np.linspace(nodes[first], nodes[last], 9)
+        x = np.repeat(nodes[:, None], len(z), axis=1)
+        low, full = derivative_weights(z, x, 1), derivative_weights(z, x, 3)
+        assert low.shape == (2, 8, len(z))
+        assert np.array_equal(low.view(np.int64), full[:2].view(np.int64))
+
+
 FROZEN = Jet3(np.array([[0.0, 0.0, 1.0]]), *(np.zeros((1, 3)),) * 3)
 
 
@@ -192,7 +207,7 @@ class TestReparamToS1:
             assert norm(asymptotic_normal(jet_u) - asymptotic_normal(unit))[0] < 1e-15
 
     def test_frozen_director_is_cylindrical(self):
-        base = Jet3(np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0]]), *(np.zeros((1, 3)),) * 2)
+        base = (np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0]]))
         with pytest.raises(CylindricalDirector):
             asymptotic_normal(FROZEN)
         with pytest.raises(CylindricalDirector):

@@ -67,8 +67,8 @@ def moved(surface: RuledSurfaceSpec, rotate, shift: np.ndarray) -> RuledSurfaceS
     """The surface rotated, then translated by ``shift``."""
 
     def base_curve(u):
-        jet = surface.base_curve(u)
-        return Jet3(rotate(jet.d0) + shift, rotate(jet.d1), rotate(jet.d2), rotate(jet.d3))
+        f0, f1 = surface.base_curve(u)
+        return rotate(f0) + shift, rotate(f1)
 
     def director(u):
         jet = surface.director(u)
@@ -90,20 +90,23 @@ def reparametrized(surface: RuledSurfaceSpec, eps: float):
         theta = w * (t - lo)
         return np.clip(t + eps / w * np.sin(theta), lo, hi)
 
-    def compose(curve):
-        def jet(t):
-            theta = w * (t - lo)
-            p1 = (1.0 + eps * np.cos(theta))[:, None]
-            p2 = (-eps * w * np.sin(theta))[:, None]
-            p3 = (-eps * w * w * np.cos(theta))[:, None]
-            j = curve(phi(t))
-            return Jet3(j.d0, j.d1 * p1, j.d2 * (p1 * p1) + j.d1 * p2,
-                        j.d3 * p1**3 + j.d2 * (3.0 * p1 * p2) + j.d1 * p3)
+    def dphi(t):
+        """phi', phi'' and phi''' at t, as (N, 1) columns."""
+        theta = w * (t - lo)
+        return ((1.0 + eps * np.cos(theta))[:, None], (-eps * w * np.sin(theta))[:, None],
+                (-eps * w * w * np.cos(theta))[:, None])
 
-        return jet
+    def base_curve(t):
+        f0, f1 = surface.base_curve(phi(t))
+        return f0, f1 * dphi(t)[0]
 
-    spec = RuledSurfaceSpec(compose(surface.base_curve), compose(surface.director),
-                            surface.param_range, surface.provenance)
+    def director(t):
+        p1, p2, p3 = dphi(t)
+        j = surface.director(phi(t))
+        return Jet3(j.d0, j.d1 * p1, j.d2 * (p1 * p1) + j.d1 * p2,
+                    j.d3 * p1**3 + j.d2 * (3.0 * p1 * p2) + j.d1 * p3)
+
+    spec = RuledSurfaceSpec(base_curve, director, surface.param_range, surface.provenance)
     return spec, phi
 
 
@@ -111,15 +114,15 @@ def reversed_in_u(surface: RuledSurfaceSpec) -> RuledSurfaceSpec:
     """The surface traversed backwards: u -> lo + hi - u, odd derivatives negated."""
     lo, hi = surface.param_range
 
-    def flip(curve):
-        def jet(u):
-            j = curve(lo + hi - u)
-            return Jet3(j.d0, -j.d1, j.d2, -j.d3)
+    def base_curve(u):
+        f0, f1 = surface.base_curve(lo + hi - u)
+        return f0, -f1
 
-        return jet
+    def director(u):
+        j = surface.director(lo + hi - u)
+        return Jet3(j.d0, -j.d1, j.d2, -j.d3)
 
-    return RuledSurfaceSpec(flip(surface.base_curve), flip(surface.director),
-                            surface.param_range, surface.provenance)
+    return RuledSurfaceSpec(base_curve, director, surface.param_range, surface.provenance)
 
 
 @each_surface

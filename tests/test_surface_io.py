@@ -14,6 +14,7 @@ import pytest
 
 from slantsurf import (
     BadParams,
+    Jet3,
     SampleGrid,
     SpecError,
     catalog,
@@ -30,7 +31,7 @@ from slantsurf import (
     write_text_atomic,
 )
 from conftest import traced_peak
-from slantsurf.cli import parse_cli, run
+from slantsurf.cli import main, parse_cli, run
 from slantsurf.generators import GENERATOR_KEYS
 from slantsurf.geometry import cross, dot, norm
 from slantsurf import surface_io
@@ -47,6 +48,11 @@ def sampled_with(key: str, index: int, value) -> dict:
            "q": [[math.cos(0.1 * k), math.sin(0.1 * k), 0.0] for k in range(16)]}
     doc[key][index] = value
     return doc
+
+
+def orders(jet) -> tuple:
+    """A director's ``Jet3`` or a base curve's (f, f') as a tuple of arrays, one per order."""
+    return (jet.d0, jet.d1, jet.d2, jet.d3) if isinstance(jet, Jet3) else tuple(jet)
 
 
 # one bad item per case: the message names it, whichever check finds it
@@ -263,10 +269,9 @@ class TestLoadSurface:
         assert from_arrays.param_range == from_text.param_range
         t = np.linspace(*from_text.param_range, 3 * rows)
         for jet in ("base_curve", "director"):
-            got, want = getattr(from_arrays, jet)(t), getattr(from_text, jet)(t)
-            for order in ("d0", "d1", "d2", "d3"):
-                assert np.array_equal(getattr(got, order).view(np.int64),
-                                      getattr(want, order).view(np.int64)), (jet, order)
+            got, want = orders(getattr(from_arrays, jet)(t)), orders(getattr(from_text, jet)(t))
+            for order, (a, b) in enumerate(zip(got, want, strict=True)):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64)), (jet, order)
 
     @pytest.mark.parametrize("key, index", [("u", 7), ("f", (3, 1)), ("q", (15, 2))])
     def test_spec_arrays_name_a_bad_item_as_lists_do(self, key, index):
@@ -379,12 +384,13 @@ class TestSampledJets:
         # 2 JET_BLOCK + 1 points: two whole jet blocks and one of a single point
         surface = load_surface(sampled_spec_document(catalog("constant_sigma", {"d": 0.5}), 1024))
         t = SampleGrid.uniform(surface.param_range, 2 * JET_BLOCK + 1).u_values
-        blocks = getattr(surface, jet)(t)
-        singles = [getattr(surface, jet)(t[i:i + 1]) for i in range(len(t))]
-        for order in ("d0", "d1", "d2", "d3"):
-            got = getattr(blocks, order)
+        blocks = orders(getattr(surface, jet)(t))
+        singles = [orders(getattr(surface, jet)(t[i:i + 1])) for i in range(len(t))]
+        # the base curve is a 1-jet (f, f'), the director a 3-jet
+        assert len(blocks) == (2 if jet == "base_curve" else 4)
+        for order, got in enumerate(blocks):
             assert got.shape == (len(t), 3)
-            want = np.concatenate([getattr(single, order) for single in singles])
+            want = np.concatenate([single[order] for single in singles])
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), order
 
     @pytest.mark.parametrize("block", [1, 7, JET_BLOCK, 4096])
@@ -392,12 +398,36 @@ class TestSampledJets:
         # 300 points: blocks of 7 leave a short last block, 4096 takes them all at once
         surface = load_surface(sampled_spec_document(catalog("hyperboloid"), 64))
         t = np.linspace(*surface.param_range, 300)
-        expected = [surface.base_curve(t), surface.director(t)]
+        expected = [*surface.base_curve(t), *orders(surface.director(t))]
         monkeypatch.setattr(surface_io, "JET_BLOCK", block)
-        for want, got in zip(expected, [surface.base_curve(t), surface.director(t)]):
-            for order in ("d0", "d1", "d2", "d3"):
-                assert np.array_equal(getattr(got, order).view(np.int64),
-                                      getattr(want, order).view(np.int64)), order
+        got = [*surface.base_curve(t), *orders(surface.director(t))]
+        for order, (a, b) in enumerate(zip(got, expected, strict=True)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), order
+
+    def test_base_curve_finite_to_first_order_classifies(self, tmp_path, capsys):
+        # f = (1e305 cos 3t, 0, 0) on a latitude cone's table: the interpolant's f'''
+        # overflows, f and f' do not, and f''' is neither computed nor read
+        t = [2.0 * math.pi * k / 63 for k in range(64)]
+        spec, out = tmp_path / "spec.json", tmp_path / "report.json"
+        spec.write_text(json.dumps({
+            "kind": "sampled", "u": t, "f": [[1e305 * math.cos(3.0 * x), 0.0, 0.0] for x in t],
+            "q": [[math.cos(0.5) * math.cos(x), math.cos(0.5) * math.sin(x), math.sin(0.5)]
+                  for x in t]}))
+        assert main(["classify", "--surface", str(spec), "--samples", "64",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        leaves, todo = [], [json.loads(out.read_text())]
+        while todo:
+            value = todo.pop()
+            if isinstance(value, dict):
+                todo += value.values()
+            elif isinstance(value, list):
+                todo += value
+            elif isinstance(value, float):
+                leaves.append(value)
+        assert all(math.isfinite(value) for value in leaves)
+        rows = json.loads(out.read_text())["samples"]
+        assert max(abs(row["striction_point"][0]) for row in rows) > 1e304
 
     def test_frame_peak_is_bounded_by_a_row_block(self):
         # measured 1.39 MB at JET_BLOCK 256 and 512 alike (2.08 MB at 1024); 1.97 MB
@@ -663,10 +693,10 @@ class TestExportObj:
         helicoid = catalog("helicoid")
 
         def base(u):
-            jet = helicoid.base_curve(u)
-            jet.d0[1, 1] = math.nan  # y of every vertex on the second ruling
-            jet.d0[2, 0] = math.inf  # x of the third: later in vertex order, earlier by column
-            return jet
+            f0, f1 = helicoid.base_curve(u)
+            f0[1, 1] = math.nan  # y of every vertex on the second ruling
+            f0[2, 0] = math.inf  # x of the third: later in vertex order, earlier by column
+            return f0, f1
 
         surface = dataclasses.replace(helicoid, base_curve=base)
         with pytest.raises(SpecError) as info:
