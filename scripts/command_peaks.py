@@ -17,7 +17,12 @@ the resident size of the process that forked it, and ``run.py`` itself grows
 to about 33 MB, so ``run.py`` cannot show a command's peak below that; from
 the launcher, a child that runs ``/bin/true`` reads 4.9 MB.  Prints, per
 command and tree, the minimum, median and maximum peak in MB and wall time
-in seconds, then the change in median.  Exits 1 if a command fails in
+in seconds, then the change in median.  Last, per workload, one paired line:
+over every (command, run) pair, the median and quartiles of the change's
+wall time over the parent's, and how many pairs the change won (ties count
+for neither).  A median of five runs spreads more than a small change, and
+the pairs of one run share the machine's state; a gain counts when the
+change wins at least nine pairs in ten.  Exits 1 if a command fails in
 either tree.
 """
 
@@ -128,6 +133,11 @@ def measure(trees: list[str], workload: str, seed: int, runs: int) -> list[str]:
         rise = statistics.median(peaks[1][i]) - statistics.median(peaks[0][i])
         slower = statistics.median(walls[1][i]) - statistics.median(walls[0][i])
         lines.append(f"{name} delta  peak_mb {rise:+.2f}  wall_s {slower:+.3f}")
+    ratios = [c / p for p_walls, c_walls in zip(*walls) for p, c in zip(p_walls, c_walls)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    won = sum(ratio < 1.0 for ratio in ratios)
+    lines.append(f"{workload:<18} {'paired wall_s change/parent':<42} ratio median "
+                 f"{median:.3f} quartiles {q1:.3f} {q3:.3f}  won {won} of {len(ratios)}")
     return lines
 
 

@@ -268,7 +268,19 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    return run(parse_cli(sys.argv[1:] if argv is None else list(argv)))
+    """Parse ``argv`` and run it; returns the process exit code.
+
+    Without ``argv`` this is the ``slant`` program: it reads ``sys.argv`` and
+    first calls ``gc.freeze()``, so the collections at interpreter exit skip
+    the objects that the imports built.  ``main(argv)`` and ``run`` never
+    freeze, since a library caller's garbage would stay uncollected.
+    """
+    if argv is None:
+        import gc  # here, so that importing this module loads no module more
+
+        gc.freeze()
+        argv = sys.argv[1:]
+    return run(parse_cli(list(argv)))
 
 
 if __name__ == "__main__":

@@ -464,11 +464,23 @@ class _PiecewisePoly:
         self.coeffs = np.concatenate((a, h[:, 0] * r[0] + h[:, 1] * r[1] + h[:, 2] * r[2]
                                       + h[:, 3] * r[3]))
 
-    def value_and_derivative(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _locate(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each point's interval, that interval's width and the point's (M, 1) t."""
         i = np.searchsorted(self.s_nodes, u, side="right") - 1
         i = np.clip(i, 0, len(self.s_nodes) - 2)
         width = self.s_nodes[i + 1] - self.s_nodes[i]
-        t = ((u - self.s_nodes[i]) / width)[:, None]
+        return i, width, ((u - self.s_nodes[i]) / width)[:, None]
+
+    def value(self, u: np.ndarray) -> np.ndarray:
+        """The value half of ``value_and_derivative``, bit for bit."""
+        i, _, t = self._locate(u)
+        acc = np.zeros((len(i), self.coeffs.shape[-1]))
+        for c in self.coeffs[::-1]:
+            acc = acc * t + c[i]
+        return acc
+
+    def value_and_derivative(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        i, width, t = self._locate(u)
         acc = np.zeros((len(i), self.coeffs.shape[-1]))
         dacc = np.zeros_like(acc)
         for c in self.coeffs[::-1]:  # one degree's rows gathered at a time
@@ -519,7 +531,7 @@ def build_surface(frames: FramePath, config: GeneratorConfig) -> RuledSurfaceSpe
 
     def base_curve(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q, _, a = frame_at(u)
-        return c_poly.value_and_derivative(u)[0], tangent(q, a)
+        return c_poly.value(u), tangent(q, a)
 
     return RuledSurfaceSpec(
         base_curve=base_curve,

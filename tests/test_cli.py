@@ -561,22 +561,30 @@ def test_main_returns_exit_code(helicoid_spec, tmp_path):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _python(cwd, *args):
+    """One fresh interpreter that imports ``slantsurf`` from this checkout."""
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+    )
+
+
 def _run_fresh(cwd, *argvs):
     """Run slant commands in one fresh interpreter.
 
     Returns the printed lines and whether scipy had been imported by the end.
+    ``main(argv)`` is the library path, so the child also asserts that the
+    collector was never frozen.
     """
     script = (
-        "import sys\n"
+        "import gc, sys\n"
         "from slantsurf.cli import main\n"
         f"for argv in {list(argvs)!r}:\n"
         "    assert main(argv) == 0, argv\n"
+        "assert gc.get_freeze_count() == 0\n"
         "print('scipy' in sys.modules)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=cwd, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
-    )
+    proc = _python(cwd, "-c", script)
     assert proc.returncode == 0, proc.stderr
     *lines, loaded = proc.stdout.splitlines()
     return lines, loaded == "True"
@@ -637,10 +645,58 @@ class TestStartup:
 ], ids=["constant-kappa-1e300", "tabulated-kappa-1e308", "constant-kappa-zero-norm"])
 def test_non_finite_march_exits_1_without_a_traceback(spec, error, tmp_path):
     write_spec(tmp_path / "spec.json", spec)
-    proc = subprocess.run(
-        [sys.executable, "-m", "slantsurf.cli", "classify", "--surface", "spec.json",
-         "--out", "r.json"], cwd=tmp_path, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
-    )
+    proc = _python(tmp_path, "-m", "slantsurf.cli", "classify", "--surface", "spec.json",
+                   "--out", "r.json")
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", error + "\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
+class TestProgramPath:
+    """``main()`` without argv is the ``slant`` program, and it alone freezes the
+    collector; the freeze runs in child processes, so it never pins this
+    suite's garbage."""
+
+    def test_program_freezes_and_library_and_import_do_not(self, helicoid_spec, tmp_path):
+        program = _python(tmp_path, "-c", (
+            "import gc, runpy, sys\n"
+            f"sys.argv = ['slant', 'classify', '--surface', {helicoid_spec!r}, '--out', 'r.json']\n"
+            "try:\n"
+            "    runpy.run_module('slantsurf.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.get_freeze_count() > 0)\n"))
+        assert program.stdout.splitlines()[-1] == "0 True", program.stderr
+        imported = _python(tmp_path, "-c",
+                           "import gc, slantsurf.cli; print(gc.get_freeze_count())")
+        assert imported.stdout == "0\n", imported.stderr
+        # the child asserts a freeze count of 0 after main(argv)
+        lines, _ = _run_fresh(
+            tmp_path, ["classify", "--surface", helicoid_spec, "--out", "r.json"])
+        assert lines[-1] == "wrote r.json"
+
+    @pytest.mark.parametrize("argv, code", [
+        (["classify", "--surface", "helicoid.json", "--out", "r.json", "--csv"], 0),
+        (["classify", "--surface", "helicoid.json", "--samples", "1"], 1),
+        (["classify", "--surface", "bad.json", "--out", "r.json"], 1),
+        (["analyze", "--surface", "cyl.json", "--out", "r.json"], 2),
+        (["classify", "--surface", "helicoid.json", "--out", "no_such_dir/r.json"], 3),
+    ], ids=["classify", "usage", "bad-spec", "cylindrical", "missing-dir"])
+    def test_program_prints_and_writes_what_main_argv_does(self, argv, code, tmp_path):
+        specs = {"helicoid.json": {"kind": "catalog", "name": "helicoid"},
+                 "bad.json": {"kind": "catalog", "name": "no_such_surface"},
+                 "cyl.json": {"kind": "sampled", "u": [0.1 * k for k in range(24)],
+                              "f": [[0.1 * k, 0.0, 0.0] for k in range(24)],
+                              "q": [[0.0, 0.0, 1.0]] * 24}}
+        results = []
+        for name, args in (("program", ["-m", "slantsurf.cli"]),
+                           ("library", ["-c", "import sys\nfrom slantsurf.cli import main\n"
+                                              "raise SystemExit(main(sys.argv[1:]))"])):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            for spec, doc in specs.items():
+                write_spec(cwd / spec, doc)
+            proc = _python(cwd, *args, *argv)
+            written = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())
+                       if p.name not in specs}
+            results.append((proc.returncode, proc.stdout, proc.stderr, written))
+        assert results[0][0] == code, results[0][2]
+        assert results[0] == results[1]

@@ -420,7 +420,10 @@ class TestHermiteInterpolant:
         assert inside <= self.VALUE_BOUND
         assert inside_slope <= self.SLOPE_BOUND
 
-    def test_horner_by_degree_matches_the_whole_gather_bit_for_bit(self):
+    @staticmethod
+    def director_poly_and_points() -> tuple[_PiecewisePoly, np.ndarray]:
+        """A generated director's interpolant, and its nodes, interior points and
+        points along the last interval, both ends included."""
         profile = ConstantSigma(0.5, (-1.5, 1.5))
         frames = integrate_frame(GeneratorConfig(profile, step=0.01))
         s = np.array(frames.s1)
@@ -428,10 +431,19 @@ class TestHermiteInterpolant:
         poly = _PiecewisePoly(s, _director_jet(frames.q, frames.h, frames.a, kap, kp))
         inside = s[:-1] + np.linspace(0.05, 0.95, 7)[:, None] * (s[1:] - s[:-1])
         last = s[-2] + np.linspace(0.0, 1.0, 9) * (s[-1] - s[-2])
-        u = np.concatenate((s, inside.ravel(), last))  # nodes, interiors, the last interval
+        return poly, np.concatenate((s, inside.ravel(), last))
+
+    def test_horner_by_degree_matches_the_whole_gather_bit_for_bit(self):
+        poly, u = self.director_poly_and_points()
         for got, want in zip(poly.value_and_derivative(u), gathered_horner(poly, u)):
             assert got.shape == want.shape == (len(u), 3)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_value_alone_matches_value_and_derivative_bit_for_bit(self):
+        poly, u = self.director_poly_and_points()
+        got, want = poly.value(u), poly.value_and_derivative(u)[0]
+        assert got.shape == want.shape == (len(u), 3)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def gathered_horner(poly: _PiecewisePoly, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,7 @@ import copy
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -188,8 +189,14 @@ def test_command_peaks_runs_every_command_from_both_trees(tmp_path):
     lines = run_script("command_peaks.py", src, src, "--workload", "cli_small", "--runs", "1",
                        cwd=tmp_path)
     assert lines[0].split()[:3] == ["workload", "command", "tree"]
-    rows = [line.split() for line in lines[1:]]
+    *rows, paired = [line.split() for line in lines[1:]]
     assert len(rows) == 3 * 9  # parent, change and delta for each cli_small command
+    # the paired line: median, quartiles and wins over the 9 commands x 1 run
+    median, q1, q3, won, pairs = re.fullmatch(
+        r"cli_small paired wall_s change/parent ratio median (\S+) quartiles (\S+) (\S+) "
+        r"won (\d+) of (\d+)", " ".join(paired)).groups()
+    assert 0.0 < float(q1) <= float(median) <= float(q3)
+    assert 0 <= int(won) <= int(pairs) == 9 * 1
     labels = [" ".join(row[1:-9]) for row in rows[0::3]]
     assert labels[:3] == ["classify helicoid --samples 512", "analyze helicoid --samples 512 --csv",
                           "export helicoid --grid 64x8"]
